@@ -172,35 +172,53 @@ def update_precoder(H: np.ndarray, G: np.ndarray, U: np.ndarray,
     ``F(mu) = (J + mu I)^{-1} H^H G U W`` with
     ``J = H^H (G U W U^H + diag(U W U^H)(I - G)) G H``; the diagonal term
     accounts for the precoder dependence of the distortion covariance.
-    ``mu = 0`` when the unconstrained solution (minimum-norm if J is
-    singular) is feasible, otherwise bisection on
-    ``[0, ||H^H G U W||_F / sqrt(pt)]`` enforces ||F||_F^2 = pt.
+
+    J is factored once, ``J = Q diag(lam) Q^H``. With ``c = Q^H rhs`` the
+    precoder power becomes the scalar secular function
+    ``||F(mu)||_F^2 = sum_i ||c_i||^2 / (lam_i + mu)^2``, the standard
+    WMMSE transmit step of Shi, Razaviyayn, Luo & He, "An iteratively
+    weighted MMSE approach to distributed sum-utility maximization for a
+    MIMO interfering broadcast channel", IEEE TSP 2011. ``mu = 0`` when the
+    unconstrained solution is feasible; for a rank-deficient J (e.g.
+    Nt > Nr) that is the minimum-norm solution, which drops eigenvalues
+    with ``|lam_i| <= eps * Nt * max|lam|``. Otherwise bisection on
+    ``[0, ||H^H G U W||_F / sqrt(pt)]`` evaluates the scalar power at each
+    midpoint until it is within ``1e-8 pt`` of ``pt`` (at most 200
+    halvings), and F is formed once at the final multiplier.
     """
+    return _precoder_and_multiplier(H, G, U, W, pt)[0]
+
+
+def _precoder_and_multiplier(H: np.ndarray, G: np.ndarray, U: np.ndarray,
+                             W: np.ndarray, pt: float) -> tuple[np.ndarray, float]:
+    """:func:`update_precoder` plus its multiplier mu (0 on the minimum-norm branch)."""
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
-    nr = H.shape[0]
+    nr, nt = H.shape
     UWU = U @ W @ U.conj().T
     J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(nr) - G)) @ G @ H
     J = 0.5 * (J + J.conj().T)
     rhs = H.conj().T @ G @ U @ W
-    # minimum-norm solution handles rank-deficient J (e.g. Nt > Nr)
-    F0 = np.linalg.lstsq(J, rhs, rcond=None)[0]
-    if np.linalg.norm(F0) ** 2 <= pt * (1.0 + 1e-9):
-        return F0
-    eye = np.eye(J.shape[0])
+    lam, Q = np.linalg.eigh(J)
+    c = Q.conj().T @ rhs
+    c2 = np.sum(np.abs(c) ** 2, axis=1)
+    # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero
+    keep = np.abs(lam) > np.finfo(float).eps * nt * np.max(np.abs(lam))
+    if np.sum(c2[keep] / lam[keep] ** 2) <= pt * (1.0 + 1e-9):
+        return Q[:, keep] @ (c[keep] / lam[keep, None]), 0.0
+    # Bisection, not Newton: SE is pinned at rtol 1e-9, and another root-finder
+    # would settle elsewhere inside the 1e-8 power tolerance.
     lo, hi = 0.0, float(np.linalg.norm(rhs)) / np.sqrt(pt)
-    F = F0
     for _ in range(200):
         mu = 0.5 * (lo + hi)
-        F = np.linalg.solve(J + mu * eye, rhs)
-        power = np.linalg.norm(F) ** 2
+        power = c2 @ (lam + mu) ** -2
         if abs(power - pt) <= 1e-8 * pt:
             break
         if power > pt:
             lo = mu
         else:
             hi = mu
-    return F
+    return Q @ (c / (lam + mu)[:, None]), mu
 
 
 def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,

@@ -267,8 +267,9 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     Channel realization c uses a seed derived from (seed, 0, c) so the
     ensemble is shared by every scheme and sweep point; the simulated
     distortion covariance of scheme s on channel c uses (seed, 1, c, s).
-    Per-channel scheme failures are recorded and the channel is dropped
-    from that scheme's aggregates.
+    Per-channel numerical scheme failures (``LinAlgError``,
+    ``FloatingPointError``, ``ValueError``) are recorded and the channel is
+    dropped from that scheme's aggregates; any other exception propagates.
     """
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
@@ -292,7 +293,8 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
                     scheme, H, config, table,
                     sim_seed=derive_seed(seed, 1, c, s_idx),
                 )
-            except Exception as exc:  # record, drop channel from aggregates
+            except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+                # numerical failure: record, drop channel from aggregates
                 warnings.warn(
                     f"scheme {scheme} failed on channel {c}: {exc}",
                     RuntimeWarning,

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmimo.beamforming import (
+    _precoder_and_multiplier,
     altmin_beamforming,
     mse_matrix,
     spectral_efficiency,
@@ -25,6 +28,52 @@ def random_instance(nr, nt, ns, seed, sigma_n2=0.05, pt=1.0, bits_val=2):
     G = bussgang_gain([bits_val] * nr)
     C_e = effective_noise_cov(G, H, F, sigma_n2)
     return H, F, G, C_e, sigma_n2, pt
+
+
+def reference_precoder(H, G, U, W, pt):
+    """Solve-based precoder update kept as the test oracle: the minimum-norm
+    ``lstsq`` solution when feasible, else bisection with one linear solve
+    per step. Returns the precoder and its multiplier (0 when unconstrained).
+    """
+    nr = H.shape[0]
+    UWU = U @ W @ U.conj().T
+    J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(nr) - G)) @ G @ H
+    J = 0.5 * (J + J.conj().T)
+    rhs = H.conj().T @ G @ U @ W
+    F0 = np.linalg.lstsq(J, rhs, rcond=None)[0]
+    if np.linalg.norm(F0) ** 2 <= pt * (1.0 + 1e-9):
+        return F0, 0.0
+    eye = np.eye(J.shape[0])
+    lo, hi = 0.0, float(np.linalg.norm(rhs)) / np.sqrt(pt)
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        F = np.linalg.solve(J + mu * eye, rhs)
+        power = np.linalg.norm(F) ** 2
+        if abs(power - pt) <= 1e-8 * pt:
+            break
+        if power > pt:
+            lo = mu
+        else:
+            hi = mu
+    return F, mu
+
+
+@st.composite
+def precoder_instances(draw):
+    """(H, G, U, W, pt) at paired combiner/weight updates; Nt = 2 Nr makes J singular."""
+    nr = draw(st.integers(1, 6))
+    nt = nr * draw(st.sampled_from([1, 2]))
+    ns = draw(st.integers(1, nr))
+    bits = draw(st.lists(st.integers(1, 4), min_size=nr, max_size=nr))
+    snr_db = draw(st.floats(0.0, 30.0))
+    pt = draw(st.floats(0.1, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = (rng.standard_normal((nr, nt)) + 1j * rng.standard_normal((nr, nt))) / np.sqrt(2 * nt)
+    F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
+    F *= np.sqrt(pt) / np.linalg.norm(F)
+    G = bussgang_gain(bits)
+    C_e = effective_noise_cov(G, H, F, pt / 10.0 ** (snr_db / 10.0))
+    return H, G, update_combiner(H, F, G, C_e), update_weight(H, F, G, C_e), pt
 
 
 class TestSpectralEfficiency:
@@ -232,6 +281,33 @@ class TestPrecoder:
         F_new = update_precoder(H, G, U, W, pt)
         assert np.all(np.isfinite(F_new))
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
+
+    def test_no_linear_solves(self, monkeypatch):
+        # one eigh per update on both branches; the bisection is scalar
+        instances = []
+        for sn2 in (1e-4, 1.0):  # minimum-norm branch, then bisection
+            H, F, G, C_e, _, pt = random_instance(3, 6, 2, seed=26, sigma_n2=sn2)
+            U = update_combiner(H, F, G, C_e)
+            instances.append((H, G, U, update_weight(H, F, G, C_e), pt))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linear solve in the precoder update")
+
+        monkeypatch.setattr(np.linalg, "solve", forbidden)
+        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        mus = [_precoder_and_multiplier(*inst)[1] for inst in instances]
+        assert mus[0] == 0.0 and mus[1] > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(precoder_instances())
+    def test_matches_solve_reference(self, instance):
+        H, G, U, W, pt = instance
+        F_new, mu_new = _precoder_and_multiplier(H, G, U, W, pt)
+        F_ref, mu_ref = reference_precoder(H, G, U, W, pt)
+        assert (mu_new == 0.0) == (mu_ref == 0.0)
+        assert np.linalg.norm(F_new - F_ref) <= 1e-9 * np.linalg.norm(F_ref)
+        assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-8)
+        np.testing.assert_array_equal(update_precoder(H, G, U, W, pt), F_new)
 
 
 class TestAltMin:

@@ -170,6 +170,17 @@ class TestRunExperiment:
         assert out.failures == 1
         assert out.se_apx.size == 2
 
+    def test_programming_error_propagates(self, monkeypatch):
+        import qmimo.evaluation as ev
+
+        def broken(H, pt, sigma_n2, ns):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(ev.beamforming, "waterfilling_baseline", broken)
+        cfg = PointConfig(**DESK, snr_db=10.0, b=2)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(cfg, ["WF"], num_channels=2, seed=9)
+
     def test_unknown_scheme_rejected(self):
         cfg = PointConfig(**DESK, snr_db=10.0, b=2)
         with pytest.raises(ValueError, match="unknown scheme"):

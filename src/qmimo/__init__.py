@@ -7,7 +7,7 @@ quantizer
 bussgang
     Linearized quantization model: gains and distortion covariances.
 channel
-    Saleh-Valenzuela mmWave channel realizations and symbol sampling.
+    Saleh-Valenzuela mmWave channel realizations.
 beamforming
     Rate bound, water-filling baseline, alternating WMMSE design.
 bitalloc
@@ -27,14 +27,13 @@ from .beamforming import (
 )
 from .bitalloc import BitAllocation, exhaustive_search, gpos_bfba, greedy_init
 from .bussgang import (
-    BussgangModel,
     bussgang_gain,
     effective_noise_cov,
     onebit_arcsine,
     qd_cov_approx,
     qd_cov_simulated,
 )
-from .channel import ChannelRealization, SVParams, received_cov, saleh_valenzuela, sample_symbols
+from .channel import ChannelRealization, SVParams, saleh_valenzuela
 from .evaluation import (
     ExperimentResult,
     PointConfig,
@@ -52,7 +51,6 @@ from .quantizer import (
     gamma_approx,
     lloyd_max_design,
     optimal_uniform_design,
-    quantize_complex,
     scale_to_variance,
 )
 

@@ -11,7 +11,6 @@ closed forms for sign quantization as an independent one-bit cross-check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -19,7 +18,6 @@ import numpy as np
 from .quantizer import DistortionTable, _unit_quantizer, distortion_table
 
 __all__ = [
-    "BussgangModel",
     "bussgang_gain",
     "gain_diagonal",
     "qd_cov_approx",
@@ -27,7 +25,6 @@ __all__ = [
     "qd_cov_simulated",
     "onebit_arcsine",
     "optimal_onebit_beta",
-    "build_model",
 ]
 
 
@@ -144,7 +141,7 @@ def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
 
 def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
                      bits: Optional[Sequence[int]], num_samples: int = 10**5,
-                     seed=0, num_workers: int = 1,
+                     seed=0,
                      table: Optional[DistortionTable] = None) -> np.ndarray:
     """Monte-Carlo estimate of the full distortion covariance E[eta eta^H].
 
@@ -153,10 +150,8 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     covariance of ``eta = z - G y`` is returned (Hermitian, eigenvalues
     clipped at zero against sampling noise).
 
-    Samples are partitioned into ``num_workers`` chunks with per-chunk
-    seed substreams; the result is bit-identical for a fixed
-    ``(seed, num_workers)`` pair and the chunks are independent, so they
-    can be fanned out across processes.
+    All samples come from one stream, ``SeedSequence([seed, 0])``, so the
+    result is bit-identical for a fixed integer ``seed``.
     """
     if num_samples < 10**4:
         rel_se = 1.0 / np.sqrt(max(num_samples, 1))
@@ -166,17 +161,9 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
             RuntimeWarning,
             stacklevel=2,
         )
-    nr = H.shape[0]
-    counts = [num_samples // num_workers] * num_workers
-    counts[-1] += num_samples - sum(counts)
-    acc = np.zeros((nr, nr), dtype=complex)
-    for w, n_w in enumerate(counts):
-        if n_w == 0:
-            continue
-        sub_seed = np.random.SeedSequence([_as_seed_int(seed), w])
-        _, _, eta = _simulate_quantized(H, F, sigma_n2, bits, n_w, sub_seed, table)
-        acc += eta @ eta.conj().T
-    return _clip_psd(acc / num_samples)
+    stream = np.random.SeedSequence([_as_seed_int(seed), 0])
+    _, _, eta = _simulate_quantized(H, F, sigma_n2, bits, num_samples, stream, table)
+    return _clip_psd(eta @ eta.conj().T / num_samples)
 
 
 def _as_seed_int(seed) -> int:
@@ -223,37 +210,3 @@ def onebit_arcsine(C_y: np.ndarray, beta: float) -> OneBitArcsine:
     G = np.diag(scale * k_inv_sqrt)
     C_eta = C_z - (2.0 * beta / np.pi) * R
     return OneBitArcsine(C_zy=C_zy, C_z=C_z, G=G, C_eta=C_eta)
-
-
-@dataclass(frozen=True)
-class BussgangModel:
-    """Linearized quantization model for one (H, F, bits) operating point.
-
-    Holds the per-chain distortion factors, the received-signal covariance
-    and the distortion / effective-noise covariances under the diagonal
-    approximation. All arrays are fixed after construction and safe to
-    share across Monte-Carlo workers.
-    """
-
-    gamma_diag: np.ndarray
-    C_y: np.ndarray
-    C_eta: np.ndarray
-    C_e: np.ndarray
-
-    @property
-    def G(self) -> np.ndarray:
-        return np.diag(1.0 - self.gamma_diag)
-
-
-def build_model(H: np.ndarray, F: np.ndarray, sigma_n2: float,
-                bits: Optional[Sequence[int]],
-                table: Optional[DistortionTable] = None) -> BussgangModel:
-    """Assemble the approximate Bussgang model for a channel/precoder pair."""
-    nr = H.shape[0]
-    g = gain_diagonal(bits, nr, table)
-    G = np.diag(g)
-    hf = H @ F
-    C_y = hf @ hf.conj().T + sigma_n2 * np.eye(nr)
-    C_eta = qd_cov_approx(G, C_y).C_eta
-    C_e = effective_noise_cov(G, H, F, sigma_n2)
-    return BussgangModel(gamma_diag=1.0 - g, C_y=C_y, C_eta=C_eta, C_e=C_e)

@@ -1,4 +1,4 @@
-"""Clustered mmWave channel realizations and transmit-symbol sampling.
+"""Clustered mmWave channel realizations.
 
 Narrowband Saleh-Valenzuela model: a sum of rank-one cluster/ray
 contributions between half-wavelength ULAs at both ends, normalized so
@@ -8,8 +8,7 @@ generation is a pure function of (parameters, seed).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +17,6 @@ __all__ = [
     "ChannelRealization",
     "saleh_valenzuela",
     "ula_steering",
-    "received_cov",
-    "sample_symbols",
-    "dump_channel",
-    "load_channel",
 ]
 
 
@@ -93,56 +88,3 @@ def saleh_valenzuela(nt: int, nr: int, params: SVParams | None = None,
     a_tx = ula_steering(nt, phi_tx)                       # nt x L
     H = np.sqrt(1.0 / num_paths) * ((a_rx * alpha[None, :]) @ a_tx.conj().T)
     return ChannelRealization(H=H, seed=seed, params=params)
-
-
-def received_cov(H: np.ndarray, F: np.ndarray, sigma_n2: float) -> np.ndarray:
-    """Covariance of the unquantized received signal: H F F^H H^H + sigma_n^2 I."""
-    hf = H @ F
-    return hf @ hf.conj().T + sigma_n2 * np.eye(H.shape[0])
-
-
-def sample_symbols(kind: str, ns: int, count: int, seed: int = 0) -> np.ndarray:
-    """Draw an (ns x count) symbol matrix with unit per-entry average power.
-
-    ``gaussian`` draws i.i.d. CN(0, 1); ``qam16`` draws from the
-    {+-1, +-3} square grid scaled by 1/sqrt(10).
-    """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(seed)
-    if kind == "gaussian":
-        return (rng.standard_normal((ns, count))
-                + 1j * rng.standard_normal((ns, count))) / np.sqrt(2.0)
-    if kind == "qam16":
-        levels = np.array([-3.0, -1.0, 1.0, 3.0])
-        re = levels[rng.integers(0, 4, (ns, count))]
-        im = levels[rng.integers(0, 4, (ns, count))]
-        return (re + 1j * im) / np.sqrt(10.0)
-    raise ValueError(f"unknown symbol kind {kind!r}; expected 'gaussian' or 'qam16'")
-
-
-def dump_channel(realization: ChannelRealization, path) -> None:
-    """Write one realization as JSON with row-major interleaved re/im doubles."""
-    H = realization.H
-    interleaved = np.empty(2 * H.size)
-    flat = H.ravel()  # row-major
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
-    record = {
-        "nr": H.shape[0],
-        "nt": H.shape[1],
-        "seed": realization.seed,
-        "params": asdict(realization.params),
-        "h_re_im": interleaved.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(record, fh)
-
-
-def load_channel(path) -> ChannelRealization:
-    """Read a realization written by :func:`dump_channel`."""
-    with open(path) as fh:
-        record = json.load(fh)
-    data = np.asarray(record["h_re_im"])
-    H = (data[0::2] + 1j * data[1::2]).reshape(record["nr"], record["nt"])
-    return ChannelRealization(H=H, seed=record["seed"], params=SVParams(**record["params"]))

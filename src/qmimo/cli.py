@@ -17,7 +17,8 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +42,6 @@ CSV_COLUMNS = [
 ]
 
 _REQUIRED_KEYS = {"Nt", "Nr", "Ns", "snr_db", "b"}
-_KNOWN_KEYS = _REQUIRED_KEYS | {
-    "Pt", "b_max", "varsigma", "b_total", "eps", "max_iter", "I2",
-    "scoring_max_iter", "sv", "seed", "schemes", "num_channels",
-    "num_qd_samples", "sim_se", "output_dir", "carrier_frequency_hz",
-}
 _KNOWN_SV_KEYS = {"num_clusters", "rays_per_cluster", "angle_spread_deg"}
 
 
@@ -55,46 +51,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, possibly with swept axes."""
+    """Validated experiment description: a base point, swept axes and run settings.
 
-    nt: int
-    nr: int
-    ns: int
+    ``base`` holds every per-point parameter (at the first value of each
+    swept axis); ``points()`` varies its ``snr_db`` and ``b`` over the axes.
+    """
+
+    base: evaluation.PointConfig
     snr_db: tuple[float, ...]
     b: tuple[int, ...]
-    pt: float = 1.0
-    b_max: int = 8
-    varsigma: float = 1.0
-    b_total: int | None = None
-    eps: float = 1e-4
-    max_iter: int = 500
-    i2: int = 15
-    scoring_max_iter: int = 30
-    sv: channel.SVParams = field(default_factory=channel.SVParams)
     seed: int = 0
     schemes: tuple[str, ...] = ("WF", "AltMinBF")
     num_channels: int = 1000
-    num_qd_samples: int = 10**5
-    sim_se: bool = False
     output_dir: str = "results"
-    carrier_frequency_hz: float = 28e9  # metadata only; not used in any computation
 
     def points(self) -> list[tuple[dict, evaluation.PointConfig]]:
         """Expand swept axes into (axes, point-config) pairs."""
-        out = []
-        for snr in self.snr_db:
-            for b in self.b:
-                axes = {"snr_db": snr, "b": b}
-                cfg = evaluation.PointConfig(
-                    nt=self.nt, nr=self.nr, ns=self.ns, snr_db=snr, pt=self.pt,
-                    b=b, b_max=self.b_max, varsigma=self.varsigma,
-                    b_total=self.b_total, eps=self.eps, max_iter=self.max_iter,
-                    i2=self.i2, scoring_max_iter=self.scoring_max_iter,
-                    sv=self.sv, sim_se=self.sim_se,
-                    num_qd_samples=self.num_qd_samples,
-                )
-                out.append((axes, cfg))
-        return out
+        return [({"snr_db": snr, "b": b}, dataclasses.replace(self.base, snr_db=snr, b=b))
+                for snr in self.snr_db for b in self.b]
 
     def validate(self) -> None:
         for axes, cfg in self.points():
@@ -104,16 +78,47 @@ class ExperimentConfig:
                 raise ConfigError(f"infeasible point {axes}: {exc}") from exc
 
 
-def _as_list(value) -> list:
-    return list(value) if isinstance(value, (list, tuple)) else [value]
+def _axis(parse):
+    """Parser of a sweepable key: one value or a non-empty list of values."""
+    def parse_axis(value) -> tuple:
+        values = tuple(map(parse, value if isinstance(value, list) else [value]))
+        if not values:
+            raise ValueError("a swept axis needs at least one value")
+        return values
+    return parse_axis
+
+
+def _sv_params(value) -> channel.SVParams:
+    if not isinstance(value, dict):
+        raise ValueError("must be an object")
+    unknown = set(value) - _KNOWN_SV_KEYS
+    if unknown:
+        raise ValueError(f"unknown sv keys: {sorted(unknown)}")
+    return channel.SVParams(**value)
+
+
+#: JSON key -> (field, parser). ``PointConfig`` fields go to the base point
+#: and the rest to ``ExperimentConfig``; an absent key keeps the field default.
+_KEYS = {
+    "Nt": ("nt", int), "Nr": ("nr", int), "Ns": ("ns", int),
+    "snr_db": ("snr_db", _axis(float)), "b": ("b", _axis(int)),
+    "Pt": ("pt", float), "b_max": ("b_max", int), "varsigma": ("varsigma", float),
+    "b_total": ("b_total", lambda v: None if v is None else int(v)),
+    "eps": ("eps", float), "max_iter": ("max_iter", int), "I2": ("i2", int),
+    "scoring_max_iter": ("scoring_max_iter", int), "sv": ("sv", _sv_params),
+    "num_qd_samples": ("num_qd_samples", int), "sim_se": ("sim_se", bool),
+    "seed": ("seed", int), "schemes": ("schemes", tuple),
+    "num_channels": ("num_channels", int), "output_dir": ("output_dir", str),
+}
+_POINT_FIELDS = {f.name for f in dataclasses.fields(evaluation.PointConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
     """Load and validate a JSON experiment config.
 
-    Unknown keys are rejected; missing required keys and infeasible
-    cross-field combinations raise :class:`ConfigError` with the offending
-    key or point named.
+    Unknown keys are rejected; missing required keys, malformed values and
+    infeasible cross-field combinations raise :class:`ConfigError` with the
+    offending key or point named.
     """
     path = Path(path)
     if not path.exists():
@@ -124,53 +129,30 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
 
-    sv_raw = raw.get("sv", {})
-    if not isinstance(sv_raw, dict):
-        raise ConfigError("'sv' must be an object")
-    unknown_sv = set(sv_raw) - _KNOWN_SV_KEYS
-    if unknown_sv:
-        raise ConfigError(f"unknown sv keys: {sorted(unknown_sv)}")
-
-    schemes = tuple(raw.get("schemes", ("WF", "AltMinBF")))
-    bad = [s for s in schemes if s not in evaluation.SCHEMES]
+    values = {}
+    for key, value in raw.items():
+        name, parse = _KEYS[key]
+        try:
+            values[name] = parse(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
+    bad = [s for s in values.get("schemes", ()) if s not in evaluation.SCHEMES]
     if bad:
         raise ConfigError(
             f"unknown schemes {bad}; valid schemes are {list(evaluation.SCHEMES)}"
         )
 
-    try:
-        config = ExperimentConfig(
-            nt=int(raw["Nt"]),
-            nr=int(raw["Nr"]),
-            ns=int(raw["Ns"]),
-            snr_db=tuple(float(x) for x in _as_list(raw["snr_db"])),
-            b=tuple(int(x) for x in _as_list(raw["b"])),
-            pt=float(raw.get("Pt", 1.0)),
-            b_max=int(raw.get("b_max", 8)),
-            varsigma=float(raw.get("varsigma", 1.0)),
-            b_total=None if raw.get("b_total") is None else int(raw["b_total"]),
-            eps=float(raw.get("eps", 1e-4)),
-            max_iter=int(raw.get("max_iter", 500)),
-            i2=int(raw.get("I2", 15)),
-            scoring_max_iter=int(raw.get("scoring_max_iter", 30)),
-            sv=channel.SVParams(**sv_raw),
-            seed=int(raw.get("seed", 0)),
-            schemes=schemes,
-            num_channels=int(raw.get("num_channels", 1000)),
-            num_qd_samples=int(raw.get("num_qd_samples", 10**5)),
-            sim_se=bool(raw.get("sim_se", False)),
-            output_dir=str(raw.get("output_dir", "results")),
-            carrier_frequency_hz=float(raw.get("carrier_frequency_hz", 28e9)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config value: {exc}") from exc
+    point = {k: v for k, v in values.items() if k in _POINT_FIELDS}
+    run = {k: v for k, v in values.items() if k not in _POINT_FIELDS}
+    base = evaluation.PointConfig(**dict(point, snr_db=point["snr_db"][0], b=point["b"][0]))
+    config = ExperimentConfig(base=base, snr_db=point["snr_db"], b=point["b"], **run)
     config.validate()
     return config
 
@@ -285,7 +267,7 @@ def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
         alloc, se = bitalloc.exhaustive_search(
             H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns,
             b_max=cfg.b_max,
-            b_total=cfg.nr * cfg.b if cfg.b_total is None else cfg.b_total,
+            b_total=cfg.total_bits,
             varsigma=cfg.varsigma, eps=cfg.eps, max_iter=cfg.max_iter,
         )
         p_tot = evaluation.total_power(alloc.bits)
@@ -311,7 +293,7 @@ def run_sweep(config: ExperimentConfig, output_dir=None,
 
     The CSV is rewritten and flushed after each point so an interrupted
     run keeps every completed point. Returns a process exit status (0 on
-    success, 1 if any point raised).
+    success, 1 if any point raised; its traceback goes to stderr).
     """
     out_dir = Path(output_dir if output_dir is not None else config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -331,9 +313,8 @@ def run_sweep(config: ExperimentConfig, output_dir=None,
                 result.outcomes["ES"] = _oracle_outcome(
                     cfg, config.seed, config.num_channels
                 )
-        except Exception as exc:
-            if progress:
-                progress(f"point {axes} failed: {exc}")
+        except Exception:
+            print(f"point {axes} failed:\n{traceback.format_exc()}", end="", file=sys.stderr)
             status = 1
             break
         records.append(PointRecord(axes=axes, result=result))
@@ -368,12 +349,12 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, num_channels=args.channels)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        if args.oracle:
-            if config.b_max ** config.nr > 10**6:
-                raise ConfigError(
-                    f"--oracle needs b_max^Nr <= 1e6, got "
-                    f"{config.b_max}^{config.nr} = {config.b_max**config.nr:.3g}"
-                )
+        base = config.base
+        if args.oracle and base.b_max ** base.nr > 10**6:
+            raise ConfigError(
+                f"--oracle needs b_max^Nr <= 1e6, got "
+                f"{base.b_max}^{base.nr} = {base.b_max**base.nr:.3g}"
+            )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -384,8 +365,8 @@ def main(argv=None) -> int:
         _dump_quantizers(config, out_dir)
     try:
         return run_sweep(config, output_dir=out_dir, oracle=args.oracle)
-    except Exception as exc:
-        print(f"run error: {exc}", file=sys.stderr)
+    except Exception:
+        print(f"run error:\n{traceback.format_exc()}", end="", file=sys.stderr)
         return 1
 
 

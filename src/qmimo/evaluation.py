@@ -113,7 +113,7 @@ class PointConfig:
     b: int = 2
     b_max: int = 8
     varsigma: float = 1.0
-    b_total: Optional[int] = None      # defaults to nr * b
+    b_total: Optional[int] = None      # None: nr * b (see total_bits)
     eps: float = 1e-4
     max_iter: int = 500
     i2: int = 15
@@ -127,9 +127,13 @@ class PointConfig:
         return self.pt / 10.0 ** (self.snr_db / 10.0)
 
     @property
+    def total_bits(self) -> int:
+        """ADC bit total before the varsigma scaling: ``b_total``, else Nr * b."""
+        return self.nr * self.b if self.b_total is None else self.b_total
+
+    @property
     def budget(self) -> int:
-        b_total = self.nr * self.b if self.b_total is None else self.b_total
-        return int(np.floor(self.varsigma * b_total))
+        return int(np.floor(self.varsigma * self.total_bits))
 
     def validate(self, schemes: Sequence[str] = ()) -> None:
         if self.ns > min(self.nt, self.nr):
@@ -233,7 +237,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig,
     elif scheme == "GPOS":
         res = bitalloc.gpos_bfba(
             H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns,
-            b_max=cfg.b_max, b_total=cfg.nr * cfg.b if cfg.b_total is None else cfg.b_total,
+            b_max=cfg.b_max, b_total=cfg.total_bits,
             varsigma=cfg.varsigma, i2=cfg.i2,
             scoring_max_iter=cfg.scoring_max_iter,
             eps=cfg.eps, max_iter=cfg.max_iter, table=table,

@@ -25,7 +25,6 @@ __all__ = [
     "DistortionTable",
     "lloyd_max_design",
     "optimal_uniform_design",
-    "quantize_complex",
     "scale_to_variance",
     "gamma_approx",
     "estimate_distortion_factor",
@@ -102,11 +101,6 @@ class ScalarQuantizer:
         if np.iscomplexobj(x):
             return self.quantize_real(x.real) + 1j * self.quantize_real(x.imag)
         return self.quantize_real(x)
-
-
-def quantize_complex(q: ScalarQuantizer, x):
-    """Apply ``q`` to the real and imaginary parts of ``x`` independently."""
-    return q.quantize(x)
 
 
 def scale_to_variance(q_unit: ScalarQuantizer, sigma: float) -> ScalarQuantizer:

@@ -1,16 +1,11 @@
-"""Channel generation, normalization, and symbol sampling."""
+"""Channel generation and normalization."""
 
 import numpy as np
 import pytest
 
 from qmimo.channel import (
-    ChannelRealization,
     SVParams,
-    dump_channel,
-    load_channel,
-    received_cov,
     saleh_valenzuela,
-    sample_symbols,
     ula_steering,
 )
 
@@ -71,72 +66,3 @@ class TestSalehValenzuela:
             SVParams(angle_spread_deg=-1.0)
         with pytest.raises(ValueError):
             saleh_valenzuela(0, 4, seed=0)
-
-
-class TestReceivedCov:
-    def test_zero_precoder(self):
-        H = saleh_valenzuela(4, 4, seed=1).H
-        C = received_cov(H, np.zeros((4, 2)), 0.3)
-        np.testing.assert_allclose(C, 0.3 * np.eye(4))
-
-    def test_rank_one_noiseless(self):
-        H = saleh_valenzuela(4, 4, seed=2).H
-        f = np.zeros((4, 2), dtype=complex)
-        f[:, 0] = [1, 0, 0, 0]
-        C = received_cov(H, f, 0.0)
-        assert np.linalg.matrix_rank(C, tol=1e-10) == 1
-
-    def test_min_eigenvalue_noise_floor(self):
-        rng = np.random.default_rng(3)
-        H = saleh_valenzuela(6, 5, seed=3).H
-        F = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        C = received_cov(H, F, 0.2)
-        np.testing.assert_allclose(C, C.conj().T)
-        assert np.linalg.eigvalsh(C).min() >= 0.2 - 1e-10
-
-
-class TestSampleSymbols:
-    def test_gaussian_identity_covariance(self):
-        s = sample_symbols("gaussian", 2, 10**6, seed=5)
-        C = s @ s.conj().T / s.shape[1]
-        # per-entry standard error ~ 1/sqrt(n)
-        assert np.max(np.abs(C - np.eye(2))) < 3.5 / np.sqrt(s.shape[1])
-
-    def test_qam16_grid_and_power(self):
-        s = sample_symbols("qam16", 1, 10**5, seed=6).ravel()
-        grid = np.array([-3, -1, 1, 3]) / np.sqrt(10)
-        assert set(np.round(np.unique(s.real), 12)) <= set(np.round(grid, 12))
-        assert np.mean(np.abs(s) ** 2) == pytest.approx(1.0, abs=0.01)
-
-    def test_deterministic(self):
-        a = sample_symbols("gaussian", 3, 100, seed=9)
-        b = sample_symbols("gaussian", 3, 100, seed=9)
-        np.testing.assert_array_equal(a, b)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            sample_symbols("bpsk", 1, 10, seed=0)
-        with pytest.raises(ValueError):
-            sample_symbols("gaussian", 1, 0, seed=0)
-
-
-class TestDumpFormat:
-    def test_round_trip(self, tmp_path):
-        real = saleh_valenzuela(5, 3, seed=42)
-        path = tmp_path / "chan.json"
-        dump_channel(real, path)
-        loaded = load_channel(path)
-        np.testing.assert_array_equal(loaded.H, real.H)
-        assert loaded.seed == real.seed
-        assert loaded.params == real.params
-
-    def test_interleaving_is_row_major(self, tmp_path):
-        real = ChannelRealization(
-            H=np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]]), seed=0, params=SVParams()
-        )
-        path = tmp_path / "chan.json"
-        dump_channel(real, path)
-        import json
-
-        data = json.loads(path.read_text())["h_re_im"]
-        assert data == [1, 2, 3, 4, 5, 6, 7, 8]

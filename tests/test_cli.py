@@ -1,20 +1,24 @@
 """Config parsing, sweep execution, result serialization, exit codes."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import qmimo.cli as cli
+from qmimo.channel import SVParams
 from qmimo.cli import (
     CSV_COLUMNS,
     ConfigError,
+    ExperimentConfig,
     main,
     parse_config,
     run_sweep,
     write_results,
 )
+from qmimo.evaluation import PointConfig
 
 
 def write_config(tmp_path, **overrides):
@@ -32,11 +36,52 @@ class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         path = write_config(tmp_path, Nt=64, Nr=64, Ns=8, snr_db=10, b=2)
         cfg = parse_config(path)
-        assert cfg.pt == 1.0
-        assert cfg.varsigma == 1.0
-        assert cfg.b_total is None
+        assert cfg.base.pt == 1.0
+        assert cfg.base.varsigma == 1.0
+        assert cfg.base.b_total is None
         _, point = cfg.points()[0]
         assert point.budget == 128
+
+    def test_required_keys_only_is_default_point(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"Nt": 8, "Nr": 6, "Ns": 3, "snr_db": 5, "b": 4}))
+        cfg = parse_config(path)
+        assert cfg == ExperimentConfig(
+            base=PointConfig(nt=8, nr=6, ns=3, snr_db=5.0, b=4), snr_db=(5.0,), b=(4,)
+        )
+
+    def test_every_key_lands_on_its_field(self, tmp_path):
+        doc = {
+            "Nt": 6, "Nr": 5, "Ns": 3, "snr_db": [1.5, 2.5], "b": [3, 4],
+            "Pt": 2.0, "b_max": 6, "varsigma": 0.8, "b_total": 17, "eps": 1e-3,
+            "max_iter": 77, "I2": 4, "scoring_max_iter": 9,
+            "sv": {"num_clusters": 2, "rays_per_cluster": 3, "angle_spread_deg": 5.0},
+            "num_qd_samples": 20000, "sim_se": True, "seed": 12,
+            "schemes": ["GPOS", "FullPrecision"], "num_channels": 7,
+            "output_dir": "elsewhere",
+        }
+        assert set(doc) == set(cli._KEYS)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        cfg = parse_config(path)
+        base = PointConfig(
+            nt=6, nr=5, ns=3, snr_db=1.5, pt=2.0, b=3, b_max=6, varsigma=0.8,
+            b_total=17, eps=1e-3, max_iter=77, i2=4, scoring_max_iter=9,
+            sv=SVParams(num_clusters=2, rays_per_cluster=3, angle_spread_deg=5.0),
+            sim_se=True, num_qd_samples=20000,
+        )
+        assert cfg == ExperimentConfig(
+            base=base, snr_db=(1.5, 2.5), b=(3, 4), seed=12,
+            schemes=("GPOS", "FullPrecision"), num_channels=7, output_dir="elsewhere",
+        )
+        defaults = ExperimentConfig(base=PointConfig(), snr_db=(), b=())
+        for f in dataclasses.fields(PointConfig):
+            assert getattr(cfg.base, f.name) != getattr(defaults.base, f.name), f.name
+        for f in dataclasses.fields(ExperimentConfig):
+            assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+        assert [point for _, point in cfg.points()] == [
+            dataclasses.replace(base, snr_db=snr, b=b) for snr in (1.5, 2.5) for b in (3, 4)
+        ]
 
     def test_infeasible_budget(self, tmp_path):
         path = write_config(
@@ -56,8 +101,15 @@ class TestParseConfig:
         assert len(parse_config(path).points()) == 6
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = write_config(tmp_path, snr=10)
-        with pytest.raises(ConfigError, match="unknown config keys.*snr"):
+        for key in ("snr", "carrier_frequency_hz"):
+            path = write_config(tmp_path, **{key: 10})
+            with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
+                parse_config(path)
+
+    @pytest.mark.parametrize("key, value", [("snr_db", []), ("Nt", "x"), ("schemes", 5)])
+    def test_invalid_value_names_key(self, tmp_path, key, value):
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=f"invalid value for '{key}'"):
             parse_config(path)
 
     def test_missing_required(self, tmp_path):
@@ -211,10 +263,24 @@ class TestMain:
             schemes = {row["scheme"] for row in csv.DictReader(fh)}
         assert schemes == {"GPOS", "ES"}
 
-    def test_run_error_exit_code(self, tmp_path, monkeypatch):
+    def test_run_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic")
 
         monkeypatch.setattr(cli, "run_sweep", boom)
         path = write_config(tmp_path)
         assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "RuntimeError: synthetic" in err
+        assert "Traceback" in err
+
+    def test_point_error_reports_type_and_traceback(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(cli.evaluation, "run_experiment", broken)
+        path = write_config(tmp_path)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "TypeError: synthetic bug" in err
+        assert "Traceback" in err

@@ -14,7 +14,6 @@ from qmimo.quantizer import (
     gaussian_quantizer_mse,
     lloyd_max_design,
     optimal_uniform_design,
-    quantize_complex,
     quantizer_mse,
     scale_to_variance,
 )
@@ -117,13 +116,13 @@ class TestOptimalUniform:
 class TestQuantizeComplex:
     def test_one_bit_sign_mapping(self):
         q = lloyd_max_design(1)
-        z = quantize_complex(q, 0.3 - 2.1j)
+        z = q.quantize(0.3 - 2.1j)
         assert z == pytest.approx(ONE_BIT_LEVEL - 1j * ONE_BIT_LEVEL, abs=1e-9)
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_zero_maps_to_first_positive_level(self, bits):
         q = lloyd_max_design(bits)
-        z = quantize_complex(q, 0.0 + 0.0j)
+        z = q.quantize(0.0 + 0.0j)
         first_positive = q.codebook[q.num_levels // 2]
         assert first_positive > 0
         assert z == pytest.approx(first_positive * (1 + 1j), abs=1e-12)
@@ -143,7 +142,7 @@ class TestQuantizeComplex:
     def test_vectorized(self):
         q = lloyd_max_design(3)
         x = np.array([0.1 + 0.2j, -1.4 - 0.3j])
-        z = quantize_complex(q, x)
+        z = q.quantize(x)
         assert z.shape == x.shape
         assert z[0].real == q.quantize_real(0.1)
 
@@ -258,7 +257,7 @@ class TestEstimateDistortionFactor:
         s = (rng.standard_normal((rows, width))
              + 1j * rng.standard_normal((rows, width))) / np.sqrt(2)
         q = scale_to_variance(lloyd_max_design(bits), 1.0 / np.sqrt(2))
-        err2 = np.abs(s - quantize_complex(q, s)) ** 2
+        err2 = np.abs(s - q.quantize(s)) ** 2
         ratios = err2.sum(axis=1) / (np.abs(s) ** 2).sum(axis=1)
         se = ratios.std(ddof=1) / np.sqrt(rows)
         est = estimate_distortion_factor(s, q)
@@ -301,7 +300,7 @@ class TestEstimateDistortionFactor:
         q = lloyd_max_design(1)
         s = np.array([0.0 + 0.0j, 1.0 + 1.0j])
         est = estimate_distortion_factor(s, q)
-        expected = np.abs((1 + 1j) - quantize_complex(q, 1 + 1j)) ** 2 / 2.0
+        expected = np.abs((1 + 1j) - q.quantize(1 + 1j)) ** 2 / 2.0
         assert est == pytest.approx(expected)
 
     def test_all_zero_rejected(self):
@@ -319,7 +318,7 @@ class TestComplexExtension:
         n = 4 * 10**5
         x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
         q = scale_to_variance(lloyd_max_design(2), 1.0 / np.sqrt(2))
-        z = quantize_complex(q, x)
+        z = q.quantize(x)
         chi = z - x
         prod = z * chi.conj()
         se = prod.std(ddof=1) / np.sqrt(n)
@@ -337,7 +336,7 @@ class TestComplexExtension:
         n = 10**6
         x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
         q = scale_to_variance(optimal_uniform_design(bits), 1.0 / np.sqrt(2))
-        z = quantize_complex(q, x)
+        z = q.quantize(x)
         prod = z * (z - x).conj()
         se = np.sqrt(prod.real.var(ddof=1) + prod.imag.var(ddof=1)) / np.sqrt(n)
         assert abs(prod.mean()) < 3 * se

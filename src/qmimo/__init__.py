@@ -27,8 +27,8 @@ from .beamforming import (
 )
 from .bitalloc import BitAllocation, exhaustive_search, gpos_bfba, greedy_init
 from .bussgang import (
-    bussgang_gain,
     effective_noise_cov,
+    gain_diagonal,
     onebit_arcsine,
     qd_cov_approx,
     qd_cov_simulated,

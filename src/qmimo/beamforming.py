@@ -5,7 +5,9 @@ Gaussian effective noise. For fixed per-chain resolutions, the precoder
 and combiner are obtained by alternating minimization of a weighted MSE
 objective whose fixed points coincide with the rate maximizer; the
 eigen-mode water-filling solution serves as both the unquantized baseline
-and the initializer.
+and the initializer. Diagonal quantities are length-Nr vectors: ``g`` is the
+diagonal of the Bussgang gain ``G`` and ``ce`` that of the approximate
+effective-noise covariance ``C_e``.
 """
 
 from __future__ import annotations
@@ -60,14 +62,16 @@ def _logdet_hermitian(A: np.ndarray) -> float:
 
 
 def spectral_efficiency(H: np.ndarray, F: np.ndarray, U: np.ndarray,
-                        G: np.ndarray, C_e: np.ndarray) -> float:
+                        g: np.ndarray, C_e: np.ndarray) -> float:
     """Achievable rate (bits/s/Hz) of the linearized quantized link.
 
     ``R = log2 det(I + (U^H C_e U)^{-1} U^H G H F F^H H^H G U)``, computed
-    as a difference of log-determinants. A singular post-combining noise
-    covariance is ridged with 1e-12 I and flagged with a warning.
+    as a difference of log-determinants, with ``g`` the length-Nr diagonal
+    of ``G`` and ``C_e`` a full matrix (the Monte-Carlo one is not
+    diagonal). A singular post-combining noise covariance is ridged with
+    1e-12 I and flagged with a warning.
     """
-    T = U.conj().T @ (G @ H @ F)
+    T = U.conj().T @ ((g[:, None] * H) @ F)
     A = U.conj().T @ C_e @ U
     A = 0.5 * (A + A.conj().T)
     M = T @ T.conj().T
@@ -127,51 +131,51 @@ def waterfilling_baseline(H: np.ndarray, pt: float, sigma_n2: float,
     return Beamformers(F=F, U=U, W=np.eye(ns, dtype=complex))
 
 
-def _solve_flagged(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+def update_combiner(H: np.ndarray, F: np.ndarray, g: np.ndarray,
+                    ce: np.ndarray) -> np.ndarray:
+    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F from vectors g, ce."""
+    GHF = (g[:, None] * H) @ F
+    A = GHF @ GHF.conj().T
+    A.flat[::A.shape[0] + 1] += ce
+    A = 0.5 * (A + A.conj().T)
     try:
-        X = np.linalg.solve(A, B)
-        if np.all(np.isfinite(X)):
-            return X
+        U = np.linalg.solve(A, GHF)
+        if np.all(np.isfinite(U)):
+            return U
     except np.linalg.LinAlgError:
         pass
-    warnings.warn(f"singular {what}; regularizing with 1e-12 I",
-                  RuntimeWarning, stacklevel=3)
-    return np.linalg.solve(A + _RIDGE * np.eye(A.shape[0]), B)
+    warnings.warn("singular combiner system matrix; regularizing with 1e-12 I",
+                  RuntimeWarning, stacklevel=2)
+    return np.linalg.solve(A + _RIDGE * np.eye(A.shape[0]), GHF)
 
 
-def update_combiner(H: np.ndarray, F: np.ndarray, G: np.ndarray,
-                    C_e: np.ndarray) -> np.ndarray:
-    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F."""
-    GHF = G @ H @ F
-    A = GHF @ GHF.conj().T + C_e
-    return _solve_flagged(0.5 * (A + A.conj().T), GHF, "combiner system matrix")
-
-
-def update_weight(H: np.ndarray, F: np.ndarray, G: np.ndarray,
-                  C_e: np.ndarray) -> np.ndarray:
-    """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F."""
-    GHF = G @ H @ F
-    W = np.eye(F.shape[1]) + GHF.conj().T @ _solve_flagged(C_e, GHF, "noise covariance")
+def update_weight(H: np.ndarray, F: np.ndarray, g: np.ndarray,
+                  ce: np.ndarray) -> np.ndarray:
+    """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F from vectors g, ce."""
+    GHF = (g[:, None] * H) @ F
+    W = np.eye(F.shape[1]) + GHF.conj().T @ (GHF / ce[:, None])
     return 0.5 * (W + W.conj().T)
 
 
-def mse_matrix(H: np.ndarray, F: np.ndarray, U: np.ndarray, G: np.ndarray,
-               C_e: np.ndarray) -> np.ndarray:
-    """MSE matrix of the post-combined streams (Hermitian by construction)."""
-    GHF = G @ H @ F
-    A = GHF @ GHF.conj().T + C_e
+def mse_matrix(H: np.ndarray, F: np.ndarray, U: np.ndarray, g: np.ndarray,
+               ce: np.ndarray) -> np.ndarray:
+    """MSE matrix of the post-combined streams from vectors g, ce (Hermitian)."""
+    GHF = (g[:, None] * H) @ F
+    A = GHF @ GHF.conj().T
+    A.flat[::A.shape[0] + 1] += ce
     E = (U.conj().T @ A @ U + np.eye(F.shape[1])
          - U.conj().T @ GHF - GHF.conj().T @ U)
     return 0.5 * (E + E.conj().T)
 
 
-def update_precoder(H: np.ndarray, G: np.ndarray, U: np.ndarray,
+def update_precoder(H: np.ndarray, g: np.ndarray, U: np.ndarray,
                     W: np.ndarray, pt: float) -> np.ndarray:
     """Power-constrained precoder update of the weighted-MSE objective.
 
     ``F(mu) = (J + mu I)^{-1} H^H G U W`` with
-    ``J = H^H (G U W U^H + diag(U W U^H)(I - G)) G H``; the diagonal term
-    accounts for the precoder dependence of the distortion covariance.
+    ``J = H^H (G U W U^H + diag(U W U^H)(I - G)) G H``, where ``g`` is the
+    length-Nr diagonal of ``G``; the diagonal term accounts for the
+    precoder dependence of the distortion covariance.
 
     J is factored once, ``J = Q diag(lam) Q^H``. With ``c = Q^H rhs`` the
     precoder power becomes the scalar secular function
@@ -186,19 +190,21 @@ def update_precoder(H: np.ndarray, G: np.ndarray, U: np.ndarray,
     midpoint until it is within ``1e-8 pt`` of ``pt`` (at most 200
     halvings), and F is formed once at the final multiplier.
     """
-    return _precoder_and_multiplier(H, G, U, W, pt)[0]
+    return _precoder_and_multiplier(H, g, U, W, pt)[0]
 
 
-def _precoder_and_multiplier(H: np.ndarray, G: np.ndarray, U: np.ndarray,
+def _precoder_and_multiplier(H: np.ndarray, g: np.ndarray, U: np.ndarray,
                              W: np.ndarray, pt: float) -> tuple[np.ndarray, float]:
     """:func:`update_precoder` plus its multiplier mu (0 on the minimum-norm branch)."""
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
     nr, nt = H.shape
     UWU = U @ W @ U.conj().T
-    J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(nr) - G)) @ G @ H
+    M = g[:, None] * UWU
+    M.flat[::nr + 1] += np.real(np.diag(UWU)) * (1.0 - g)
+    J = ((H.conj().T @ M) * g) @ H
     J = 0.5 * (J + J.conj().T)
-    rhs = H.conj().T @ G @ U @ W
+    rhs = (H.conj().T * g) @ U @ W
     lam, Q = np.linalg.eigh(J)
     c = Q.conj().T @ rhs
     c2 = np.sum(np.abs(c) ** 2, axis=1)
@@ -240,23 +246,22 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     """
     nr = H.shape[0]
     g = gain_diagonal(bits, nr, table)
-    G = np.diag(g)
     F = waterfilling_baseline(H, pt, sigma_n2, ns).F
     W = np.eye(ns, dtype=complex)
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
-        C_e = effective_noise_cov(G, H, F, sigma_n2)
-        U = update_combiner(H, F, G, C_e)
-        W = update_weight(H, F, G, C_e)
+        ce = effective_noise_cov(g, H, F, sigma_n2)
+        U = update_combiner(H, F, g, ce)
+        W = update_weight(H, F, g, ce)
         trace.append(_logdet_hermitian(W))
-        F = update_precoder(H, G, U, W, pt)
+        F = update_precoder(H, g, U, W, pt)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps:
             converged = True
             break
-    C_e = effective_noise_cov(G, H, F, sigma_n2)
-    U = update_combiner(H, F, G, C_e)
-    se = spectral_efficiency(H, F, U, G, C_e)
+    ce = effective_noise_cov(g, H, F, sigma_n2)
+    U = update_combiner(H, F, g, ce)
+    se = spectral_efficiency(H, F, U, g, np.diag(ce))
     report = AltMinReport(
         iterations=len(trace),
         objective_trace=np.asarray(trace),

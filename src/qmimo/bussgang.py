@@ -2,7 +2,7 @@
 
 The quantized receive vector is decomposed into a diagonal gain applied to
 the unquantized signal plus a distortion term uncorrelated with it. This
-module provides the gain matrix from the distortion-factor table, the
+module provides the per-chain gains from the distortion-factor table, the
 closed-form (diagonal) approximation of the distortion covariance, a
 Monte-Carlo estimate of the full distortion covariance, and the arcsine-law
 closed forms for sign quantization as an independent one-bit cross-check.
@@ -18,7 +18,6 @@ import numpy as np
 from .quantizer import DistortionTable, _unit_quantizer, distortion_table
 
 __all__ = [
-    "bussgang_gain",
     "gain_diagonal",
     "qd_cov_approx",
     "effective_noise_cov",
@@ -47,54 +46,44 @@ def gain_diagonal(bits: Optional[Sequence[int]], nr: int,
     return np.array([1.0 - table.gamma(int(b)) for b in bits])
 
 
-def bussgang_gain(bits: Sequence[int], table: Optional[DistortionTable] = None) -> np.ndarray:
-    """Diagonal gain matrix G = I - Gamma with Gamma_ii = gamma(b_i)."""
-    bits = np.asarray(bits, dtype=int)
-    return np.diag(gain_diagonal(bits, bits.size, table))
-
-
 class QdCovApprox(NamedTuple):
     C_q: np.ndarray
     C_eta: np.ndarray
     C_z: np.ndarray
 
 
-def qd_cov_approx(G: np.ndarray, C_y: np.ndarray) -> QdCovApprox:
+def qd_cov_approx(g: np.ndarray, C_y: np.ndarray) -> QdCovApprox:
     """Closed-form covariance approximations of the quantization model.
 
-    With ``Gamma = I - G``:
+    With ``Gamma = I - G`` and ``g`` the length-Nr diagonal of ``G``:
 
     * ``C_q   = Gamma C_y Gamma + (I - Gamma) diag(C_y) Gamma``
-    * ``C_eta = Gamma diag(C_y) (I - Gamma)`` (diagonal; its diagonal
-      entries are exact, the approximation drops off-diagonal terms)
+    * ``C_eta = Gamma diag(C_y) (I - Gamma)``, as a length-Nr vector (its
+      entries are exact; the approximation drops off-diagonal terms)
     * ``C_z   = [diag(C_y) Gamma + (I - Gamma) C_y] (I - Gamma)``
     """
     C_y = np.asarray(C_y)
     if not np.allclose(C_y, C_y.conj().T, atol=1e-10 * max(1.0, np.abs(C_y).max())):
         raise ValueError("C_y must be Hermitian")
-    g = np.real(np.diag(G))
     gamma = 1.0 - g
     d = np.real(np.diag(C_y))
-    D = np.diag(d)
-    Gm = np.diag(gamma)
-    I_Gm = np.diag(g)
-    C_q = Gm @ C_y @ Gm + I_Gm @ D @ Gm
-    C_eta = np.diag(gamma * d * g)
-    C_z = (D @ Gm + I_Gm @ C_y) @ I_Gm
+    C_q = gamma[:, None] * C_y * gamma + np.diag(g * d * gamma)
+    C_eta = gamma * d * g
+    C_z = (np.diag(d * gamma) + g[:, None] * C_y) * g
     return QdCovApprox(C_q=C_q, C_eta=C_eta, C_z=C_z)
 
 
-def effective_noise_cov(G: np.ndarray, H: np.ndarray, F: np.ndarray,
+def effective_noise_cov(g: np.ndarray, H: np.ndarray, F: np.ndarray,
                         sigma_n2: float) -> np.ndarray:
-    """Approximate covariance of the effective noise G n + eta.
+    """Diagonal of the approximate covariance of the effective noise G n + eta.
 
-    ``C_e = G (I - G) diag(H F F^H H^H) + sigma_n^2 G``; diagonal, and
-    increasingly accurate with higher ADC resolution.
+    ``g`` is the length-Nr gain vector. Returns the length-Nr vector
+    ``ce = g (1 - g) diag(H F F^H H^H) + sigma_n^2 g``, the diagonal of
+    ``C_e``, which is increasingly accurate with higher ADC resolution.
     """
-    g = np.real(np.diag(G))
     hf = H @ F
     d = np.real(np.einsum("ij,ij->i", hf, hf.conj()))
-    return np.diag(g * (1.0 - g) * d + sigma_n2 * g)
+    return g * (1.0 - g) * d + sigma_n2 * g
 
 
 def _clip_psd(C: np.ndarray) -> np.ndarray:
@@ -180,7 +169,7 @@ def optimal_onebit_beta(sigma_y2: float) -> float:
 class OneBitArcsine(NamedTuple):
     C_zy: np.ndarray
     C_z: np.ndarray
-    G: np.ndarray
+    g: np.ndarray
     C_eta: np.ndarray
 
 
@@ -189,10 +178,11 @@ def onebit_arcsine(C_y: np.ndarray, beta: float) -> OneBitArcsine:
 
     For ``z = sqrt(beta/2) (sgn Re y + j sgn Im y)`` with Gaussian ``y``:
     ``C_zy = sqrt(2 beta/pi) K^(-1/2) C_y``,
-    ``C_z = (2 beta/pi) arcsin(K^(-1/2) C_y K^(-1/2))``, and
-    ``G = sqrt(2 beta/pi) K^(-1/2)`` with ``K = diag(C_y)``. The arcsine
-    acts elementwise on the real and imaginary parts of the normalized
-    covariance separately (circularly symmetric input).
+    ``C_z = (2 beta/pi) arcsin(K^(-1/2) C_y K^(-1/2))``, and the gain
+    ``G = sqrt(2 beta/pi) K^(-1/2)`` with ``K = diag(C_y)``; ``g`` holds
+    its diagonal as a length-Nr vector. The arcsine acts elementwise on the
+    real and imaginary parts of the normalized covariance separately
+    (circularly symmetric input).
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -207,6 +197,5 @@ def onebit_arcsine(C_y: np.ndarray, beta: float) -> OneBitArcsine:
     asin_R = (np.arcsin(np.clip(R.real, -1.0, 1.0))
               + 1j * np.arcsin(np.clip(R.imag, -1.0, 1.0)))
     C_z = (2.0 * beta / np.pi) * asin_R
-    G = np.diag(scale * k_inv_sqrt)
     C_eta = C_z - (2.0 * beta / np.pi) * R
-    return OneBitArcsine(C_zy=C_zy, C_z=C_z, G=G, C_eta=C_eta)
+    return OneBitArcsine(C_zy=C_zy, C_z=C_z, g=scale * k_inv_sqrt, C_eta=C_eta)

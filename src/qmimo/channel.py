@@ -31,7 +31,6 @@ class SVParams:
     num_clusters: int = 5
     rays_per_cluster: int = 10
     angle_spread_deg: float = 10.0
-    array_geometry: str = "ula-half-wavelength"
 
     def __post_init__(self):
         if self.num_clusters < 1 or self.rays_per_cluster < 1:

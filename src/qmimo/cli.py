@@ -42,7 +42,6 @@ CSV_COLUMNS = [
 ]
 
 _REQUIRED_KEYS = {"Nt", "Nr", "Ns", "snr_db", "b"}
-_KNOWN_SV_KEYS = {"num_clusters", "rays_per_cluster", "angle_spread_deg"}
 
 
 class ConfigError(ValueError):
@@ -78,6 +77,26 @@ class ExperimentConfig:
                 raise ConfigError(f"infeasible point {axes}: {exc}") from exc
 
 
+# Strict JSON value parsers: a boolean is not a number, a string is neither,
+# and an integer key takes a float only at an integral value (say 1e5).
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    if not _real(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _axis(parse):
     """Parser of a sweepable key: one value or a non-empty list of values."""
     def parse_axis(value) -> tuple:
@@ -88,27 +107,31 @@ def _axis(parse):
     return parse_axis
 
 
+_SV_KEYS = {"num_clusters": _integer, "rays_per_cluster": _integer,
+            "angle_spread_deg": _real}
+
+
 def _sv_params(value) -> channel.SVParams:
     if not isinstance(value, dict):
         raise ValueError("must be an object")
-    unknown = set(value) - _KNOWN_SV_KEYS
+    unknown = set(value) - set(_SV_KEYS)
     if unknown:
         raise ValueError(f"unknown sv keys: {sorted(unknown)}")
-    return channel.SVParams(**value)
+    return channel.SVParams(**{k: _SV_KEYS[k](v) for k, v in value.items()})
 
 
 #: JSON key -> (field, parser). ``PointConfig`` fields go to the base point
 #: and the rest to ``ExperimentConfig``; an absent key keeps the field default.
 _KEYS = {
-    "Nt": ("nt", int), "Nr": ("nr", int), "Ns": ("ns", int),
-    "snr_db": ("snr_db", _axis(float)), "b": ("b", _axis(int)),
-    "Pt": ("pt", float), "b_max": ("b_max", int), "varsigma": ("varsigma", float),
-    "b_total": ("b_total", lambda v: None if v is None else int(v)),
-    "eps": ("eps", float), "max_iter": ("max_iter", int), "I2": ("i2", int),
-    "scoring_max_iter": ("scoring_max_iter", int), "sv": ("sv", _sv_params),
-    "num_qd_samples": ("num_qd_samples", int), "sim_se": ("sim_se", bool),
-    "seed": ("seed", int), "schemes": ("schemes", tuple),
-    "num_channels": ("num_channels", int), "output_dir": ("output_dir", str),
+    "Nt": ("nt", _integer), "Nr": ("nr", _integer), "Ns": ("ns", _integer),
+    "snr_db": ("snr_db", _axis(_real)), "b": ("b", _axis(_integer)),
+    "Pt": ("pt", _real), "b_max": ("b_max", _integer), "varsigma": ("varsigma", _real),
+    "b_total": ("b_total", lambda v: None if v is None else _integer(v)),
+    "eps": ("eps", _real), "max_iter": ("max_iter", _integer), "I2": ("i2", _integer),
+    "scoring_max_iter": ("scoring_max_iter", _integer), "sv": ("sv", _sv_params),
+    "num_qd_samples": ("num_qd_samples", _integer), "sim_se": ("sim_se", _boolean),
+    "seed": ("seed", _integer), "schemes": ("schemes", tuple),
+    "num_channels": ("num_channels", _integer), "output_dir": ("output_dir", str),
 }
 _POINT_FIELDS = {f.name for f in dataclasses.fields(evaluation.PointConfig)}
 
@@ -141,7 +164,7 @@ def parse_config(path) -> ExperimentConfig:
         name, parse = _KEYS[key]
         try:
             values[name] = parse(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
     bad = [s for s in values.get("schemes", ()) if s not in evaluation.SCHEMES]
     if bad:
@@ -211,13 +234,11 @@ def _json_record(record: PointRecord) -> dict:
             "allocations": [list(a) for a in out.allocations],
             "failures": out.failures,
         }
-    cfg = dataclasses.asdict(result.config)
-    cfg["sv"] = dataclasses.asdict(result.config.sv)
     return {
         "axes": record.axes,
         "seed": result.seed,
         "num_channels": result.num_channels,
-        "config": cfg,
+        "config": dataclasses.asdict(result.config),
         "schemes": schemes,
     }
 

@@ -88,17 +88,18 @@ def se_simulated(H: np.ndarray, F: np.ndarray, U: np.ndarray,
                  table: Optional[DistortionTable] = None) -> float:
     """SE evaluated with the Monte-Carlo (full-matrix) distortion covariance.
 
-    Builds ``C_e = C_eta_sim + sigma_n^2 G^2`` and evaluates the rate bound
+    Builds ``C_e = C_eta_sim + sigma_n^2 G^2`` (a full Nr x Nr matrix, with
+    ``g`` the length-Nr diagonal of ``G``) and evaluates the rate bound
     with the given beamformers; captures the cross-chain distortion
     correlation that the diagonal approximation drops.
     """
     nr = H.shape[0]
     g = bussgang.gain_diagonal(bits, nr, table)
-    C_eta = bussgang.qd_cov_simulated(
+    C_e = bussgang.qd_cov_simulated(
         H, F, sigma_n2, bits, num_samples=num_samples, seed=seed, table=table
     )
-    C_e = C_eta + sigma_n2 * np.diag(g**2)
-    return beamforming.spectral_efficiency(H, F, U, np.diag(g), C_e)
+    C_e.flat[::nr + 1] += sigma_n2 * g**2
+    return beamforming.spectral_efficiency(H, F, U, g, C_e)
 
 
 @dataclass(frozen=True)
@@ -143,16 +144,7 @@ class PointConfig:
         if not 1 <= self.b <= self.b_max:
             raise ValueError(f"b={self.b} outside [1, b_max={self.b_max}]")
         if "GPOS" in schemes:
-            if self.budget < self.nr:
-                raise ValueError(
-                    f"active-bit budget {self.budget} < Nr={self.nr}: "
-                    "every chain needs at least one bit"
-                )
-            if self.budget > self.nr * self.b_max:
-                raise ValueError(
-                    f"active-bit budget {self.budget} > Nr*b_max="
-                    f"{self.nr * self.b_max}"
-                )
+            bitalloc._check_feasible(self.nr, self.b_max, self.budget)
 
 
 @dataclass
@@ -221,12 +213,12 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig,
     """Run one scheme on one channel; returns (se_apx, se_sim, bits, iters)."""
     nr = cfg.nr
     uniform_bits = (cfg.b,) * nr
-    if scheme == "WF":
+    if scheme in ("WF", "FullPrecision"):
         bf = beamforming.waterfilling_baseline(H, cfg.pt, cfg.sigma_n2, cfg.ns)
-        bits = uniform_bits
-        G = np.diag(bussgang.gain_diagonal(bits, nr, table))
-        C_e = bussgang.effective_noise_cov(G, H, bf.F, cfg.sigma_n2)
-        se = beamforming.spectral_efficiency(H, bf.F, bf.U, G, C_e)
+        bits = uniform_bits if scheme == "WF" else None  # None: all gains 1
+        g = bussgang.gain_diagonal(bits, nr, table)
+        ce = bussgang.effective_noise_cov(g, H, bf.F, cfg.sigma_n2)
+        se = beamforming.spectral_efficiency(H, bf.F, bf.U, g, np.diag(ce))
         iters = 0
     elif scheme == "AltMinBF":
         bf, rep = beamforming.altmin_beamforming(
@@ -243,13 +235,6 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig,
             eps=cfg.eps, max_iter=cfg.max_iter, table=table,
         )
         bf, bits, se, iters = res.beamformers, res.allocation.bits, res.se, res.iterations
-    elif scheme == "FullPrecision":
-        bf = beamforming.waterfilling_baseline(H, cfg.pt, cfg.sigma_n2, cfg.ns)
-        bits = None
-        G = np.eye(nr)
-        C_e = cfg.sigma_n2 * np.eye(nr)
-        se = beamforming.spectral_efficiency(H, bf.F, bf.U, G, C_e)
-        iters = 0
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 

@@ -34,8 +34,8 @@ from qmimo.beamforming import (
 from qmimo.bitalloc import exhaustive_search, gpos_bfba
 from qmimo.bussgang import (
     _simulate_quantized,
-    bussgang_gain,
     effective_noise_cov,
+    gain_diagonal,
     onebit_arcsine,
     optimal_onebit_beta,
     qd_cov_approx,
@@ -105,12 +105,12 @@ def test_criterion_02_gamma_approximation_quality():
 def test_criterion_03_one_bit_consistency():
     sigma2 = 1.0
     C_y = sigma2 * np.eye(3)
-    G5 = bussgang_gain([1, 1, 1])
-    C5 = qd_cov_approx(G5, C_y).C_eta
+    g5 = gain_diagonal([1, 1, 1], 3)
+    C5 = np.diag(qd_cov_approx(g5, C_y).C_eta)
     out = onebit_arcsine(C_y, optimal_onebit_beta(sigma2))
-    g_dev = float(np.max(np.abs(G5 - out.G)))
+    g_dev = float(np.max(np.abs(g5 - out.g)))
     c_dev = float(np.max(np.abs(C5 - out.C_eta)))
-    g_val = abs(G5[0, 0] - 0.6366)
+    g_val = abs(g5[0] - 0.6366)
     c_val = abs(C5[0, 0] - 0.2313 * sigma2)
     ok = max(g_dev, c_dev) <= 1e-3 and g_val <= 1e-3 and c_val <= 1e-3
     report(3, ok, f"pipeline deviation G {g_dev:.2e}, C_eta {c_dev:.2e} (<=1e-3); "
@@ -138,7 +138,7 @@ def test_criterion_04_bussgang_statistics():
 
     # (b) simulated diagonal vs the closed form
     C_y = (H @ F) @ (H @ F).conj().T + sn2 * np.eye(4)
-    expected_diag = np.diag(qd_cov_approx(bussgang_gain(bits), C_y).C_eta).real
+    expected_diag = qd_cov_approx(gain_diagonal(bits, len(bits)), C_y).C_eta
     sim_diag = (np.abs(eta) ** 2).mean(axis=1)
     diag_rel = float(np.max(np.abs(sim_diag - expected_diag) / expected_diag))
 
@@ -177,13 +177,13 @@ def test_criterion_05_wmmse_identities():
         F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
         F /= np.linalg.norm(F)
         bits = list(rng.integers(1, 6, nr))
-        G = bussgang_gain(bits)
-        C_e = effective_noise_cov(G, H, F, 0.05)
-        U = update_combiner(H, F, G, C_e)
-        W = update_weight(H, F, G, C_e)
-        E = mse_matrix(H, F, U, G, C_e)
+        g = gain_diagonal(bits, len(bits))
+        ce = effective_noise_cov(g, H, F, 0.05)
+        U = update_combiner(H, F, g, ce)
+        W = update_weight(H, F, g, ce)
+        E = mse_matrix(H, F, U, g, ce)
         worst_tr = max(worst_tr, abs(np.trace(W @ E).real - ns))
-        r = spectral_efficiency(H, F, U, G, C_e)
+        r = spectral_efficiency(H, F, U, g, np.diag(ce))
         worst_ld = max(worst_ld, abs(np.linalg.slogdet(W)[1] / np.log(2) - r))
     ok = worst_tr <= 1e-9 and worst_ld <= 1e-9
     report(5, ok, f"max |tr(WE)-Ns| {worst_tr:.2e} (<=1e-9); "
@@ -226,13 +226,13 @@ def test_criterion_07_beamforming_gain_trend():
     nt = nr = 16
     ns, sn2 = 4, 1e-3
     bits = [1] * nr
-    G = bussgang_gain(bits)
+    g = gain_diagonal(bits, len(bits))
     se_wf, se_am = [], []
     for k in range(100):
         H = saleh_valenzuela(nt, nr, seed=7000 + k).H
         wf = waterfilling_baseline(H, 1.0, sn2, ns)
-        C_e = effective_noise_cov(G, H, wf.F, sn2)
-        se_wf.append(spectral_efficiency(H, wf.F, wf.U, G, C_e))
+        ce = effective_noise_cov(g, H, wf.F, sn2)
+        se_wf.append(spectral_efficiency(H, wf.F, wf.U, g, np.diag(ce)))
         _, rep = altmin_beamforming(H, bits, 1.0, sn2, ns)
         se_am.append(rep.final_se)
     gain = np.mean(se_am) / np.mean(se_wf) - 1.0

@@ -16,7 +16,7 @@ from qmimo.beamforming import (
     waterfilling_baseline,
     waterfilling_power,
 )
-from qmimo.bussgang import bussgang_gain, effective_noise_cov
+from qmimo.bussgang import effective_noise_cov, gain_diagonal
 from qmimo.channel import saleh_valenzuela
 
 
@@ -25,9 +25,9 @@ def random_instance(nr, nt, ns, seed, sigma_n2=0.05, pt=1.0, bits_val=2):
     H = (rng.standard_normal((nr, nt)) + 1j * rng.standard_normal((nr, nt))) / np.sqrt(2 * nt)
     F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
     F *= np.sqrt(pt) / np.linalg.norm(F)
-    G = bussgang_gain([bits_val] * nr)
-    C_e = effective_noise_cov(G, H, F, sigma_n2)
-    return H, F, G, C_e, sigma_n2, pt
+    g = gain_diagonal([bits_val] * nr, nr)
+    ce = effective_noise_cov(g, H, F, sigma_n2)
+    return H, F, g, ce, sigma_n2, pt
 
 
 def reference_precoder(H, G, U, W, pt):
@@ -58,9 +58,43 @@ def reference_precoder(H, G, U, W, pt):
     return F, mu
 
 
+# Dense-matrix forms of the updates, kept as test oracles for the vector forms:
+# G = diag(g) and C_e = diag(ce) are passed as full Nr x Nr matrices.
+def dense_noise_cov(G, H, F, sigma_n2):
+    hf = H @ F
+    return G @ (np.eye(H.shape[0]) - G) @ np.diag(np.real(np.diag(hf @ hf.conj().T))) + sigma_n2 * G
+
+
+def dense_combiner(H, F, G, C_e):
+    GHF = G @ H @ F
+    A = GHF @ GHF.conj().T + C_e
+    return np.linalg.solve(0.5 * (A + A.conj().T), GHF)
+
+
+def dense_weight(H, F, G, C_e):
+    GHF = G @ H @ F
+    W = np.eye(F.shape[1]) + GHF.conj().T @ np.linalg.solve(C_e, GHF)
+    return 0.5 * (W + W.conj().T)
+
+
+def dense_mse(H, F, U, G, C_e):
+    GHF = G @ H @ F
+    A = GHF @ GHF.conj().T + C_e
+    E = U.conj().T @ A @ U + np.eye(F.shape[1]) - U.conj().T @ GHF - GHF.conj().T @ U
+    return 0.5 * (E + E.conj().T)
+
+
+def dense_se(H, F, U, G, C_e):
+    T = U.conj().T @ (G @ H @ F)
+    A = U.conj().T @ C_e @ U
+    A = 0.5 * (A + A.conj().T)
+    ld_noise = np.linalg.slogdet(A)[1]
+    return max((np.linalg.slogdet(A + T @ T.conj().T)[1] - ld_noise) / np.log(2.0), 0.0)
+
+
 @st.composite
 def precoder_instances(draw):
-    """(H, G, U, W, pt) at paired combiner/weight updates; Nt = 2 Nr makes J singular."""
+    """(H, g, U, W, pt, F, sigma_n2): U, W paired updates at F; Nt = 2 Nr makes J singular."""
     nr = draw(st.integers(1, 6))
     nt = nr * draw(st.sampled_from([1, 2]))
     ns = draw(st.integers(1, nr))
@@ -71,47 +105,48 @@ def precoder_instances(draw):
     H = (rng.standard_normal((nr, nt)) + 1j * rng.standard_normal((nr, nt))) / np.sqrt(2 * nt)
     F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
     F *= np.sqrt(pt) / np.linalg.norm(F)
-    G = bussgang_gain(bits)
-    C_e = effective_noise_cov(G, H, F, pt / 10.0 ** (snr_db / 10.0))
-    return H, G, update_combiner(H, F, G, C_e), update_weight(H, F, G, C_e), pt
+    g = gain_diagonal(bits, len(bits))
+    sigma_n2 = pt / 10.0 ** (snr_db / 10.0)
+    ce = effective_noise_cov(g, H, F, sigma_n2)
+    return H, g, update_combiner(H, F, g, ce), update_weight(H, F, g, ce), pt, F, sigma_n2
 
 
 class TestSpectralEfficiency:
     def test_zero_precoder(self):
-        H, F, G, _, sn2, _ = random_instance(4, 4, 2, seed=0)
+        H, F, g, _, sn2, _ = random_instance(4, 4, 2, seed=0)
         F0 = np.zeros_like(F)
-        C_e = effective_noise_cov(G, H, F0, sn2)
-        U = update_combiner(H, F0, G, C_e)
+        ce = effective_noise_cov(g, H, F0, sn2)
+        U = update_combiner(H, F0, g, ce)
         with pytest.warns(RuntimeWarning):  # zero combiner makes the noise term singular
-            assert spectral_efficiency(H, F0, U, G, C_e) == 0.0
+            assert spectral_efficiency(H, F0, U, g, np.diag(ce)) == 0.0
 
     def test_scalar_awgn_capacity(self):
         rng = np.random.default_rng(1)
         h = np.array([[rng.standard_normal() + 1j * rng.standard_normal()]])
         pt, sn2 = 2.0, 0.3
         F = np.array([[np.sqrt(pt)]], dtype=complex)
-        G = np.eye(1)
-        C_e = sn2 * np.eye(1)
-        U = update_combiner(h, F, G, C_e)
+        g = np.ones(1)
+        ce = sn2 * np.ones(1)
+        U = update_combiner(h, F, g, ce)
         expected = np.log2(1 + np.abs(h[0, 0]) ** 2 * pt / sn2)
-        assert spectral_efficiency(h, F, U, G, C_e) == pytest.approx(expected, abs=1e-12)
+        assert spectral_efficiency(h, F, U, g, np.diag(ce)) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_mmse_combiner_identity(self, seed):
         # with the MMSE combiner the rate equals the combiner-free form
-        H, F, G, C_e, _, _ = random_instance(5, 6, 3, seed=seed)
-        U = update_combiner(H, F, G, C_e)
-        r = spectral_efficiency(H, F, U, G, C_e)
-        GHF = G @ H @ F
-        M = np.eye(5) + np.linalg.solve(C_e, GHF @ GHF.conj().T)
+        H, F, g, ce, _, _ = random_instance(5, 6, 3, seed=seed)
+        U = update_combiner(H, F, g, ce)
+        r = spectral_efficiency(H, F, U, g, np.diag(ce))
+        GHF = (g[:, None] * H) @ F
+        M = np.eye(5) + np.linalg.solve(np.diag(ce), GHF @ GHF.conj().T)
         expected = np.linalg.slogdet(M)[1] / np.log(2)
         assert abs(r - expected) < 1e-9
 
     def test_singular_noise_regularized(self):
-        H, F, G, _, _, _ = random_instance(3, 3, 2, seed=6)
+        H, F, g, _, _, _ = random_instance(3, 3, 2, seed=6)
         U = np.zeros((3, 2), dtype=complex)
         with pytest.warns(RuntimeWarning, match="regulariz"):
-            r = spectral_efficiency(H, F, U, G, np.zeros((3, 3)))
+            r = spectral_efficiency(H, F, U, g, np.zeros((3, 3)))
         assert r == 0.0
 
 
@@ -159,89 +194,89 @@ class TestWaterfilling:
 class TestCombiner:
     def test_dominant_noise_limit(self):
         H, F, _, _, _, _ = random_instance(4, 4, 2, seed=7)
-        G = np.eye(4)
+        g = np.ones(4)
         sn2 = 1e9
-        C_e = sn2 * np.eye(4)
-        U = update_combiner(H, F, G, C_e)
+        ce = sn2 * np.ones(4)
+        U = update_combiner(H, F, g, ce)
         np.testing.assert_allclose(U, H @ F / sn2, rtol=1e-6)
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_woodbury_form(self, seed):
-        H, F, G, C_e, _, _ = random_instance(5, 4, 3, seed=seed)
-        U = update_combiner(H, F, G, C_e)
-        L = G @ H @ F
-        Ci_L = np.linalg.solve(C_e, L)
+        H, F, g, ce, _, _ = random_instance(5, 4, 3, seed=seed)
+        U = update_combiner(H, F, g, ce)
+        L = (g[:, None] * H) @ F
+        Ci_L = np.linalg.solve(np.diag(ce), L)
         inner = np.linalg.solve(np.eye(3) + L.conj().T @ Ci_L, L.conj().T @ Ci_L)
         U_wood = Ci_L - Ci_L @ inner
         np.testing.assert_allclose(U, U_wood, atol=1e-10)
 
     def test_zero_precoder(self):
-        H, F, G, _, sn2, _ = random_instance(3, 3, 2, seed=10)
+        H, F, g, _, sn2, _ = random_instance(3, 3, 2, seed=10)
         F0 = np.zeros_like(F)
-        C_e = effective_noise_cov(G, H, F0, sn2)
-        np.testing.assert_array_equal(update_combiner(H, F0, G, C_e), np.zeros((3, 2)))
+        ce = effective_noise_cov(g, H, F0, sn2)
+        np.testing.assert_array_equal(update_combiner(H, F0, g, ce), np.zeros((3, 2)))
 
 
 class TestWeight:
     def test_zero_precoder_gives_identity(self):
-        H, F, G, _, sn2, _ = random_instance(3, 3, 2, seed=11)
+        H, F, g, _, sn2, _ = random_instance(3, 3, 2, seed=11)
         F0 = np.zeros_like(F)
-        C_e = effective_noise_cov(G, H, F0, sn2)
-        np.testing.assert_allclose(update_weight(H, F0, G, C_e), np.eye(2))
+        ce = effective_noise_cov(g, H, F0, sn2)
+        np.testing.assert_allclose(update_weight(H, F0, g, ce), np.eye(2))
 
     @pytest.mark.parametrize("seed", [12, 13])
     def test_logdet_w_equals_rate(self, seed):
-        H, F, G, C_e, _, _ = random_instance(4, 5, 2, seed=seed)
-        U = update_combiner(H, F, G, C_e)
-        W = update_weight(H, F, G, C_e)
-        r = spectral_efficiency(H, F, U, G, C_e)
+        H, F, g, ce, _, _ = random_instance(4, 5, 2, seed=seed)
+        U = update_combiner(H, F, g, ce)
+        W = update_weight(H, F, g, ce)
+        r = spectral_efficiency(H, F, U, g, np.diag(ce))
         assert abs(np.linalg.slogdet(W)[1] / np.log(2) - r) < 1e-9
 
     @pytest.mark.parametrize("seed", [14, 15])
     def test_w_is_inverse_mse_at_mmse_combiner(self, seed):
-        H, F, G, C_e, _, _ = random_instance(4, 4, 3, seed=seed)
-        U = update_combiner(H, F, G, C_e)
-        W = update_weight(H, F, G, C_e)
-        E = mse_matrix(H, F, U, G, C_e)
+        H, F, g, ce, _, _ = random_instance(4, 4, 3, seed=seed)
+        U = update_combiner(H, F, g, ce)
+        W = update_weight(H, F, g, ce)
+        E = mse_matrix(H, F, U, g, ce)
         np.testing.assert_allclose(W @ E, np.eye(3), atol=1e-9)
 
     def test_w_minus_identity_psd(self):
-        H, F, G, C_e, _, _ = random_instance(4, 4, 2, seed=16)
-        W = update_weight(H, F, G, C_e)
+        H, F, g, ce, _, _ = random_instance(4, 4, 2, seed=16)
+        W = update_weight(H, F, g, ce)
         assert np.linalg.eigvalsh(W - np.eye(2)).min() > -1e-12
 
 
 class TestMseMatrix:
     def test_zero_combiner(self):
-        H, F, G, C_e, _, _ = random_instance(3, 3, 2, seed=17)
+        H, F, g, ce, _, _ = random_instance(3, 3, 2, seed=17)
         np.testing.assert_allclose(
-            mse_matrix(H, F, np.zeros((3, 2)), G, C_e), np.eye(2), atol=1e-15
+            mse_matrix(H, F, np.zeros((3, 2)), g, ce), np.eye(2), atol=1e-15
         )
 
     def test_mmse_closed_form(self):
-        H, F, G, C_e, _, _ = random_instance(4, 5, 3, seed=18)
-        U = update_combiner(H, F, G, C_e)
-        E = mse_matrix(H, F, U, G, C_e)
-        GHF = G @ H @ F
-        A = GHF @ GHF.conj().T + C_e
+        H, F, g, ce, _, _ = random_instance(4, 5, 3, seed=18)
+        U = update_combiner(H, F, g, ce)
+        E = mse_matrix(H, F, U, g, ce)
+        GHF = (g[:, None] * H) @ F
+        A = GHF @ GHF.conj().T + np.diag(ce)
         E_closed = np.eye(3) - GHF.conj().T @ np.linalg.solve(A, GHF)
         np.testing.assert_allclose(E, E_closed, atol=1e-10)
 
     def test_trace_bounded_at_mmse(self):
-        H, F, G, C_e, _, _ = random_instance(4, 4, 3, seed=19)
-        U = update_combiner(H, F, G, C_e)
-        assert np.trace(mse_matrix(H, F, U, G, C_e)).real <= 3 + 1e-12
+        H, F, g, ce, _, _ = random_instance(4, 4, 3, seed=19)
+        U = update_combiner(H, F, g, ce)
+        assert np.trace(mse_matrix(H, F, U, g, ce)).real <= 3 + 1e-12
 
 
 class TestPrecoder:
     def test_full_resolution_matches_classic_form(self):
         # at G = I the diagonal correction vanishes
         H, F, _, _, sn2, pt = random_instance(4, 4, 2, seed=20)
-        G = np.eye(4)
-        C_e = sn2 * np.eye(4)
-        U = update_combiner(H, F, G, C_e)
-        W = update_weight(H, F, G, C_e)
-        F_new = update_precoder(H, G, U, W, pt)
+        g = np.ones(4)
+        ce = sn2 * np.ones(4)
+        U = update_combiner(H, F, g, ce)
+        W = update_weight(H, F, g, ce)
+        F_new = update_precoder(H, g, U, W, pt)
         UWU = U @ W @ U.conj().T
         J = H.conj().T @ UWU @ H
         rhs = H.conj().T @ U @ W
@@ -254,17 +289,18 @@ class TestPrecoder:
 
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_power_feasible(self, seed):
-        H, F, G, C_e, _, pt = random_instance(4, 6, 3, seed=seed, sigma_n2=1e-4)
-        U = update_combiner(H, F, G, C_e)
-        W = update_weight(H, F, G, C_e)
-        F_new = update_precoder(H, G, U, W, pt)
+        H, F, g, ce, _, pt = random_instance(4, 6, 3, seed=seed, sigma_n2=1e-4)
+        U = update_combiner(H, F, g, ce)
+        W = update_weight(H, F, g, ce)
+        F_new = update_precoder(H, g, U, W, pt)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
     def test_power_monotone_in_multiplier(self):
-        H, F, G, C_e, _, pt = random_instance(4, 4, 2, seed=24)
-        U = update_combiner(H, F, G, C_e)
-        W = update_weight(H, F, G, C_e)
+        H, F, g, ce, _, pt = random_instance(4, 4, 2, seed=24)
+        U = update_combiner(H, F, g, ce)
+        W = update_weight(H, F, g, ce)
         UWU = U @ W @ U.conj().T
+        G = np.diag(g)
         J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(4) - G)) @ G @ H
         rhs = H.conj().T @ G @ U @ W
         powers = [
@@ -275,10 +311,10 @@ class TestPrecoder:
 
     def test_rank_deficient_j_handled(self):
         # Nt > Nr makes J singular; the minimum-norm solution is used
-        H, F, G, C_e, _, pt = random_instance(3, 6, 2, seed=25)
-        U = update_combiner(H, F, G, C_e)
-        W = update_weight(H, F, G, C_e)
-        F_new = update_precoder(H, G, U, W, pt)
+        H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=25)
+        U = update_combiner(H, F, g, ce)
+        W = update_weight(H, F, g, ce)
+        F_new = update_precoder(H, g, U, W, pt)
         assert np.all(np.isfinite(F_new))
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
@@ -286,9 +322,9 @@ class TestPrecoder:
         # one eigh per update on both branches; the bisection is scalar
         instances = []
         for sn2 in (1e-4, 1.0):  # minimum-norm branch, then bisection
-            H, F, G, C_e, _, pt = random_instance(3, 6, 2, seed=26, sigma_n2=sn2)
-            U = update_combiner(H, F, G, C_e)
-            instances.append((H, G, U, update_weight(H, F, G, C_e), pt))
+            H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=26, sigma_n2=sn2)
+            U = update_combiner(H, F, g, ce)
+            instances.append((H, g, U, update_weight(H, F, g, ce), pt))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("linear solve in the precoder update")
@@ -301,13 +337,29 @@ class TestPrecoder:
     @settings(max_examples=300, deadline=None)
     @given(precoder_instances())
     def test_matches_solve_reference(self, instance):
-        H, G, U, W, pt = instance
-        F_new, mu_new = _precoder_and_multiplier(H, G, U, W, pt)
-        F_ref, mu_ref = reference_precoder(H, G, U, W, pt)
+        H, g, U, W, pt = instance[:5]
+        F_new, mu_new = _precoder_and_multiplier(H, g, U, W, pt)
+        F_ref, mu_ref = reference_precoder(H, np.diag(g), U, W, pt)
         assert (mu_new == 0.0) == (mu_ref == 0.0)
         assert np.linalg.norm(F_new - F_ref) <= 1e-9 * np.linalg.norm(F_ref)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-8)
-        np.testing.assert_array_equal(update_precoder(H, G, U, W, pt), F_new)
+        np.testing.assert_array_equal(update_precoder(H, g, U, W, pt), F_new)
+
+
+class TestVectorDiagonals:
+    @settings(max_examples=200, deadline=None)
+    @given(precoder_instances())
+    def test_match_dense_forms(self, instance):
+        H, g, U, W, pt, F, sigma_n2 = instance
+        ce = effective_noise_cov(g, H, F, sigma_n2)
+        G, C_e = np.diag(g), np.diag(ce)
+        np.testing.assert_allclose(C_e, dense_noise_cov(G, H, F, sigma_n2), rtol=1e-12)
+        np.testing.assert_allclose(U, dense_combiner(H, F, G, C_e), rtol=1e-12)
+        np.testing.assert_allclose(W, dense_weight(H, F, G, C_e), rtol=1e-12)
+        np.testing.assert_allclose(mse_matrix(H, F, U, g, ce), dense_mse(H, F, U, G, C_e),
+                                   rtol=1e-12)
+        assert spectral_efficiency(H, F, U, g, C_e) == pytest.approx(
+            dense_se(H, F, U, G, C_e), rel=1e-12)
 
 
 class TestAltMin:
@@ -335,10 +387,10 @@ class TestAltMin:
             H = saleh_valenzuela(8, 8, seed=500 + seed).H
             sn2 = 1e-3
             bits = [1] * 8
-            G = bussgang_gain(bits)
+            g = gain_diagonal(bits, len(bits))
             wf = waterfilling_baseline(H, 1.0, sn2, 2)
-            C_e = effective_noise_cov(G, H, wf.F, sn2)
-            se_wf = spectral_efficiency(H, wf.F, wf.U, G, C_e)
+            ce = effective_noise_cov(g, H, wf.F, sn2)
+            se_wf = spectral_efficiency(H, wf.F, wf.U, g, np.diag(ce))
             _, rep = altmin_beamforming(H, bits, 1.0, sn2, 2)
             wins += rep.final_se > se_wf
         assert wins >= 95
@@ -346,12 +398,12 @@ class TestAltMin:
     def test_wmmse_equivalence_identities(self):
         # tr(W E) = Ns and log2 det W = R at the paired updates
         for seed in range(10):
-            H, F, G, C_e, _, _ = random_instance(5, 4, 3, seed=600 + seed)
-            U = update_combiner(H, F, G, C_e)
-            W = update_weight(H, F, G, C_e)
-            E = mse_matrix(H, F, U, G, C_e)
+            H, F, g, ce, _, _ = random_instance(5, 4, 3, seed=600 + seed)
+            U = update_combiner(H, F, g, ce)
+            W = update_weight(H, F, g, ce)
+            E = mse_matrix(H, F, U, g, ce)
             assert abs(np.trace(W @ E).real - 3) < 1e-9
-            r = spectral_efficiency(H, F, U, G, C_e)
+            r = spectral_efficiency(H, F, U, g, np.diag(ce))
             assert abs(np.linalg.slogdet(W)[1] / np.log(2) - r) < 1e-9
 
     def test_permutation_equivariance(self):

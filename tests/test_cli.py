@@ -106,7 +106,11 @@ class TestParseConfig:
             with pytest.raises(ConfigError, match=f"unknown config keys.*{key}"):
                 parse_config(path)
 
-    @pytest.mark.parametrize("key, value", [("snr_db", []), ("Nt", "x"), ("schemes", 5)])
+    @pytest.mark.parametrize("key, value", [
+        ("snr_db", []), ("Nt", "x"), ("schemes", 5),
+        ("sim_se", "false"), ("Nt", 8.7), ("num_channels", 2.9), ("Nt", True),
+        ("sv", {"num_clusters": 2.5}),
+    ])
     def test_invalid_value_names_key(self, tmp_path, key, value):
         path = write_config(tmp_path, **{key: value})
         with pytest.raises(ConfigError, match=f"invalid value for '{key}'"):

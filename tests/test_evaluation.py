@@ -64,7 +64,7 @@ class TestSeSimulated:
         bf = waterfilling_baseline(self.H, 1.0, self.sn2, 2)
         se = se_simulated(self.H, bf.F, bf.U, None, self.sn2, num_samples=10**4, seed=1)
         expected = spectral_efficiency(
-            self.H, bf.F, bf.U, np.eye(8), self.sn2 * np.eye(8)
+            self.H, bf.F, bf.U, np.ones(8), self.sn2 * np.eye(8)
         )
         assert se == pytest.approx(expected, abs=1e-12)
 

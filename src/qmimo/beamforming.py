@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bussgang import effective_noise_cov, gain_diagonal
-from .quantizer import DistortionTable
 
 __all__ = [
     "Beamformers",
@@ -229,23 +228,22 @@ def _precoder_and_multiplier(H: np.ndarray, g: np.ndarray, U: np.ndarray,
 
 def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
                        sigma_n2: float, ns: int, eps: float = 1e-4,
-                       max_iter: int = 500,
-                       table: Optional[DistortionTable] = None,
-                       ) -> tuple[Beamformers, AltMinReport]:
+                       max_iter: int = 500) -> tuple[Beamformers, AltMinReport]:
     """Alternating WMMSE beamforming for fixed per-chain ADC resolutions.
 
     Starts from the water-filling precoder with unit weight, then cycles
     combiner, weight and precoder updates (the effective-noise covariance
     is recomputed from the current precoder each cycle) until the change
     of the natural-log objective log det W drops below ``eps`` or
-    ``max_iter`` is hit. ``bits=None`` runs the full-resolution model.
+    ``max_iter`` is hit. The Bussgang gains come from ``gain_diagonal(bits)``;
+    ``bits=None`` runs the full-resolution model.
 
     Returns the final beamformers (combiner re-derived at the final
     precoder) and a report with the objective trace and the SE in
     bits/s/Hz.
     """
     nr = H.shape[0]
-    g = gain_diagonal(bits, nr, table)
+    g = gain_diagonal(bits, nr)
     F = waterfilling_baseline(H, pt, sigma_n2, ns).F
     W = np.eye(ns, dtype=complex)
     trace: list[float] = []

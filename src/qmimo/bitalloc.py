@@ -11,12 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .beamforming import Beamformers, altmin_beamforming
-from .quantizer import DistortionTable
 
 __all__ = [
     "BitAllocation",
@@ -26,6 +23,9 @@ __all__ = [
     "gpos_bfba",
     "exhaustive_search",
 ]
+
+#: Largest unconstrained search space b_max^Nr the exhaustive oracle accepts.
+MAX_SEARCH_SPACE = 10**6
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,7 @@ class GposResult:
 def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
               b_max: int, b_total: int, varsigma: float = 1.0,
               i2: int = 15, scoring_max_iter: int = 30,
-              eps: float = 1e-4, max_iter: int = 500,
-              table: Optional[DistortionTable] = None) -> GposResult:
+              eps: float = 1e-4, max_iter: int = 500) -> GposResult:
     """Greedy pair-order search over bit allocations with joint beamforming.
 
     Each search iteration scores every unvisited swap neighbor of the
@@ -137,7 +136,7 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
         scored.append(alloc.bits)
         _, rep = altmin_beamforming(
             H, alloc.bits, pt, sigma_n2, ns,
-            eps=eps, max_iter=scoring_max_iter, table=table,
+            eps=eps, max_iter=scoring_max_iter,
         )
         return rep.final_se
 
@@ -162,7 +161,7 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
         candidate = incumbent
         se_trace.append(best_se)
     beamformers, report = altmin_beamforming(
-        H, incumbent.bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter, table=table
+        H, incumbent.bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter
     )
     return GposResult(
         allocation=incumbent,
@@ -196,28 +195,24 @@ def enumerate_allocations(nr: int, b_max: int, budget: int) -> list[tuple[int, .
 
 def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
                       b_max: int, b_total: int, varsigma: float = 1.0,
-                      eps: float = 1e-4, max_iter: int = 500,
-                      table: Optional[DistortionTable] = None,
-                      size_guard: int = 10**6) -> tuple[BitAllocation, float]:
+                      eps: float = 1e-4, max_iter: int = 500) -> tuple[BitAllocation, float]:
     """Score every feasible allocation with a full solve; return the best.
 
     Refuses instances whose unconstrained search space b_max^Nr exceeds
-    ``size_guard``. Ties break toward the lexicographically smallest
+    ``MAX_SEARCH_SPACE``. Ties break toward the lexicographically smallest
     allocation, which makes the result deterministic.
     """
     nr = H.shape[0]
-    if b_max**nr > size_guard:
+    if b_max**nr > MAX_SEARCH_SPACE:
         raise ValueError(
             f"exhaustive search over ~{b_max}^{nr} allocations "
-            f"exceeds the size guard {size_guard:g}"
+            f"exceeds the size guard {MAX_SEARCH_SPACE:g}"
         )
     budget = math.floor(varsigma * b_total)
     best_se = -np.inf
     best: tuple[int, ...] | None = None
     for bits in enumerate_allocations(nr, b_max, budget):
-        _, rep = altmin_beamforming(
-            H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter, table=table
-        )
+        _, rep = altmin_beamforming(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter)
         if rep.final_se > best_se:
             best_se, best = rep.final_se, bits
     return BitAllocation(bits=best, b_max=b_max, budget=budget), float(best_se)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quantizer import DistortionTable, _unit_quantizer, distortion_table
+from .quantizer import _unit_quantizer, distortion_table
 
 __all__ = [
     "gain_diagonal",
@@ -27,10 +27,11 @@ __all__ = [
 ]
 
 
-def gain_diagonal(bits: Optional[Sequence[int]], nr: int,
-                  table: Optional[DistortionTable] = None) -> np.ndarray:
+def gain_diagonal(bits: Optional[Sequence[int]], nr: int) -> np.ndarray:
     """Per-chain Bussgang gains 1 - gamma(b_i) as a real vector.
 
+    gamma is the distortion factor of the Lloyd-Max quantizer, read from
+    ``distortion_table()``; this is its only reader in the pipeline.
     ``bits=None`` means full resolution (all gains 1). Resolutions above
     the table limit fall back to the high-resolution gamma approximation.
     """
@@ -41,8 +42,7 @@ def gain_diagonal(bits: Optional[Sequence[int]], nr: int,
         raise ValueError(f"bits must have length {nr}, got shape {bits.shape}")
     if np.any(bits < 1):
         raise ValueError("every per-chain resolution must be >= 1")
-    if table is None:
-        table = distortion_table()
+    table = distortion_table()
     return np.array([1.0 - table.gamma(int(b)) for b in bits])
 
 
@@ -97,17 +97,17 @@ def _clip_psd(C: np.ndarray) -> np.ndarray:
 
 
 def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
-                        bits: Optional[Sequence[int]], num_samples: int,
-                        seed, table: Optional[DistortionTable] = None):
+                        bits: Optional[Sequence[int]], num_samples: int, seed):
     """Draw y = H F s + n, quantize per chain, return (y, z, eta).
 
-    Each chain uses the Lloyd-Max quantizer for its resolution, scaled to
-    the analytic per-component std sqrt(C_y[i,i]/2). Used by the covariance
-    estimators and by statistical tests on the distortion term.
+    Each chain uses the Lloyd-Max quantizer for its resolution (the design
+    whose MSE is gamma), scaled to the analytic per-component std
+    sqrt(C_y[i,i]/2). Used by the covariance estimators and by
+    statistical tests on the distortion term.
     """
     nr = H.shape[0]
     ns = F.shape[1]
-    g = gain_diagonal(bits, nr, table)
+    g = gain_diagonal(bits, nr)
     rng = np.random.default_rng(seed)
     s = (rng.standard_normal((ns, num_samples))
          + 1j * rng.standard_normal((ns, num_samples))) / np.sqrt(2.0)
@@ -121,7 +121,7 @@ def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     std = np.sqrt(cy_diag / 2.0)
     z = np.empty_like(y)
     for i in range(nr):
-        q = _unit_quantizer(int(bits[i]), "lloyd_max")
+        q = _unit_quantizer(int(bits[i]))
         z[i] = std[i] * (q.quantize_real(y[i].real / std[i])
                          + 1j * q.quantize_real(y[i].imag / std[i]))
     eta = z - g[:, None] * y
@@ -130,8 +130,7 @@ def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
 
 def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
                      bits: Optional[Sequence[int]], num_samples: int = 10**5,
-                     seed=0,
-                     table: Optional[DistortionTable] = None) -> np.ndarray:
+                     seed=0) -> np.ndarray:
     """Monte-Carlo estimate of the full distortion covariance E[eta eta^H].
 
     Gaussian symbol and noise vectors are drawn, the received vector is
@@ -151,7 +150,7 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
             stacklevel=2,
         )
     stream = np.random.SeedSequence([_as_seed_int(seed), 0])
-    _, _, eta = _simulate_quantized(H, F, sigma_n2, bits, num_samples, stream, table)
+    _, _, eta = _simulate_quantized(H, F, sigma_n2, bits, num_samples, stream)
     return _clip_psd(eta @ eta.conj().T / num_samples)
 
 

@@ -70,6 +70,8 @@ class ExperimentConfig:
                 for snr in self.snr_db for b in self.b]
 
     def validate(self) -> None:
+        if self.num_channels < 1:
+            raise ConfigError(f"num_channels={self.num_channels} must be >= 1")
         for axes, cfg in self.points():
             try:
                 cfg.validate(self.schemes)
@@ -265,7 +267,7 @@ def _dump_quantizers(config: ExperimentConfig, out_dir: Path) -> None:
     table = distortion_table()
     doc = {}
     for b in sorted(set(config.b)):
-        q = _unit_quantizer(b, "lloyd_max")
+        q = _unit_quantizer(b)
         doc[str(b)] = {
             "bits": b,
             "thresholds": q.thresholds.tolist(),
@@ -370,10 +372,11 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, num_channels=args.channels)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
+        config.validate()
         base = config.base
-        if args.oracle and base.b_max ** base.nr > 10**6:
+        if args.oracle and base.b_max ** base.nr > bitalloc.MAX_SEARCH_SPACE:
             raise ConfigError(
-                f"--oracle needs b_max^Nr <= 1e6, got "
+                f"--oracle needs b_max^Nr <= {bitalloc.MAX_SEARCH_SPACE:g}, got "
                 f"{base.b_max}^{base.nr} = {base.b_max**base.nr:.3g}"
             )
     except ConfigError as exc:

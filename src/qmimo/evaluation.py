@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import beamforming, bitalloc, bussgang, channel
-from .quantizer import DistortionTable, distortion_table
+# unused here; perfbench/tracer.py wraps distortion_table on this module
+from .quantizer import distortion_table  # noqa: F401
 
 __all__ = [
     "PowerModel",
@@ -84,8 +85,7 @@ def energy_efficiency(se: float, p_total: float) -> float:
 
 def se_simulated(H: np.ndarray, F: np.ndarray, U: np.ndarray,
                  bits: Optional[Sequence[int]], sigma_n2: float,
-                 num_samples: int = 10**5, seed: int = 0,
-                 table: Optional[DistortionTable] = None) -> float:
+                 num_samples: int = 10**5, seed: int = 0) -> float:
     """SE evaluated with the Monte-Carlo (full-matrix) distortion covariance.
 
     Builds ``C_e = C_eta_sim + sigma_n^2 G^2`` (a full Nr x Nr matrix, with
@@ -94,10 +94,8 @@ def se_simulated(H: np.ndarray, F: np.ndarray, U: np.ndarray,
     correlation that the diagonal approximation drops.
     """
     nr = H.shape[0]
-    g = bussgang.gain_diagonal(bits, nr, table)
-    C_e = bussgang.qd_cov_simulated(
-        H, F, sigma_n2, bits, num_samples=num_samples, seed=seed, table=table
-    )
+    g = bussgang.gain_diagonal(bits, nr)
+    C_e = bussgang.qd_cov_simulated(H, F, sigma_n2, bits, num_samples=num_samples, seed=seed)
     C_e.flat[::nr + 1] += sigma_n2 * g**2
     return beamforming.spectral_efficiency(H, F, U, g, C_e)
 
@@ -137,6 +135,12 @@ class PointConfig:
         return int(np.floor(self.varsigma * self.total_bits))
 
     def validate(self, schemes: Sequence[str] = ()) -> None:
+        if not self.pt > 0:
+            raise ValueError(f"Pt={self.pt} must be positive")
+        if not 0 < self.varsigma <= 1:
+            raise ValueError(f"varsigma={self.varsigma} outside (0, 1]")
+        if self.ns < 1:
+            raise ValueError(f"Ns={self.ns} must be >= 1")
         if self.ns > min(self.nt, self.nr):
             raise ValueError(
                 f"ns={self.ns} exceeds min(Nt, Nr)={min(self.nt, self.nr)}"
@@ -208,22 +212,21 @@ def derive_seed(master: int, *keys: int) -> int:
     return int(np.random.SeedSequence([int(master), *map(int, keys)]).generate_state(1)[0])
 
 
-def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig,
-                table: DistortionTable, sim_seed: int):
+def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
     """Run one scheme on one channel; returns (se_apx, se_sim, bits, iters)."""
     nr = cfg.nr
     uniform_bits = (cfg.b,) * nr
     if scheme in ("WF", "FullPrecision"):
         bf = beamforming.waterfilling_baseline(H, cfg.pt, cfg.sigma_n2, cfg.ns)
         bits = uniform_bits if scheme == "WF" else None  # None: all gains 1
-        g = bussgang.gain_diagonal(bits, nr, table)
+        g = bussgang.gain_diagonal(bits, nr)
         ce = bussgang.effective_noise_cov(g, H, bf.F, cfg.sigma_n2)
         se = beamforming.spectral_efficiency(H, bf.F, bf.U, g, np.diag(ce))
         iters = 0
     elif scheme == "AltMinBF":
         bf, rep = beamforming.altmin_beamforming(
             H, uniform_bits, cfg.pt, cfg.sigma_n2, cfg.ns,
-            eps=cfg.eps, max_iter=cfg.max_iter, table=table,
+            eps=cfg.eps, max_iter=cfg.max_iter,
         )
         bits, se, iters = uniform_bits, rep.final_se, rep.iterations
     elif scheme == "GPOS":
@@ -232,7 +235,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig,
             b_max=cfg.b_max, b_total=cfg.total_bits,
             varsigma=cfg.varsigma, i2=cfg.i2,
             scoring_max_iter=cfg.scoring_max_iter,
-            eps=cfg.eps, max_iter=cfg.max_iter, table=table,
+            eps=cfg.eps, max_iter=cfg.max_iter,
         )
         bf, bits, se, iters = res.beamformers, res.allocation.bits, res.se, res.iterations
     else:
@@ -242,7 +245,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig,
     if cfg.sim_se:
         se_sim = se_simulated(
             H, bf.F, bf.U, bits, cfg.sigma_n2,
-            num_samples=cfg.num_qd_samples, seed=sim_seed, table=table,
+            num_samples=cfg.num_qd_samples, seed=sim_seed,
         )
     power_bits = (FULL_PRECISION_BITS,) * nr if bits is None else bits
     return se, se_sim, power_bits, iters
@@ -265,7 +268,6 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
         raise ValueError(f"unknown scheme {unknown[0]!r}; expected one of {SCHEMES}")
     config.validate(schemes)
     pm = pm or PowerModel()
-    table = distortion_table()
     t0 = time.perf_counter()
     raw: dict[str, dict[str, list]] = {
         s: {"se_apx": [], "se_sim": [], "ee": [], "power": [], "iters": [],
@@ -279,8 +281,7 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
         for s_idx, scheme in enumerate(schemes):
             try:
                 se, se_sim, power_bits, iters = _run_scheme(
-                    scheme, H, config, table,
-                    sim_seed=derive_seed(seed, 1, c, s_idx),
+                    scheme, H, config, derive_seed(seed, 1, c, s_idx)
                 )
             except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
                 # numerical failure: record, drop channel from aggregates

@@ -357,52 +357,41 @@ def gamma_approx(bits: int, mode: str = "fitted") -> float:
 
 
 @lru_cache(maxsize=None)
-def _unit_quantizer(bits: int, variant: str) -> ScalarQuantizer:
-    if variant == "lloyd_max":
-        return lloyd_max_design(bits)
-    if variant == "optimal_uniform":
-        return optimal_uniform_design(bits)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-@dataclass(frozen=True)
-class DistortionTable:
-    """Distortion factor gamma(b) for each supported resolution.
-
-    ``gamma_by_bits`` holds exact values (designed quantizer + closed-form
-    MSE) for ``b`` up to the table limit; beyond it ``gamma`` falls back
-    to the high-resolution approximation, where the factor is < 1e-7
-    anyway.
-    """
-
-    gamma_by_bits: dict[int, float]
-    variant: str = "lloyd_max"
-
-    def gamma(self, bits: int) -> float:
-        if bits < 1:
-            raise ValueError(f"bits must be >= 1, got {bits}")
-        try:
-            return self.gamma_by_bits[bits]
-        except KeyError:
-            return gamma_approx(bits, "high_res")
-
-    @property
-    def max_bits(self) -> int:
-        return max(self.gamma_by_bits)
-
-
-@lru_cache(maxsize=None)
-def distortion_table(variant: str = "lloyd_max", max_bits: int = TABLE_MAX_BITS) -> DistortionTable:
-    """Build (once per process) the gamma table for ``b in {1..max_bits}``."""
+def _unit_quantizer(bits: int) -> ScalarQuantizer:
+    """The unit-variance Lloyd-Max quantizer for ``bits``, designed once per process."""
     with warnings.catch_warnings():
         # residuals for b >= 10 floor out near 1e-9 in double precision;
         # gamma is insensitive to that (stationary point of the MSE)
         warnings.simplefilter("ignore", RuntimeWarning)
-        gammas = {
-            b: quantizer_mse(_unit_quantizer(b, variant))
-            for b in range(1, max_bits + 1)
-        }
-    return DistortionTable(gamma_by_bits=gammas, variant=variant)
+        return lloyd_max_design(bits)
+
+
+class DistortionTable:
+    """Distortion factor gamma(b) of the Lloyd-Max quantizer.
+
+    Each resolution up to ``TABLE_MAX_BITS`` is designed on first use and
+    its exact gamma (closed-form MSE) is kept on the instance; beyond the
+    limit ``gamma`` falls back to the high-resolution approximation, where
+    the factor is < 1e-7 anyway.
+    """
+
+    def __init__(self):
+        self._gamma: dict[int, float] = {}
+
+    def gamma(self, bits: int) -> float:
+        if bits < 1:
+            raise ValueError(f"bits must be >= 1, got {bits}")
+        if bits > TABLE_MAX_BITS:
+            return gamma_approx(bits, "high_res")
+        if bits not in self._gamma:
+            self._gamma[bits] = quantizer_mse(_unit_quantizer(bits))
+        return self._gamma[bits]
+
+
+@lru_cache(maxsize=None)
+def distortion_table() -> DistortionTable:
+    """The process-wide gamma table (each resolution designed on first use)."""
+    return DistortionTable()
 
 
 def estimate_distortion_factor(samples, q: ScalarQuantizer) -> float:

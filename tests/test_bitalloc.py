@@ -159,9 +159,7 @@ class TestExhaustive:
     def test_size_guard(self):
         H = saleh_valenzuela(8, 8, seed=8).H
         with pytest.raises(ValueError, match="exceeds"):
-            exhaustive_search(
-                H, pt=1.0, sigma_n2=0.01, ns=2, b_max=8, b_total=32, size_guard=10**4
-            )
+            exhaustive_search(H, pt=1.0, sigma_n2=0.01, ns=2, b_max=8, b_total=32)
 
     def test_gpos_close_to_oracle(self):
         # the swap search cannot leave the greedy multiset, yet it stays

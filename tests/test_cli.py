@@ -147,6 +147,19 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="ns"):
             parse_config(path)
 
+    @pytest.mark.parametrize("overrides, args, key", [
+        ({"varsigma": 1.5}, [], "varsigma"),
+        ({"Pt": -1}, [], "Pt"),
+        ({"Ns": 0}, [], "Ns"),
+        ({"num_channels": 0}, [], "num_channels"),
+        ({}, ["--channels", "0"], "num_channels"),
+    ])
+    def test_out_of_range_names_key(self, tmp_path, capsys, overrides, args, key):
+        path = write_config(tmp_path, **overrides)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+
 
 class TestRunSweep:
     def test_single_point_csv(self, tmp_path):

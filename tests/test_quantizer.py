@@ -1,13 +1,17 @@
 """Quantizer design, scaling, and distortion-factor tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from qmimo.bussgang import gain_diagonal
 from qmimo.quantizer import (
     DistortionTable,
     ScalarQuantizer,
     _design_lloyd_max,
+    _unit_quantizer,
     distortion_table,
     estimate_distortion_factor,
     gamma_approx,
@@ -221,9 +225,20 @@ class TestDistortionTable:
         assert all(g2 < g1 for g1, g2 in zip(gammas, gammas[1:]))
 
     def test_uniform_variant_monotone(self):
-        t = distortion_table("optimal_uniform", max_bits=8)
-        gammas = [t.gamma(b) for b in range(1, 9)]
+        gammas = [quantizer_mse(optimal_uniform_design(b)) for b in range(1, 9)]
         assert all(g2 < g1 for g1, g2 in zip(gammas, gammas[1:]))
+
+    def test_designs_each_resolution_on_first_use(self):
+        _unit_quantizer.cache_clear()
+        distortion_table.cache_clear()
+        distortion_table().gamma(3)
+        assert _unit_quantizer.cache_info().currsize == 1
+        # b >= 10 designs stop at the floating-point floor without warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            gain_diagonal([10, 11, 12], 3)
+        for b in range(1, 13):
+            assert distortion_table().gamma(b) == quantizer_mse(_unit_quantizer(b))
 
     def test_fallback_above_table(self):
         t = distortion_table()

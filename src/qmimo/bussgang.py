@@ -96,36 +96,58 @@ def _clip_psd(C: np.ndarray) -> np.ndarray:
     return (V * w) @ V.conj().T
 
 
-def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
-                        bits: Optional[Sequence[int]], num_samples: int, seed):
-    """Draw y = H F s + n, quantize per chain, return (y, z, eta).
+# samples per column block of the Monte-Carlo path; bounds the working set
+# to a few Nr x _MC_BLOCK arrays whatever the sample count
+_MC_BLOCK = 8192
 
-    Each chain uses the Lloyd-Max quantizer for its resolution (the design
-    whose MSE is gamma), scaled to the analytic per-component std
-    sqrt(C_y[i,i]/2). Used by the covariance estimators and by
-    statistical tests on the distortion term.
+
+def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
+                      bits: Sequence[int], num_samples: int, seed):
+    """Draw y = H F s + n, quantize per chain, yield ``(y, z, eta)`` blocks.
+
+    The whole sample stream is drawn first, in the order ``s.real``,
+    ``s.imag``, ``n.real``, ``n.imag`` (each ``num_samples`` columns wide),
+    so the samples do not depend on the block size. Each chain uses the
+    Lloyd-Max quantizer for its resolution (the design whose MSE is gamma),
+    scaled to the analytic per-component std sqrt(C_y[i,i]/2); the real
+    and imaginary parts of a chain are quantized in one contiguous call.
+    Blocks are ``_MC_BLOCK`` columns wide, the last one holds the remainder.
     """
     nr = H.shape[0]
     ns = F.shape[1]
     g = gain_diagonal(bits, nr)
+    quantizers = [_unit_quantizer(int(b)) for b in bits]
     rng = np.random.default_rng(seed)
-    s = (rng.standard_normal((ns, num_samples))
-         + 1j * rng.standard_normal((ns, num_samples))) / np.sqrt(2.0)
-    n = (rng.standard_normal((nr, num_samples))
-         + 1j * rng.standard_normal((nr, num_samples))) * np.sqrt(sigma_n2 / 2.0)
-    y = H @ F @ s + n
-    if bits is None:
-        return y, y.copy(), np.zeros_like(y)
+    s = np.empty((ns, num_samples), dtype=complex)
+    n = np.empty((nr, num_samples), dtype=complex)
+    for buf in (s, n):
+        buf.real = rng.standard_normal(buf.shape)
+        buf.imag = rng.standard_normal(buf.shape)
+    s /= np.sqrt(2.0)
+    n *= np.sqrt(sigma_n2 / 2.0)
     hf = H @ F
     cy_diag = np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2
     std = np.sqrt(cy_diag / 2.0)
-    z = np.empty_like(y)
-    for i in range(nr):
-        q = _unit_quantizer(int(bits[i]))
-        z[i] = std[i] * (q.quantize_real(y[i].real / std[i])
-                         + 1j * q.quantize_real(y[i].imag / std[i]))
-    eta = z - g[:, None] * y
-    return y, z, eta
+    for start in range(0, num_samples, _MC_BLOCK):
+        cols = slice(start, start + _MC_BLOCK)
+        y = n[:, cols] + hf @ s[:, cols]
+        y_re = y.view(float)
+        z = np.empty_like(y)
+        z_re = z.view(float)
+        for i, q in enumerate(quantizers):
+            z_re[i] = std[i] * q.quantize_real(y_re[i] / std[i])
+        eta = (z_re - g[:, None] * y_re).view(complex)
+        yield y, z, eta
+
+
+def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
+                        bits: Sequence[int], num_samples: int, seed):
+    """All samples of ``_quantized_blocks`` at once: ``(y, z, eta)``, Nr x N each.
+
+    Used by statistical tests on the distortion term.
+    """
+    blocks = list(_quantized_blocks(H, F, sigma_n2, bits, num_samples, seed))
+    return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
 
 
 def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
@@ -136,7 +158,10 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     Gaussian symbol and noise vectors are drawn, the received vector is
     quantized per chain by the matched Lloyd-Max quantizer, and the sample
     covariance of ``eta = z - G y`` is returned (Hermitian, eigenvalues
-    clipped at zero against sampling noise).
+    clipped at zero against sampling noise). The samples are processed in
+    column blocks, so memory beyond the drawn symbols and noise stays
+    bounded. At full resolution (``bits=None``) the distortion is exactly
+    zero and nothing is drawn.
 
     All samples come from one stream, ``SeedSequence([seed, 0])``, so the
     result is bit-identical for a fixed integer ``seed``.
@@ -150,8 +175,13 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
             stacklevel=2,
         )
     stream = np.random.SeedSequence([_as_seed_int(seed), 0])
-    _, _, eta = _simulate_quantized(H, F, sigma_n2, bits, num_samples, stream)
-    return _clip_psd(eta @ eta.conj().T / num_samples)
+    nr = H.shape[0]
+    acc = np.zeros((nr, nr), dtype=complex)
+    if bits is None:
+        return acc
+    for _, _, eta in _quantized_blocks(H, F, sigma_n2, bits, num_samples, stream):
+        acc += eta @ eta.conj().T
+    return _clip_psd(acc / num_samples)
 
 
 def _as_seed_int(seed) -> int:

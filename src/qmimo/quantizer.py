@@ -96,10 +96,16 @@ class ScalarQuantizer:
         return self.codebook[idx]
 
     def quantize(self, x):
-        """Quantize complex input(s): real and imaginary parts independently."""
+        """Quantize complex input(s): real and imaginary parts independently.
+
+        The interleaved real/imaginary parts of a complex input are
+        quantized in one contiguous call; the result has the input's shape.
+        """
         x = np.asarray(x)
         if np.iscomplexobj(x):
-            return self.quantize_real(x.real) + 1j * self.quantize_real(x.imag)
+            parts = np.ascontiguousarray(x, dtype=complex).reshape(-1).view(float)
+            # [()] makes a 0-d result a scalar, as quantize_real returns it
+            return self.quantize_real(parts).view(complex).reshape(x.shape)[()]
         return self.quantize_real(x)
 
 
@@ -359,6 +365,10 @@ def gamma_approx(bits: int, mode: str = "fitted") -> float:
 @lru_cache(maxsize=None)
 def _unit_quantizer(bits: int) -> ScalarQuantizer:
     """The unit-variance Lloyd-Max quantizer for ``bits``, designed once per process."""
+    if bits < 10:
+        # leaving catch_warnings() resets the once-per-location registry,
+        # so the designs that converge cleanly do not enter it
+        return lloyd_max_design(bits)
     with warnings.catch_warnings():
         # residuals for b >= 10 floor out near 1e-9 in double precision;
         # gamma is insensitive to that (stationary point of the MSE)

@@ -1,9 +1,12 @@
 """Linearized quantization model: gains, covariances, arcsine law."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qmimo.bussgang import (
+    _MC_BLOCK,
     _simulate_quantized,
     effective_noise_cov,
     gain_diagonal,
@@ -12,7 +15,13 @@ from qmimo.bussgang import (
     qd_cov_approx,
     qd_cov_simulated,
 )
-from qmimo.quantizer import distortion_table, gamma_approx, lloyd_max_design, scale_to_variance
+from qmimo.quantizer import (
+    _unit_quantizer,
+    distortion_table,
+    gamma_approx,
+    lloyd_max_design,
+    scale_to_variance,
+)
 
 TABLE = distortion_table()
 G1 = 2.0 / np.pi  # one-bit Bussgang gain
@@ -160,6 +169,55 @@ class TestQdCovSimulated:
         sim = qd_cov_simulated(H, F, sn2, [1, 1, 2, 2], num_samples=5 * 10**4, seed=3)
         np.testing.assert_allclose(sim, sim.conj().T)
         assert np.linalg.eigvalsh(sim).min() >= 0
+
+    def test_sample_stream_and_remainder_block(self):
+        # one-shot reference: the whole stream drawn in the documented order
+        # (s.real, s.imag, n.real, n.imag), each chain's real and imaginary
+        # parts quantized separately; the column blocks, the last one a
+        # 17-sample remainder, must reproduce it
+        H, F, sn2 = random_instance(4, 5, 2, seed=13)
+        bits = [1, 2, 3, 4]
+        n_samples = 2 * _MC_BLOCK + 17
+        seed = 21
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+        s = (rng.standard_normal((2, n_samples))
+             + 1j * rng.standard_normal((2, n_samples))) / np.sqrt(2.0)
+        n = (rng.standard_normal((4, n_samples))
+             + 1j * rng.standard_normal((4, n_samples))) * np.sqrt(sn2 / 2.0)
+        hf = H @ F
+        y = hf @ s + n
+        std = np.sqrt((np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sn2) / 2.0)
+        z = np.empty_like(y)
+        for i, b in enumerate(bits):
+            q = _unit_quantizer(b)
+            z[i] = std[i] * (q.quantize_real(y[i].real / std[i])
+                             + 1j * q.quantize_real(y[i].imag / std[i]))
+        eta = z - gain_diagonal(bits, 4)[:, None] * y
+
+        sim = qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=seed)
+        gram = eta @ eta.conj().T / n_samples
+        # the blocked sum adds the Gram in another order: rtol 1e-12 per
+        # entry, with an absolute floor at 1e-12 of the largest entry
+        np.testing.assert_allclose(sim, gram, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
+
+        stream = np.random.SeedSequence([seed, 0])
+        for got, want in zip(_simulate_quantized(H, F, sn2, bits, n_samples, stream),
+                             (y, z, eta)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_peak_memory_is_bounded(self):
+        # 32x32, Ns = 4, 1e5 samples: the drawn symbols and noise take 58 MB;
+        # the blocked quantization and Gram stay within a few blocks on top
+        H, F, sn2 = random_instance(32, 32, 4, seed=14)
+        bits = [3] * 32
+        qd_cov_simulated(H, F, sn2, bits, num_samples=10**4, seed=0)  # design the quantizer
+        tracemalloc.start()
+        try:
+            qd_cov_simulated(H, F, sn2, bits, num_samples=10**5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestUncorrelatedness:

@@ -1,6 +1,10 @@
 """Quantizer design, scaling, and distortion-factor tests."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,25 @@ class TestQuantizeComplex:
         assert z.shape == x.shape
         assert z[0].real == q.quantize_real(0.1)
 
+    def test_strided_input_matches_separate_parts(self):
+        # exact zeros and values on a threshold, in a non-contiguous view
+        q = lloyd_max_design(3)
+        inner = q.thresholds[1:-1]
+        vals = np.concatenate([inner, -inner, [0.0, 0.0, 2.5, -3.0]])
+        block = np.zeros((vals.size, 3), dtype=complex)
+        block[:, 1] = vals + 1j * vals[::-1]
+        block[::3, 1] = 0.0
+        x = block[:, 1]
+        assert not x.flags.c_contiguous
+        z = q.quantize(x)
+        np.testing.assert_array_equal(z, q.quantize_real(x.real) + 1j * q.quantize_real(x.imag))
+        x2 = block[:, 1:].T  # 2-D, transposed
+        np.testing.assert_array_equal(
+            q.quantize(x2), q.quantize_real(x2.real) + 1j * q.quantize_real(x2.imag))
+        z0 = q.quantize(complex(inner[2], 0.0))
+        assert np.ndim(z0) == 0
+        assert z0 == q.quantize_real(inner[2]) + 1j * q.quantize_real(0.0)
+
 
 class TestScaleToVariance:
     def test_identity(self):
@@ -239,6 +262,26 @@ class TestDistortionTable:
             gain_diagonal([10, 11, 12], 3)
         for b in range(1, 13):
             assert distortion_table().gamma(b) == quantizer_mse(_unit_quantizer(b))
+
+    def test_design_keeps_shown_warnings_shown(self):
+        # leaving warnings.catch_warnings() resets the once-per-location
+        # registry; a design made mid-run must not print a shown warning again
+        script = (
+            "import warnings\n"
+            "from qmimo.quantizer import _unit_quantizer\n"
+            "def warn():\n"
+            "    warnings.warn('shown once', UserWarning)\n"
+            "warn()\n"
+            "warn()\n"
+            "_unit_quantizer(4)\n"
+            "warn()\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-W", "default", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("UserWarning: shown once") == 1, proc.stderr
 
     def test_fallback_above_table(self):
         t = distortion_table()

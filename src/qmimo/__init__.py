@@ -37,7 +37,6 @@ from .channel import ChannelRealization, SVParams, saleh_valenzuela
 from .evaluation import (
     ExperimentResult,
     PointConfig,
-    PowerModel,
     energy_efficiency,
     run_experiment,
     se_simulated,

@@ -21,14 +21,11 @@ import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import bitalloc, channel, evaluation
 from .quantizer import distortion_table, quantizer_mse, _unit_quantizer
 
 __all__ = [
     "ExperimentConfig",
-    "PointRecord",
     "parse_config",
     "run_sweep",
     "write_results",
@@ -99,6 +96,24 @@ def _boolean(value) -> bool:
     return value
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _schemes(value) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of scheme names, got {value!r}")
+    names = tuple(map(_string, value))
+    bad = [s for s in names if s not in evaluation.SCHEMES]
+    if bad:
+        raise ValueError(f"unknown schemes {bad}; valid schemes are {list(evaluation.SCHEMES)}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated scheme name in {list(names)}")
+    return names
+
+
 def _axis(parse):
     """Parser of a sweepable key: one value or a non-empty list of values."""
     def parse_axis(value) -> tuple:
@@ -132,8 +147,8 @@ _KEYS = {
     "eps": ("eps", _real), "max_iter": ("max_iter", _integer), "I2": ("i2", _integer),
     "scoring_max_iter": ("scoring_max_iter", _integer), "sv": ("sv", _sv_params),
     "num_qd_samples": ("num_qd_samples", _integer), "sim_se": ("sim_se", _boolean),
-    "seed": ("seed", _integer), "schemes": ("schemes", tuple),
-    "num_channels": ("num_channels", _integer), "output_dir": ("output_dir", str),
+    "seed": ("seed", _integer), "schemes": ("schemes", _schemes),
+    "num_channels": ("num_channels", _integer), "output_dir": ("output_dir", _string),
 }
 _POINT_FIELDS = {f.name for f in dataclasses.fields(evaluation.PointConfig)}
 
@@ -168,11 +183,6 @@ def parse_config(path) -> ExperimentConfig:
             values[name] = parse(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
-    bad = [s for s in values.get("schemes", ()) if s not in evaluation.SCHEMES]
-    if bad:
-        raise ConfigError(
-            f"unknown schemes {bad}; valid schemes are {list(evaluation.SCHEMES)}"
-        )
 
     point = {k: v for k, v in values.items() if k in _POINT_FIELDS}
     run = {k: v for k, v in values.items() if k not in _POINT_FIELDS}
@@ -183,61 +193,32 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    """Serialize one CSV cell; floats carry 17 significant digits."""
-    if value is None:
+    """Serialize one CSV cell; floats carry 17 significant digits, None and NaN are empty."""
+    if value is None or (isinstance(value, float) and math.isnan(value)):
         return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return format(value, ".17g")
-    return str(value)
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-@dataclass(frozen=True)
-class PointRecord:
-    axes: dict
-    result: evaluation.ExperimentResult
+def _rows_of(axes: dict, result: evaluation.ExperimentResult) -> list[dict]:
+    return [{"snr_db": float(axes["snr_db"]), "b": axes["b"], "scheme": scheme,
+             **out.summary(), "seed": result.seed}
+            for scheme, out in result.outcomes.items()]
 
 
-def _rows_of(record: PointRecord) -> list[dict]:
-    rows = []
-    for scheme, out in record.result.outcomes.items():
-        rows.append({
-            "snr_db": float(record.axes["snr_db"]),
-            "b": record.axes["b"],
-            "scheme": scheme,
-            "mean_se_apx": out.mean_se_apx,
-            "stderr_se_apx": out.stderr_se_apx,
-            "mean_se_sim": out.mean_se_sim,
-            "stderr_se_sim": out.stderr_se_sim,
-            "mean_ee": out.mean_ee,
-            "total_power_w": out.mean_power_w,
-            "mean_iterations": out.mean_iterations,
-            "seed": record.result.seed,
-        })
-    return rows
-
-
-def _json_record(record: PointRecord) -> dict:
-    result = record.result
-    schemes = {}
-    for scheme, out in result.outcomes.items():
-        schemes[scheme] = {
-            "mean_se_apx": out.mean_se_apx,
-            "stderr_se_apx": out.stderr_se_apx,
-            "mean_se_sim": None if out.se_sim is None else out.mean_se_sim,
-            "stderr_se_sim": None if out.se_sim is None else out.stderr_se_sim,
-            "mean_ee": out.mean_ee,
-            "total_power_w": out.mean_power_w,
-            "mean_iterations": out.mean_iterations,
+def _json_record(axes: dict, result: evaluation.ExperimentResult) -> dict:
+    schemes = {
+        scheme: {
+            **out.summary(),
             "se_apx_per_channel": out.se_apx.tolist(),
             "se_sim_per_channel": None if out.se_sim is None else out.se_sim.tolist(),
             "ee_per_channel": out.ee.tolist(),
             "allocations": [list(a) for a in out.allocations],
             "failures": out.failures,
         }
+        for scheme, out in result.outcomes.items()
+    }
     return {
-        "axes": record.axes,
+        "axes": axes,
         "seed": result.seed,
         "num_channels": result.num_channels,
         "config": dataclasses.asdict(result.config),
@@ -245,18 +226,18 @@ def _json_record(record: PointRecord) -> dict:
     }
 
 
-def write_results(records: list[PointRecord], format: str, path) -> None:
-    """Write collected point records as CSV rows or a JSON document."""
+def write_results(records: list[tuple], format: str, path) -> None:
+    """Write collected ``(axes, result)`` point records as CSV rows or a JSON document."""
     path = Path(path)
     if format == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for record in records:
-                for row in _rows_of(record):
+            for axes, result in records:
+                for row in _rows_of(axes, result):
                     writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
     elif format == "json":
-        doc = {"points": [_json_record(r) for r in records]}
+        doc = {"points": [_json_record(axes, result) for axes, result in records]}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
     else:
@@ -282,32 +263,17 @@ def _dump_quantizers(config: ExperimentConfig, out_dir: Path) -> None:
 def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
                     num_channels: int) -> evaluation.SchemeOutcome:
     """Exhaustive-search scheme row over the same channel ensemble."""
-    ses, ees, powers, allocs = [], [], [], []
+    rows = []
     for c in range(num_channels):
         H = channel.saleh_valenzuela(
             cfg.nt, cfg.nr, cfg.sv, seed=evaluation.derive_seed(seed, 0, c)
         ).H
         alloc, se = bitalloc.exhaustive_search(
-            H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns,
-            b_max=cfg.b_max,
-            b_total=cfg.total_bits,
-            varsigma=cfg.varsigma, eps=cfg.eps, max_iter=cfg.max_iter,
+            H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
+            b_total=cfg.total_bits, varsigma=cfg.varsigma, eps=cfg.eps, max_iter=cfg.max_iter,
         )
-        p_tot = evaluation.total_power(alloc.bits)
-        ses.append(se)
-        ees.append(evaluation.energy_efficiency(se, p_tot))
-        powers.append(p_tot)
-        allocs.append(alloc.bits)
-    return evaluation.SchemeOutcome(
-        scheme="ES",
-        se_apx=np.asarray(ses),
-        se_sim=None,
-        ee=np.asarray(ees),
-        power_w=np.asarray(powers),
-        iterations=np.zeros(len(ses)),
-        allocations=allocs,
-        failures=0,
-    )
+        rows.append((se, None, alloc.bits, 0))
+    return evaluation.SchemeOutcome.from_rows("ES", rows, failures=0, sim_se=False)
 
 
 def run_sweep(config: ExperimentConfig, output_dir=None,
@@ -322,7 +288,7 @@ def run_sweep(config: ExperimentConfig, output_dir=None,
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     json_path = out_dir / "results.json"
-    records: list[PointRecord] = []
+    records: list[tuple] = []
     points = config.points()
     status = 0
     for i, (axes, cfg) in enumerate(points):
@@ -340,7 +306,7 @@ def run_sweep(config: ExperimentConfig, output_dir=None,
             print(f"point {axes} failed:\n{traceback.format_exc()}", end="", file=sys.stderr)
             status = 1
             break
-        records.append(PointRecord(axes=axes, result=result))
+        records.append((axes, result))
         write_results(records, "csv", csv_path)
         write_results(records, "json", json_path)
     return status

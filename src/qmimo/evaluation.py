@@ -2,6 +2,9 @@
 distortion covariance, receiver power and energy efficiency, and seeded
 per-channel scheme evaluation.
 
+Receiver power is accounted with the constants ``P_LNA`` and ``P_RF`` per
+chain and ``FOM_KAPPA * F_S * 2^b`` per ADC (two ADCs per chain).
+
 Schemes
 -------
 ``WF``
@@ -16,7 +19,6 @@ Schemes
 
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -28,7 +30,6 @@ from . import beamforming, bitalloc, bussgang, channel
 from .quantizer import distortion_table  # noqa: F401
 
 __all__ = [
-    "PowerModel",
     "PointConfig",
     "SchemeOutcome",
     "ExperimentResult",
@@ -45,35 +46,22 @@ SCHEMES = ("WF", "AltMinBF", "GPOS", "FullPrecision")
 FULL_PRECISION_BITS = 12
 
 
-@dataclass(frozen=True)
-class PowerModel:
-    """Receiver power-consumption constants.
-
-    Per chain: one LNA, one RF chain and an ADC pair whose per-ADC power
-    is fom_kappa * f_s * 2^b.
-    """
-
-    p_lna: float = 25e-3        # W
-    p_rf: float = 43e-3         # W
-    fom_kappa: float = 494e-15  # J/step/Hz
-    f_s: float = 1e9            # Hz
-
-    def __post_init__(self):
-        if min(self.p_lna, self.p_rf, self.fom_kappa, self.f_s) <= 0:
-            raise ValueError("all power-model constants must be positive")
+# Receiver power-model constants (formula in total_power).
+P_LNA = 25e-3        # W
+P_RF = 43e-3         # W
+FOM_KAPPA = 494e-15  # J/step/Hz
+F_S = 1e9            # Hz
 
 
-def total_power(bits: Sequence[int], pm: PowerModel | None = None) -> float:
+def total_power(bits: Sequence[int]) -> float:
     """Total receiver power: Nr (P_LNA + P_RF) + sum_i 2 kappa f_s 2^{b_i}.
 
     Per-chain generalization of the uniform-resolution formula; the two
     coincide when all entries of ``bits`` are equal.
     """
-    pm = pm or PowerModel()
     bits = np.asarray(bits, dtype=int)
-    nr = bits.size
-    adc = 2.0 * pm.fom_kappa * pm.f_s * np.sum(2.0 ** bits.astype(float))
-    return float(nr * (pm.p_lna + pm.p_rf) + adc)
+    adc = 2.0 * FOM_KAPPA * F_S * np.sum(2.0 ** bits.astype(float))
+    return float(bits.size * (P_LNA + P_RF) + adc)
 
 
 def energy_efficiency(se: float, p_total: float) -> float:
@@ -164,38 +152,45 @@ class SchemeOutcome:
     allocations: list[tuple[int, ...]]
     failures: int
 
-    @property
-    def mean_se_apx(self) -> float:
-        return float(np.mean(self.se_apx)) if self.se_apx.size else float("nan")
+    @classmethod
+    def from_rows(cls, scheme: str, rows: Sequence[tuple], failures: int,
+                  sim_se: bool) -> SchemeOutcome:
+        """Outcome from the per-channel ``(se_apx, se_sim, bits, iterations)`` rows."""
+        se, sims, bits, iters = zip(*rows) if rows else ((),) * 4
+        power = [total_power(b) for b in bits]
+        return cls(
+            scheme=scheme,
+            se_apx=np.asarray(se, dtype=float),
+            se_sim=np.asarray(sims, dtype=float) if sim_se else None,
+            ee=np.asarray([energy_efficiency(x, p) for x, p in zip(se, power)], dtype=float),
+            power_w=np.asarray(power, dtype=float),
+            iterations=np.asarray(iters, dtype=float),
+            allocations=[tuple(b) for b in bits],
+            failures=failures,
+        )
 
-    @property
-    def stderr_se_apx(self) -> float:
-        n = self.se_apx.size
-        return float(np.std(self.se_apx, ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
+    def summary(self) -> dict:
+        """Ensemble aggregates, in result-file column order.
 
-    @property
-    def mean_se_sim(self) -> float:
-        if self.se_sim is None or self.se_sim.size == 0:
-            return float("nan")
-        return float(np.mean(self.se_sim))
+        An empty array has a NaN mean, fewer than two values a NaN standard
+        error; the simulated-SE entries are None when ``se_sim`` is None.
+        """
+        def mean(x):
+            return float(np.mean(x)) if x.size else float("nan")
 
-    @property
-    def stderr_se_sim(self) -> float:
-        if self.se_sim is None or self.se_sim.size <= 1:
-            return float("nan")
-        return float(np.std(self.se_sim, ddof=1) / np.sqrt(self.se_sim.size))
+        def stderr(x):
+            return float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else float("nan")
 
-    @property
-    def mean_ee(self) -> float:
-        return float(np.mean(self.ee)) if self.ee.size else float("nan")
-
-    @property
-    def mean_power_w(self) -> float:
-        return float(np.mean(self.power_w)) if self.power_w.size else float("nan")
-
-    @property
-    def mean_iterations(self) -> float:
-        return float(np.mean(self.iterations)) if self.iterations.size else float("nan")
+        sim = self.se_sim
+        return {
+            "mean_se_apx": mean(self.se_apx),
+            "stderr_se_apx": stderr(self.se_apx),
+            "mean_se_sim": None if sim is None else mean(sim),
+            "stderr_se_sim": None if sim is None else stderr(sim),
+            "mean_ee": mean(self.ee),
+            "total_power_w": mean(self.power_w),
+            "mean_iterations": mean(self.iterations),
+        }
 
 
 @dataclass
@@ -204,7 +199,6 @@ class ExperimentResult:
     seed: int
     num_channels: int
     outcomes: dict[str, SchemeOutcome]
-    runtime_s: float
 
 
 def derive_seed(master: int, *keys: int) -> int:
@@ -252,8 +246,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
 
 
 def run_experiment(config: PointConfig, schemes: Sequence[str],
-                   num_channels: int, seed: int,
-                   pm: PowerModel | None = None) -> ExperimentResult:
+                   num_channels: int, seed: int) -> ExperimentResult:
     """Evaluate the requested schemes over a seeded channel ensemble.
 
     Channel realization c uses a seed derived from (seed, 0, c) so the
@@ -266,23 +259,18 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
         raise ValueError(f"unknown scheme {unknown[0]!r}; expected one of {SCHEMES}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"duplicate scheme name in {list(schemes)}")
     config.validate(schemes)
-    pm = pm or PowerModel()
-    t0 = time.perf_counter()
-    raw: dict[str, dict[str, list]] = {
-        s: {"se_apx": [], "se_sim": [], "ee": [], "power": [], "iters": [],
-            "allocs": [], "failures": 0}
-        for s in schemes
-    }
+    rows: dict[str, list] = {s: [] for s in schemes}
+    failures = dict.fromkeys(schemes, 0)
     for c in range(num_channels):
         H = channel.saleh_valenzuela(
             config.nt, config.nr, config.sv, seed=derive_seed(seed, 0, c)
         ).H
         for s_idx, scheme in enumerate(schemes):
             try:
-                se, se_sim, power_bits, iters = _run_scheme(
-                    scheme, H, config, derive_seed(seed, 1, c, s_idx)
-                )
+                row = _run_scheme(scheme, H, config, derive_seed(seed, 1, c, s_idx))
             except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
                 # numerical failure: record, drop channel from aggregates
                 warnings.warn(
@@ -290,33 +278,10 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                raw[scheme]["failures"] += 1
+                failures[scheme] += 1
                 continue
-            p_tot = total_power(power_bits, pm)
-            raw[scheme]["se_apx"].append(se)
-            raw[scheme]["se_sim"].append(se_sim)
-            raw[scheme]["ee"].append(energy_efficiency(se, p_tot))
-            raw[scheme]["power"].append(p_tot)
-            raw[scheme]["iters"].append(iters)
-            raw[scheme]["allocs"].append(tuple(power_bits))
-    outcomes = {}
-    for scheme in schemes:
-        r = raw[scheme]
-        sims = [x for x in r["se_sim"] if x is not None]
-        outcomes[scheme] = SchemeOutcome(
-            scheme=scheme,
-            se_apx=np.asarray(r["se_apx"], dtype=float),
-            se_sim=np.asarray(sims, dtype=float) if config.sim_se else None,
-            ee=np.asarray(r["ee"], dtype=float),
-            power_w=np.asarray(r["power"], dtype=float),
-            iterations=np.asarray(r["iters"], dtype=float),
-            allocations=r["allocs"],
-            failures=r["failures"],
-        )
-    return ExperimentResult(
-        config=config,
-        seed=seed,
-        num_channels=num_channels,
-        outcomes=outcomes,
-        runtime_s=time.perf_counter() - t0,
-    )
+            rows[scheme].append(row)
+    outcomes = {s: SchemeOutcome.from_rows(s, rows[s], failures[s], config.sim_se)
+                for s in schemes}
+    return ExperimentResult(config=config, seed=seed, num_channels=num_channels,
+                            outcomes=outcomes)

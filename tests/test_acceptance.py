@@ -307,8 +307,8 @@ def test_criterion_10_power_and_ee():
     p_dev = abs(p - 4.857856)
     cfg = PointConfig(nt=8, nr=4, ns=2, snr_db=20.0, b=3, b_max=5)
     res = run_experiment(cfg, ["GPOS", "FullPrecision"], num_channels=5, seed=10)
-    ee_gpos = res.outcomes["GPOS"].mean_ee
-    ee_full = res.outcomes["FullPrecision"].mean_ee
+    ee_gpos = res.outcomes["GPOS"].summary()["mean_ee"]
+    ee_full = res.outcomes["FullPrecision"].summary()["mean_ee"]
     ok = p_dev <= 1e-6 and ee_gpos > ee_full
     report(10, ok, f"total power {p:.6f} W dev {p_dev:.1e} (<=1e-6); "
                    f"EE GPOS {ee_gpos:.2f} vs full precision {ee_full:.2f} bits/J/Hz")

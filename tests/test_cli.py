@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,12 @@ from qmimo.cli import (
 )
 from qmimo.evaluation import PointConfig
 
+# Per-scheme JSON keys in file order; the first seven are the CSV aggregates.
+JSON_SCHEME_KEYS = [
+    "mean_se_apx", "stderr_se_apx", "mean_se_sim", "stderr_se_sim", "mean_ee",
+    "total_power_w", "mean_iterations", "se_apx_per_channel", "se_sim_per_channel",
+    "ee_per_channel", "allocations", "failures",
+]
 
 def write_config(tmp_path, **overrides):
     doc = {
@@ -109,7 +116,8 @@ class TestParseConfig:
     @pytest.mark.parametrize("key, value", [
         ("snr_db", []), ("Nt", "x"), ("schemes", 5),
         ("sim_se", "false"), ("Nt", 8.7), ("num_channels", 2.9), ("Nt", True),
-        ("sv", {"num_clusters": 2.5}),
+        ("sv", {"num_clusters": 2.5}), ("schemes", ["WF", "WF"]), ("schemes", "WF"),
+        ("output_dir", None), ("output_dir", 3),
     ])
     def test_invalid_value_names_key(self, tmp_path, key, value):
         path = write_config(tmp_path, **{key: value})
@@ -185,11 +193,11 @@ class TestRunSweep:
         real = ev.run_experiment
         calls = {"n": 0}
 
-        def failing(config, schemes, num_channels, seed, pm=None):
+        def failing(config, schemes, num_channels, seed):
             calls["n"] += 1
             if calls["n"] >= 2:
                 raise RuntimeError("synthetic point failure")
-            return real(config, schemes, num_channels, seed, pm)
+            return real(config, schemes, num_channels, seed)
 
         monkeypatch.setattr(cli.evaluation, "run_experiment", failing)
         cfg = parse_config(write_config(tmp_path, snr_db=[0, 10, 20]))
@@ -226,6 +234,42 @@ class TestWriteResults:
         with open(tmp_path / "out" / "results.csv") as fh:
             row = next(csv.DictReader(fh))
         assert float(row["mean_se_apx"]) == doc["points"][0]["schemes"]["WF"]["mean_se_apx"]
+
+    def read_outputs(self, out):
+        doc = json.loads((out / "results.json").read_text())
+        with open(out / "results.csv") as fh:
+            return doc, next(csv.DictReader(fh))
+
+    def test_sim_se_off_is_null_and_empty(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        run_sweep(cfg, output_dir=tmp_path / "out", progress=None)
+        doc, row = self.read_outputs(tmp_path / "out")
+        point = doc["points"][0]
+        assert list(point) == ["axes", "seed", "num_channels", "config", "schemes"]
+        wf = point["schemes"]["WF"]
+        assert list(wf) == JSON_SCHEME_KEYS
+        for key in ("mean_se_sim", "stderr_se_sim", "se_sim_per_channel"):
+            assert wf[key] is None, key
+        assert row["mean_se_sim"] == row["stderr_se_sim"] == ""
+        assert row["mean_se_apx"] != ""
+
+    def test_all_channels_failed_is_nan_and_empty(self, tmp_path, monkeypatch):
+        def failing(H, pt, sigma_n2, ns):
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(cli.evaluation.beamforming, "waterfilling_baseline", failing)
+        cfg = parse_config(write_config(tmp_path, sim_se=True))
+        with pytest.warns(RuntimeWarning, match="failed on channel"):
+            assert run_sweep(cfg, output_dir=tmp_path / "out", progress=None) == 0
+        doc, row = self.read_outputs(tmp_path / "out")
+        wf = doc["points"][0]["schemes"]["WF"]
+        assert list(wf) == JSON_SCHEME_KEYS
+        for key in JSON_SCHEME_KEYS[:7]:
+            assert math.isnan(wf[key]), key
+            assert row[key] == "", key
+        for key in ("se_apx_per_channel", "se_sim_per_channel", "ee_per_channel", "allocations"):
+            assert wf[key] == [], key
+        assert wf["failures"] == cfg.num_channels == 2
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

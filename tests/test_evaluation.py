@@ -6,9 +6,12 @@ import pytest
 from qmimo.beamforming import altmin_beamforming, waterfilling_baseline, waterfilling_power
 from qmimo.channel import SVParams, saleh_valenzuela
 from qmimo.evaluation import (
+    F_S,
+    FOM_KAPPA,
     FULL_PRECISION_BITS,
+    P_LNA,
+    P_RF,
     PointConfig,
-    PowerModel,
     energy_efficiency,
     run_experiment,
     se_simulated,
@@ -22,23 +25,17 @@ class TestTotalPower:
         assert total_power([3] * 64) == pytest.approx(4.857856, abs=1e-9)
 
     def test_adc_term_doubles_per_bit(self):
-        pm = PowerModel()
-        base = 4 * (pm.p_lna + pm.p_rf)
-        adc1 = total_power([1] * 4, pm) - base
-        adc2 = total_power([2] * 4, pm) - base
+        base = 4 * (P_LNA + P_RF)
+        adc1 = total_power([1] * 4) - base
+        adc2 = total_power([2] * 4) - base
         assert adc2 == pytest.approx(2 * adc1, rel=1e-12)
 
     def test_zero_chains(self):
         assert total_power([]) == 0.0
 
     def test_mixed_bits(self):
-        pm = PowerModel()
-        expected = 2 * (pm.p_lna + pm.p_rf) + 2 * pm.fom_kappa * pm.f_s * (2 + 16)
-        assert total_power([1, 4], pm) == pytest.approx(expected, rel=1e-12)
-
-    def test_power_model_validation(self):
-        with pytest.raises(ValueError):
-            PowerModel(p_lna=0.0)
+        expected = 2 * (P_LNA + P_RF) + 2 * FOM_KAPPA * F_S * (2 + 16)
+        assert total_power([1, 4]) == pytest.approx(expected, rel=1e-12)
 
 
 class TestEnergyEfficiency:
@@ -139,7 +136,7 @@ class TestRunExperiment:
     def test_altmin_beats_wf_one_bit_high_snr(self):
         cfg = PointConfig(**DESK, snr_db=30.0, b=1)
         res = run_experiment(cfg, ["WF", "AltMinBF"], num_channels=20, seed=3)
-        assert res.outcomes["AltMinBF"].mean_se_apx > res.outcomes["WF"].mean_se_apx
+        assert res.outcomes["AltMinBF"].summary()["mean_se_apx"] > res.outcomes["WF"].summary()["mean_se_apx"]
 
     def test_gpos_allocations_recorded(self):
         cfg = PointConfig(nt=8, nr=4, ns=2, snr_db=20.0, b=2, b_max=3)
@@ -186,10 +183,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unknown scheme"):
             run_experiment(cfg, ["ZF"], num_channels=1, seed=0)
 
+    def test_duplicate_scheme_rejected(self):
+        cfg = PointConfig(**DESK, snr_db=10.0, b=2)
+        with pytest.raises(ValueError, match="duplicate scheme"):
+            run_experiment(cfg, ["WF", "AltMinBF", "WF"], num_channels=1, seed=0)
+
     def test_ee_trend_low_resolution_beats_full_precision(self):
         cfg = PointConfig(nt=8, nr=4, ns=2, snr_db=20.0, b=3, b_max=5)
         res = run_experiment(cfg, ["GPOS", "FullPrecision"], num_channels=4, seed=11)
-        assert res.outcomes["GPOS"].mean_ee > res.outcomes["FullPrecision"].mean_ee
+        assert res.outcomes["GPOS"].summary()["mean_ee"] > res.outcomes["FullPrecision"].summary()["mean_ee"]
 
     def test_mean_se_monotone_in_snr(self):
         means = {s: [] for s in ("WF", "AltMinBF")}
@@ -197,7 +199,7 @@ class TestRunExperiment:
             cfg = PointConfig(**DESK, snr_db=snr, b=2)
             res = run_experiment(cfg, list(means), num_channels=10, seed=13)
             for s in means:
-                means[s].append(res.outcomes[s].mean_se_apx)
+                means[s].append(res.outcomes[s].summary()["mean_se_apx"])
         for s, vals in means.items():
             assert vals[0] < vals[1] < vals[2], (s, vals)
 
@@ -206,5 +208,5 @@ class TestRunExperiment:
         for b in (1, 2, 3):
             cfg = PointConfig(**DESK, snr_db=20.0, b=b)
             res = run_experiment(cfg, ["AltMinBF"], num_channels=10, seed=17)
-            vals.append(res.outcomes["AltMinBF"].mean_se_apx)
+            vals.append(res.outcomes["AltMinBF"].summary()["mean_se_apx"])
         assert vals[0] <= vals[1] <= vals[2]

@@ -38,7 +38,10 @@ _RIDGE = 1e-12
 
 @dataclass(frozen=True)
 class Beamformers:
-    """Precoder F (Nt x Ns), combiner U (Nr x Ns), WMMSE weight W (Ns x Ns)."""
+    """Precoder F (Nt x Ns), combiner U (Nr x Ns), WMMSE weight W (Ns x Ns).
+
+    From :func:`altmin_beamforming`, U and W are both taken at the returned F.
+    """
 
     F: np.ndarray
     U: np.ndarray
@@ -131,21 +134,15 @@ def waterfilling_baseline(H: np.ndarray, pt: float, sigma_n2: float,
 
 
 def update_combiner(H: np.ndarray, F: np.ndarray, g: np.ndarray,
-                    ce: np.ndarray) -> np.ndarray:
-    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F from vectors g, ce."""
-    GHF = (g[:, None] * H) @ F
-    A = GHF @ GHF.conj().T
-    A.flat[::A.shape[0] + 1] += ce
-    A = 0.5 * (A + A.conj().T)
-    try:
-        U = np.linalg.solve(A, GHF)
-        if np.all(np.isfinite(U)):
-            return U
-    except np.linalg.LinAlgError:
-        pass
-    warnings.warn("singular combiner system matrix; regularizing with 1e-12 I",
-                  RuntimeWarning, stacklevel=2)
-    return np.linalg.solve(A + _RIDGE * np.eye(A.shape[0]), GHF)
+                    ce: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F from vectors g, ce.
+
+    By Woodbury this is ``C_e^{-1} G H F W^{-1}`` with the weight
+    ``W = update_weight(H, F, g, ce)`` at the same F, so one Ns x Ns solve
+    replaces the Nr x Nr one; ``W >= I`` is always positive definite.
+    """
+    B = ((g[:, None] * H) @ F) / ce[:, None]
+    return np.linalg.solve(W, B.conj().T).conj().T
 
 
 def update_weight(H: np.ndarray, F: np.ndarray, g: np.ndarray,
@@ -231,34 +228,34 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
                        max_iter: int = 500) -> tuple[Beamformers, AltMinReport]:
     """Alternating WMMSE beamforming for fixed per-chain ADC resolutions.
 
-    Starts from the water-filling precoder with unit weight, then cycles
-    combiner, weight and precoder updates (the effective-noise covariance
-    is recomputed from the current precoder each cycle) until the change
-    of the natural-log objective log det W drops below ``eps`` or
-    ``max_iter`` is hit. The Bussgang gains come from ``gain_diagonal(bits)``;
+    Starts from the water-filling precoder, then cycles weight, combiner
+    and precoder updates (the effective-noise covariance is recomputed
+    from the current precoder each cycle) until the change of the
+    natural-log objective log det W drops below ``eps`` or ``max_iter``
+    is hit. The Bussgang gains come from ``gain_diagonal(bits)``;
     ``bits=None`` runs the full-resolution model.
 
-    Returns the final beamformers (combiner re-derived at the final
-    precoder) and a report with the objective trace and the SE in
+    Returns the final beamformers (weight and combiner re-derived at the
+    final precoder) and a report with the objective trace and the SE in
     bits/s/Hz.
     """
     nr = H.shape[0]
     g = gain_diagonal(bits, nr)
     F = waterfilling_baseline(H, pt, sigma_n2, ns).F
-    W = np.eye(ns, dtype=complex)
     trace: list[float] = []
     converged = False
     for _ in range(max_iter):
         ce = effective_noise_cov(g, H, F, sigma_n2)
-        U = update_combiner(H, F, g, ce)
         W = update_weight(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, W)
         trace.append(_logdet_hermitian(W))
         F = update_precoder(H, g, U, W, pt)
         if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps:
             converged = True
             break
     ce = effective_noise_cov(g, H, F, sigma_n2)
-    U = update_combiner(H, F, g, ce)
+    W = update_weight(H, F, g, ce)
+    U = update_combiner(H, F, g, ce, W)
     se = spectral_efficiency(H, F, U, g, np.diag(ce))
     report = AltMinReport(
         iterations=len(trace),

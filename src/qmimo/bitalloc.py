@@ -1,7 +1,8 @@
 """Per-chain ADC bit allocation under a total-bit budget.
 
-Resolutions live in {1, ..., b_max} and must sum to floor(varsigma *
-b_total). A greedy sweep produces the starting allocation; a pair-swap
+Resolutions live in {1, ..., b_max} and must sum to the active-bit budget,
+which the caller passes in (``PointConfig.budget`` is floor(varsigma *
+b_total)). A greedy sweep produces the starting allocation; a pair-swap
 neighborhood search with a visited list improves it, scoring candidates by
 short alternating-minimization solves. An exhaustive enumeration is kept
 as the optimality oracle for small instances.
@@ -9,8 +10,8 @@ as the optimality oracle for small instances.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from itertools import product
 import numpy as np
 
 from .beamforming import Beamformers, altmin_beamforming
@@ -61,15 +62,12 @@ def _check_feasible(nr: int, b_max: int, budget: int) -> None:
         )
 
 
-def greedy_init(nr: int, b_max: int, b_total: int, varsigma: float = 1.0) -> BitAllocation:
+def greedy_init(nr: int, b_max: int, budget: int) -> BitAllocation:
     """Greedy starting allocation: all chains at b_max, then sweep down.
 
     Chains are visited in index order, each decremented to a floor of 1
-    until the sum equals the active-bit budget floor(varsigma * b_total).
+    until the sum equals the active-bit budget.
     """
-    if not 0 < varsigma <= 1:
-        raise ValueError(f"varsigma must be in (0, 1], got {varsigma}")
-    budget = math.floor(varsigma * b_total)
     _check_feasible(nr, b_max, budget)
     bits = [b_max] * nr
     for n in range(nr):
@@ -115,8 +113,7 @@ class GposResult:
 
 
 def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
-              b_max: int, b_total: int, varsigma: float = 1.0,
-              i2: int = 15, scoring_max_iter: int = 30,
+              b_max: int, budget: int, i2: int = 15, scoring_max_iter: int = 30,
               eps: float = 1e-4, max_iter: int = 500) -> GposResult:
     """Greedy pair-order search over bit allocations with joint beamforming.
 
@@ -128,7 +125,7 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     full-convergence solve at the incumbent. Ties between equal-SE
     neighbors break toward the lexicographically smallest allocation.
     """
-    incumbent = greedy_init(H.shape[0], b_max, b_total, varsigma)
+    incumbent = greedy_init(H.shape[0], b_max, budget)
 
     scored: list[tuple[int, ...]] = []
 
@@ -176,26 +173,12 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
 def enumerate_allocations(nr: int, b_max: int, budget: int) -> list[tuple[int, ...]]:
     """All vectors in {1..b_max}^nr summing to the budget, lexicographic order."""
     _check_feasible(nr, b_max, budget)
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int], remaining: int) -> None:
-        slots_left = nr - len(prefix)
-        if slots_left == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(1, b_max + 1):
-            rest = remaining - v
-            if (slots_left - 1) <= rest <= (slots_left - 1) * b_max:
-                extend(prefix + [v], rest)
-
-    extend([], budget)
-    return out
+    return [t for t in product(range(1, b_max + 1), repeat=nr) if sum(t) == budget]
 
 
 def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
-                      b_max: int, b_total: int, varsigma: float = 1.0,
-                      eps: float = 1e-4, max_iter: int = 500) -> tuple[BitAllocation, float]:
+                      b_max: int, budget: int, eps: float = 1e-4,
+                      max_iter: int = 500) -> tuple[BitAllocation, float]:
     """Score every feasible allocation with a full solve; return the best.
 
     Refuses instances whose unconstrained search space b_max^Nr exceeds
@@ -208,7 +191,6 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
             f"exhaustive search over ~{b_max}^{nr} allocations "
             f"exceeds the size guard {MAX_SEARCH_SPACE:g}"
         )
-    budget = math.floor(varsigma * b_total)
     best_se = -np.inf
     best: tuple[int, ...] | None = None
     for bits in enumerate_allocations(nr, b_max, budget):

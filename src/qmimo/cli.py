@@ -270,7 +270,7 @@ def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
         ).H
         alloc, se = bitalloc.exhaustive_search(
             H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
-            b_total=cfg.total_bits, varsigma=cfg.varsigma, eps=cfg.eps, max_iter=cfg.max_iter,
+            budget=cfg.budget, eps=cfg.eps, max_iter=cfg.max_iter,
         )
         rows.append((se, None, alloc.bits, 0))
     return evaluation.SchemeOutcome.from_rows("ES", rows, failures=0, sim_se=False)
@@ -339,6 +339,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
         config.validate()
+        if not config.schemes and not args.oracle:
+            raise ConfigError("'schemes' is empty: name at least one scheme or pass --oracle")
         base = config.base
         if args.oracle and base.b_max ** base.nr > bitalloc.MAX_SEARCH_SPACE:
             raise ConfigError(

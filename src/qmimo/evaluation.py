@@ -100,7 +100,7 @@ class PointConfig:
     b: int = 2
     b_max: int = 8
     varsigma: float = 1.0
-    b_total: Optional[int] = None      # None: nr * b (see total_bits)
+    b_total: Optional[int] = None      # None: nr * b (see budget)
     eps: float = 1e-4
     max_iter: int = 500
     i2: int = 15
@@ -114,13 +114,10 @@ class PointConfig:
         return self.pt / 10.0 ** (self.snr_db / 10.0)
 
     @property
-    def total_bits(self) -> int:
-        """ADC bit total before the varsigma scaling: ``b_total``, else Nr * b."""
-        return self.nr * self.b if self.b_total is None else self.b_total
-
-    @property
     def budget(self) -> int:
-        return int(np.floor(self.varsigma * self.total_bits))
+        """Active-bit budget ``floor(varsigma * b_total)``; ``b_total`` defaults to Nr * b."""
+        total = self.nr * self.b if self.b_total is None else self.b_total
+        return int(np.floor(self.varsigma * total))
 
     def validate(self, schemes: Sequence[str] = ()) -> None:
         if not self.pt > 0:
@@ -226,8 +223,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
     elif scheme == "GPOS":
         res = bitalloc.gpos_bfba(
             H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns,
-            b_max=cfg.b_max, b_total=cfg.total_bits,
-            varsigma=cfg.varsigma, i2=cfg.i2,
+            b_max=cfg.b_max, budget=cfg.budget, i2=cfg.i2,
             scoring_max_iter=cfg.scoring_max_iter,
             eps=cfg.eps, max_iter=cfg.max_iter,
         )

@@ -179,7 +179,7 @@ def test_criterion_05_wmmse_identities():
         bits = list(rng.integers(1, 6, nr))
         g = gain_diagonal(bits, len(bits))
         ce = effective_noise_cov(g, H, F, 0.05)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         W = update_weight(H, F, g, ce)
         E = mse_matrix(H, F, U, g, ce)
         worst_tr = max(worst_tr, abs(np.trace(W @ E).real - ns))
@@ -252,7 +252,7 @@ def test_criterion_07_beamforming_gain_trend():
 
 def test_criterion_08_gpos_vs_exhaustive():
     t0 = time.perf_counter()
-    kw = dict(pt=1.0, sigma_n2=10 ** (-2.0), ns=2, b_max=3, b_total=8)
+    kw = dict(pt=1.0, sigma_n2=10 ** (-2.0), ns=2, b_max=3, budget=8)
     gpos_se, es_se, uniform_wins = [], [], 0
     for k in range(50):
         H = saleh_valenzuela(8, 4, seed=8000 + k).H

@@ -108,7 +108,8 @@ def precoder_instances(draw):
     g = gain_diagonal(bits, len(bits))
     sigma_n2 = pt / 10.0 ** (snr_db / 10.0)
     ce = effective_noise_cov(g, H, F, sigma_n2)
-    return H, g, update_combiner(H, F, g, ce), update_weight(H, F, g, ce), pt, F, sigma_n2
+    W = update_weight(H, F, g, ce)
+    return H, g, update_combiner(H, F, g, ce, W), W, pt, F, sigma_n2
 
 
 class TestSpectralEfficiency:
@@ -116,7 +117,7 @@ class TestSpectralEfficiency:
         H, F, g, _, sn2, _ = random_instance(4, 4, 2, seed=0)
         F0 = np.zeros_like(F)
         ce = effective_noise_cov(g, H, F0, sn2)
-        U = update_combiner(H, F0, g, ce)
+        U = update_combiner(H, F0, g, ce, update_weight(H, F0, g, ce))
         with pytest.warns(RuntimeWarning):  # zero combiner makes the noise term singular
             assert spectral_efficiency(H, F0, U, g, np.diag(ce)) == 0.0
 
@@ -127,7 +128,7 @@ class TestSpectralEfficiency:
         F = np.array([[np.sqrt(pt)]], dtype=complex)
         g = np.ones(1)
         ce = sn2 * np.ones(1)
-        U = update_combiner(h, F, g, ce)
+        U = update_combiner(h, F, g, ce, update_weight(h, F, g, ce))
         expected = np.log2(1 + np.abs(h[0, 0]) ** 2 * pt / sn2)
         assert spectral_efficiency(h, F, U, g, np.diag(ce)) == pytest.approx(expected, abs=1e-12)
 
@@ -135,7 +136,7 @@ class TestSpectralEfficiency:
     def test_mmse_combiner_identity(self, seed):
         # with the MMSE combiner the rate equals the combiner-free form
         H, F, g, ce, _, _ = random_instance(5, 6, 3, seed=seed)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         r = spectral_efficiency(H, F, U, g, np.diag(ce))
         GHF = (g[:, None] * H) @ F
         M = np.eye(5) + np.linalg.solve(np.diag(ce), GHF @ GHF.conj().T)
@@ -197,13 +198,13 @@ class TestCombiner:
         g = np.ones(4)
         sn2 = 1e9
         ce = sn2 * np.ones(4)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         np.testing.assert_allclose(U, H @ F / sn2, rtol=1e-6)
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_woodbury_form(self, seed):
         H, F, g, ce, _, _ = random_instance(5, 4, 3, seed=seed)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         L = (g[:, None] * H) @ F
         Ci_L = np.linalg.solve(np.diag(ce), L)
         inner = np.linalg.solve(np.eye(3) + L.conj().T @ Ci_L, L.conj().T @ Ci_L)
@@ -214,7 +215,23 @@ class TestCombiner:
         H, F, g, _, sn2, _ = random_instance(3, 3, 2, seed=10)
         F0 = np.zeros_like(F)
         ce = effective_noise_cov(g, H, F0, sn2)
-        np.testing.assert_array_equal(update_combiner(H, F0, g, ce), np.zeros((3, 2)))
+        np.testing.assert_array_equal(
+            update_combiner(H, F0, g, ce, update_weight(H, F0, g, ce)), np.zeros((3, 2)))
+
+    def test_one_stream_space_solve(self, monkeypatch):
+        # the combiner solves against the Ns x Ns weight, never an Nr x Nr system
+        H, F, g, ce, _, _ = random_instance(6, 5, 2, seed=27)
+        W = update_weight(H, F, g, ce)
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording_solve(a, b):
+            shapes.append(np.shape(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        update_combiner(H, F, g, ce, W)
+        assert shapes == [(2, 2)]
 
 
 class TestWeight:
@@ -227,7 +244,7 @@ class TestWeight:
     @pytest.mark.parametrize("seed", [12, 13])
     def test_logdet_w_equals_rate(self, seed):
         H, F, g, ce, _, _ = random_instance(4, 5, 2, seed=seed)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         W = update_weight(H, F, g, ce)
         r = spectral_efficiency(H, F, U, g, np.diag(ce))
         assert abs(np.linalg.slogdet(W)[1] / np.log(2) - r) < 1e-9
@@ -235,7 +252,7 @@ class TestWeight:
     @pytest.mark.parametrize("seed", [14, 15])
     def test_w_is_inverse_mse_at_mmse_combiner(self, seed):
         H, F, g, ce, _, _ = random_instance(4, 4, 3, seed=seed)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         W = update_weight(H, F, g, ce)
         E = mse_matrix(H, F, U, g, ce)
         np.testing.assert_allclose(W @ E, np.eye(3), atol=1e-9)
@@ -255,7 +272,7 @@ class TestMseMatrix:
 
     def test_mmse_closed_form(self):
         H, F, g, ce, _, _ = random_instance(4, 5, 3, seed=18)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         E = mse_matrix(H, F, U, g, ce)
         GHF = (g[:, None] * H) @ F
         A = GHF @ GHF.conj().T + np.diag(ce)
@@ -264,7 +281,7 @@ class TestMseMatrix:
 
     def test_trace_bounded_at_mmse(self):
         H, F, g, ce, _, _ = random_instance(4, 4, 3, seed=19)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         assert np.trace(mse_matrix(H, F, U, g, ce)).real <= 3 + 1e-12
 
 
@@ -274,7 +291,7 @@ class TestPrecoder:
         H, F, _, _, sn2, pt = random_instance(4, 4, 2, seed=20)
         g = np.ones(4)
         ce = sn2 * np.ones(4)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         W = update_weight(H, F, g, ce)
         F_new = update_precoder(H, g, U, W, pt)
         UWU = U @ W @ U.conj().T
@@ -290,14 +307,14 @@ class TestPrecoder:
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_power_feasible(self, seed):
         H, F, g, ce, _, pt = random_instance(4, 6, 3, seed=seed, sigma_n2=1e-4)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         W = update_weight(H, F, g, ce)
         F_new = update_precoder(H, g, U, W, pt)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
     def test_power_monotone_in_multiplier(self):
         H, F, g, ce, _, pt = random_instance(4, 4, 2, seed=24)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         W = update_weight(H, F, g, ce)
         UWU = U @ W @ U.conj().T
         G = np.diag(g)
@@ -312,7 +329,7 @@ class TestPrecoder:
     def test_rank_deficient_j_handled(self):
         # Nt > Nr makes J singular; the minimum-norm solution is used
         H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=25)
-        U = update_combiner(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
         W = update_weight(H, F, g, ce)
         F_new = update_precoder(H, g, U, W, pt)
         assert np.all(np.isfinite(F_new))
@@ -323,7 +340,7 @@ class TestPrecoder:
         instances = []
         for sn2 in (1e-4, 1.0):  # minimum-norm branch, then bisection
             H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=26, sigma_n2=sn2)
-            U = update_combiner(H, F, g, ce)
+            U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
             instances.append((H, g, U, update_weight(H, F, g, ce), pt))
 
         def forbidden(*args, **kwargs):
@@ -399,7 +416,7 @@ class TestAltMin:
         # tr(W E) = Ns and log2 det W = R at the paired updates
         for seed in range(10):
             H, F, g, ce, _, _ = random_instance(5, 4, 3, seed=600 + seed)
-            U = update_combiner(H, F, g, ce)
+            U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
             W = update_weight(H, F, g, ce)
             E = mse_matrix(H, F, U, g, ce)
             assert abs(np.trace(W @ E).real - 3) < 1e-9
@@ -416,6 +433,14 @@ class TestAltMin:
         )
         assert abs(rep.final_se - rep_p.final_se) < 1e-9
         np.testing.assert_allclose(bf_p.U, bf.U[perm], atol=1e-8)
+
+    def test_returned_weight_matches_final_precoder(self):
+        H = saleh_valenzuela(8, 4, seed=71).H
+        bits, sn2 = [1, 3, 2, 1], 0.01
+        bf, _ = altmin_beamforming(H, bits, 1.0, sn2, 2)
+        g = gain_diagonal(bits, len(bits))
+        ce = effective_noise_cov(g, H, bf.F, sn2)
+        np.testing.assert_allclose(bf.W, update_weight(H, bf.F, g, ce), rtol=1e-12)
 
     def test_final_power_feasible(self):
         H = saleh_valenzuela(6, 6, seed=71).H

@@ -29,11 +29,6 @@ class TestGreedyInit:
         a = greedy_init(4, 3, 4)
         assert a.bits == (1, 1, 1, 1)
 
-    def test_budget_uses_varsigma_floor(self):
-        a = greedy_init(4, 3, 9, varsigma=0.95)  # floor(8.55) = 8
-        assert a.budget == 8
-        assert sum(a.bits) == 8
-
     def test_infeasible_low(self):
         with pytest.raises(ValueError, match="Nr"):
             greedy_init(4, 3, 3)
@@ -41,12 +36,6 @@ class TestGreedyInit:
     def test_infeasible_high(self):
         with pytest.raises(ValueError, match="b_max"):
             greedy_init(4, 3, 13)
-
-    def test_varsigma_validation(self):
-        with pytest.raises(ValueError):
-            greedy_init(4, 3, 8, varsigma=0.0)
-        with pytest.raises(ValueError):
-            greedy_init(4, 3, 8, varsigma=1.2)
 
 
 class TestBitAllocation:
@@ -102,14 +91,14 @@ class TestEnumerate:
 
 def small_problem(seed):
     H = saleh_valenzuela(8, 4, seed=seed).H
-    return H, dict(pt=1.0, sigma_n2=0.01, ns=2, b_max=3, b_total=8)
+    return H, dict(pt=1.0, sigma_n2=0.01, ns=2, b_max=3, budget=8)
 
 
 class TestGpos:
     def test_uniform_budget_degenerates_to_beamforming(self):
         # all chains equal: no swap exists, search exits immediately
         H, kw = small_problem(0)
-        res = gpos_bfba(H, **{**kw, "b_total": 12})
+        res = gpos_bfba(H, **{**kw, "budget": 12})
         assert res.allocation.bits == (3, 3, 3, 3)
         assert res.iterations == 0
         _, rep = altmin_beamforming(H, (3, 3, 3, 3), 1.0, 0.01, 2)
@@ -148,18 +137,18 @@ class TestGpos:
 class TestExhaustive:
     def test_single_candidate_all_ones(self):
         H, kw = small_problem(6)
-        alloc, _ = exhaustive_search(H, **{**kw, "b_total": 4})
+        alloc, _ = exhaustive_search(H, **{**kw, "budget": 4})
         assert alloc.bits == (1, 1, 1, 1)
 
     def test_single_candidate_all_max(self):
         H, kw = small_problem(7)
-        alloc, _ = exhaustive_search(H, **{**kw, "b_total": 12})
+        alloc, _ = exhaustive_search(H, **{**kw, "budget": 12})
         assert alloc.bits == (3, 3, 3, 3)
 
     def test_size_guard(self):
         H = saleh_valenzuela(8, 8, seed=8).H
         with pytest.raises(ValueError, match="exceeds"):
-            exhaustive_search(H, pt=1.0, sigma_n2=0.01, ns=2, b_max=8, b_total=32)
+            exhaustive_search(H, pt=1.0, sigma_n2=0.01, ns=2, b_max=8, budget=32)
 
     def test_gpos_close_to_oracle(self):
         # the swap search cannot leave the greedy multiset, yet it stays

@@ -161,6 +161,7 @@ class TestParseConfig:
         ({"Ns": 0}, [], "Ns"),
         ({"num_channels": 0}, [], "num_channels"),
         ({}, ["--channels", "0"], "num_channels"),
+        ({"varsigma": 0.0}, [], "varsigma"),
     ])
     def test_out_of_range_names_key(self, tmp_path, capsys, overrides, args, key):
         path = write_config(tmp_path, **overrides)
@@ -323,6 +324,23 @@ class TestMain:
         with open(out / "results.csv") as fh:
             schemes = {row["scheme"] for row in csv.DictReader(fh)}
         assert schemes == {"GPOS", "ES"}
+
+    def test_empty_schemes_without_oracle(self, tmp_path, capsys):
+        path = write_config(tmp_path, schemes=[])
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out)]) == 2
+        assert "schemes" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_oracle_only_run(self, tmp_path):
+        path = write_config(
+            tmp_path, Nt=4, Nr=3, Ns=2, b=2, b_max=3, schemes=[], num_channels=1,
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out), "--oracle"]) == 0
+        with open(out / "results.csv") as fh:
+            schemes = [row["scheme"] for row in csv.DictReader(fh)]
+        assert schemes == ["ES"]
 
     def test_run_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -25,7 +25,7 @@ from .beamforming import (
     spectral_efficiency,
     waterfilling_baseline,
 )
-from .bitalloc import BitAllocation, exhaustive_search, gpos_bfba, greedy_init
+from .bitalloc import exhaustive_search, gpos_bfba, greedy_init
 from .bussgang import (
     effective_noise_cov,
     gain_diagonal,
@@ -33,7 +33,7 @@ from .bussgang import (
     qd_cov_approx,
     qd_cov_simulated,
 )
-from .channel import ChannelRealization, SVParams, saleh_valenzuela
+from .channel import SVParams, saleh_valenzuela
 from .evaluation import (
     ExperimentResult,
     PointConfig,

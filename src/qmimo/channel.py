@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "SVParams",
-    "ChannelRealization",
     "saleh_valenzuela",
     "ula_steering",
 ]
@@ -39,13 +38,6 @@ class SVParams:
             raise ValueError("angle spread must be positive")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    H: np.ndarray
-    seed: int
-    params: SVParams
-
-
 def ula_steering(num_antennas: int, phi) -> np.ndarray:
     """Half-wavelength ULA steering vector(s), unit-modulus entries.
 
@@ -61,7 +53,7 @@ def ula_steering(num_antennas: int, phi) -> np.ndarray:
 
 
 def saleh_valenzuela(nt: int, nr: int, params: SVParams | None = None,
-                     seed: int = 0) -> ChannelRealization:
+                     seed: int = 0) -> np.ndarray:
     """Draw one channel realization H (nr x nt).
 
     Cluster centers are uniform on [0, 2pi) independently at both ends;
@@ -85,5 +77,4 @@ def saleh_valenzuela(nt: int, nr: int, params: SVParams | None = None,
              + 1j * rng.standard_normal(num_paths)) / np.sqrt(2.0)
     a_rx = ula_steering(nr, phi_rx)                       # nr x L
     a_tx = ula_steering(nt, phi_tx)                       # nt x L
-    H = np.sqrt(1.0 / num_paths) * ((a_rx * alpha[None, :]) @ a_tx.conj().T)
-    return ChannelRealization(H=H, seed=seed, params=params)
+    return np.sqrt(1.0 / num_paths) * ((a_rx * alpha[None, :]) @ a_tx.conj().T)

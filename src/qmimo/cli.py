@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import traceback
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -262,18 +263,26 @@ def _dump_quantizers(config: ExperimentConfig, out_dir: Path) -> None:
 
 def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
                     num_channels: int) -> evaluation.SchemeOutcome:
-    """Exhaustive-search scheme row over the same channel ensemble."""
-    rows = []
+    """Exhaustive-search scheme row over the same channel ensemble.
+
+    Channel failures are recorded as in ``run_experiment``; an invalid point fails as a whole.
+    """
+    cfg.validate(["ES"])
+    rows, failures = [], 0
     for c in range(num_channels):
-        H = channel.saleh_valenzuela(
-            cfg.nt, cfg.nr, cfg.sv, seed=evaluation.derive_seed(seed, 0, c)
-        ).H
-        alloc, se = bitalloc.exhaustive_search(
-            H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
-            budget=cfg.budget, eps=cfg.eps, max_iter=cfg.max_iter,
-        )
-        rows.append((se, None, alloc.bits, 0))
-    return evaluation.SchemeOutcome.from_rows("ES", rows, failures=0, sim_se=False)
+        H = channel.saleh_valenzuela(cfg.nt, cfg.nr, cfg.sv,
+                                     seed=evaluation.derive_seed(seed, 0, c))
+        try:
+            bits, se = bitalloc.exhaustive_search(
+                H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
+                budget=cfg.budget, eps=cfg.eps, max_iter=cfg.max_iter,
+            )
+        except evaluation.CHANNEL_ERRORS as exc:
+            warnings.warn(f"scheme ES failed on channel {c}: {exc}", RuntimeWarning, stacklevel=2)
+            failures += 1
+            continue
+        rows.append((se, None, bits, 0))
+    return evaluation.SchemeOutcome.from_rows("ES", rows, failures=failures, sim_se=False)
 
 
 def run_sweep(config: ExperimentConfig, output_dir=None,
@@ -341,12 +350,8 @@ def main(argv=None) -> int:
         config.validate()
         if not config.schemes and not args.oracle:
             raise ConfigError("'schemes' is empty: name at least one scheme or pass --oracle")
-        base = config.base
-        if args.oracle and base.b_max ** base.nr > bitalloc.MAX_SEARCH_SPACE:
-            raise ConfigError(
-                f"--oracle needs b_max^Nr <= {bitalloc.MAX_SEARCH_SPACE:g}, got "
-                f"{base.b_max}^{base.nr} = {base.b_max**base.nr:.3g}"
-            )
+        if args.oracle:
+            dataclasses.replace(config, schemes=(*config.schemes, "ES")).validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

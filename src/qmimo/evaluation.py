@@ -45,6 +45,9 @@ SCHEMES = ("WF", "AltMinBF", "GPOS", "FullPrecision")
 #: Per-chain resolution used to account power for the full-precision scheme.
 FULL_PRECISION_BITS = 12
 
+#: Numerical errors that fail one scheme on one channel; anything else propagates.
+CHANNEL_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+
 
 # Receiver power-model constants (formula in total_power).
 P_LNA = 25e-3        # W
@@ -134,6 +137,8 @@ class PointConfig:
             raise ValueError(f"b={self.b} outside [1, b_max={self.b_max}]")
         if "GPOS" in schemes:
             bitalloc._check_feasible(self.nr, self.b_max, self.budget)
+        if "ES" in schemes:  # the exhaustive oracle row of ``qmimo run --oracle``
+            bitalloc._check_oracle(self.nr, self.b_max, self.budget)
 
 
 @dataclass
@@ -227,7 +232,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
             scoring_max_iter=cfg.scoring_max_iter,
             eps=cfg.eps, max_iter=cfg.max_iter,
         )
-        bf, bits, se, iters = res.beamformers, res.allocation.bits, res.se, res.iterations
+        bf, bits, se, iters = res.beamformers, res.allocation, res.se, res.iterations
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
@@ -248,9 +253,9 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     Channel realization c uses a seed derived from (seed, 0, c) so the
     ensemble is shared by every scheme and sweep point; the simulated
     distortion covariance of scheme s on channel c uses (seed, 1, c, s).
-    Per-channel numerical scheme failures (``LinAlgError``,
-    ``FloatingPointError``, ``ValueError``) are recorded and the channel is
-    dropped from that scheme's aggregates; any other exception propagates.
+    Per-channel numerical scheme failures (``CHANNEL_ERRORS``) are recorded
+    and the channel is dropped from that scheme's aggregates; any other
+    exception propagates. Without schemes no channel is drawn.
     """
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:
@@ -260,14 +265,13 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     config.validate(schemes)
     rows: dict[str, list] = {s: [] for s in schemes}
     failures = dict.fromkeys(schemes, 0)
-    for c in range(num_channels):
-        H = channel.saleh_valenzuela(
-            config.nt, config.nr, config.sv, seed=derive_seed(seed, 0, c)
-        ).H
+    for c in range(num_channels if schemes else 0):
+        H = channel.saleh_valenzuela(config.nt, config.nr, config.sv,
+                                     seed=derive_seed(seed, 0, c))
         for s_idx, scheme in enumerate(schemes):
             try:
                 row = _run_scheme(scheme, H, config, derive_seed(seed, 1, c, s_idx))
-            except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
+            except CHANNEL_ERRORS as exc:
                 # numerical failure: record, drop channel from aggregates
                 warnings.warn(
                     f"scheme {scheme} failed on channel {c}: {exc}",

@@ -200,14 +200,14 @@ def test_criterion_06_altmin_contract():
             for k in range(9):
                 if runs >= 100:
                     break
-                H = saleh_valenzuela(8, 8, seed=6000 + runs).H
+                H = saleh_valenzuela(8, 8, seed=6000 + runs)
                 _, rep = altmin_beamforming(H, [b] * 8, 1.0, 10 ** (-snr_db / 10), 2)
                 diffs = np.diff(rep.objective_trace)
                 if diffs.size:
                     worst_drop = max(worst_drop, float(-diffs.min()))
                 runs += 1
     # full-resolution solve lands on the water-filling capacity
-    H = saleh_valenzuela(8, 8, seed=6999).H
+    H = saleh_valenzuela(8, 8, seed=6999)
     sn2 = 0.1
     _, rep = altmin_beamforming(H, None, 1.0, sn2, 2)
     sv = np.linalg.svd(H, compute_uv=False)[:2]
@@ -229,7 +229,7 @@ def test_criterion_07_beamforming_gain_trend():
     g = gain_diagonal(bits, len(bits))
     se_wf, se_am = [], []
     for k in range(100):
-        H = saleh_valenzuela(nt, nr, seed=7000 + k).H
+        H = saleh_valenzuela(nt, nr, seed=7000 + k)
         wf = waterfilling_baseline(H, 1.0, sn2, ns)
         ce = effective_noise_cov(g, H, wf.F, sn2)
         se_wf.append(spectral_efficiency(H, wf.F, wf.U, g, np.diag(ce)))
@@ -255,7 +255,7 @@ def test_criterion_08_gpos_vs_exhaustive():
     kw = dict(pt=1.0, sigma_n2=10 ** (-2.0), ns=2, b_max=3, budget=8)
     gpos_se, es_se, uniform_wins = [], [], 0
     for k in range(50):
-        H = saleh_valenzuela(8, 4, seed=8000 + k).H
+        H = saleh_valenzuela(8, 4, seed=8000 + k)
         res = gpos_bfba(H, **kw)
         _, se_opt = exhaustive_search(H, **kw)
         _, rep_u = altmin_beamforming(H, [2, 2, 2, 2], 1.0, kw["sigma_n2"], 2)
@@ -282,7 +282,7 @@ def test_criterion_09_overestimation_trend():
         bits = [b] * nr
         gap = []
         for k in range(num_channels):
-            H = saleh_valenzuela(nt, nr, seed=9000 + k).H
+            H = saleh_valenzuela(nt, nr, seed=9000 + k)
             bf, rep = altmin_beamforming(H, bits, 1.0, sn2, ns)
             sim = se_simulated(H, bf.F, bf.U, bits, sn2,
                                num_samples=10**5, seed=9500 + 10 * k + b)

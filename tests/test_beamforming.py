@@ -153,7 +153,7 @@ class TestSpectralEfficiency:
 
 class TestWaterfilling:
     def test_single_stream_gets_all_power(self):
-        H = saleh_valenzuela(4, 4, seed=0).H
+        H = saleh_valenzuela(4, 4, seed=0)
         bf = waterfilling_baseline(H, pt=1.7, sigma_n2=0.1, ns=1)
         assert np.linalg.norm(bf.F) ** 2 == pytest.approx(1.7, rel=1e-12)
 
@@ -171,7 +171,7 @@ class TestWaterfilling:
         assert p[0] == pytest.approx(0.1, rel=1e-12)
 
     def test_total_power(self):
-        H = saleh_valenzuela(8, 6, seed=1).H
+        H = saleh_valenzuela(8, 6, seed=1)
         bf = waterfilling_baseline(H, pt=1.0, sigma_n2=0.01, ns=4)
         assert np.linalg.norm(bf.F) ** 2 == pytest.approx(1.0, rel=1e-10)
 
@@ -187,7 +187,7 @@ class TestWaterfilling:
         assert p[:2].sum() == pytest.approx(1.0, rel=1e-10)
 
     def test_ns_exceeds_dims(self):
-        H = saleh_valenzuela(4, 2, seed=3).H
+        H = saleh_valenzuela(4, 2, seed=3)
         with pytest.raises(ValueError):
             waterfilling_baseline(H, pt=1.0, sigma_n2=0.1, ns=3)
 
@@ -381,7 +381,7 @@ class TestVectorDiagonals:
 
 class TestAltMin:
     def test_full_resolution_matches_wf_capacity(self):
-        H = saleh_valenzuela(8, 8, seed=30).H
+        H = saleh_valenzuela(8, 8, seed=30)
         pt, sn2, ns = 1.0, 0.1, 4
         bf, rep = altmin_beamforming(H, None, pt, sn2, ns)
         sv = np.linalg.svd(H, compute_uv=False)[:ns]
@@ -392,7 +392,7 @@ class TestAltMin:
 
     @pytest.mark.parametrize("seed", list(range(6)))
     def test_objective_trace_nondecreasing(self, seed):
-        H = saleh_valenzuela(8, 8, seed=40 + seed).H
+        H = saleh_valenzuela(8, 8, seed=40 + seed)
         _, rep = altmin_beamforming(H, [1] * 8, 1.0, 1e-3, 2)
         assert np.all(np.diff(rep.objective_trace) >= -1e-9)
 
@@ -401,7 +401,7 @@ class TestAltMin:
         # beamformers on at least 95 of 100 channels
         wins = 0
         for seed in range(100):
-            H = saleh_valenzuela(8, 8, seed=500 + seed).H
+            H = saleh_valenzuela(8, 8, seed=500 + seed)
             sn2 = 1e-3
             bits = [1] * 8
             g = gain_diagonal(bits, len(bits))
@@ -424,7 +424,7 @@ class TestAltMin:
             assert abs(np.linalg.slogdet(W)[1] / np.log(2) - r) < 1e-9
 
     def test_permutation_equivariance(self):
-        H = saleh_valenzuela(6, 6, seed=70).H
+        H = saleh_valenzuela(6, 6, seed=70)
         bits = [1, 2, 3, 1, 2, 3]
         perm = np.array([4, 2, 0, 5, 1, 3])
         bf, rep = altmin_beamforming(H, bits, 1.0, 0.01, 2)
@@ -435,7 +435,7 @@ class TestAltMin:
         np.testing.assert_allclose(bf_p.U, bf.U[perm], atol=1e-8)
 
     def test_returned_weight_matches_final_precoder(self):
-        H = saleh_valenzuela(8, 4, seed=71).H
+        H = saleh_valenzuela(8, 4, seed=71)
         bits, sn2 = [1, 3, 2, 1], 0.01
         bf, _ = altmin_beamforming(H, bits, 1.0, sn2, 2)
         g = gain_diagonal(bits, len(bits))
@@ -443,12 +443,12 @@ class TestAltMin:
         np.testing.assert_allclose(bf.W, update_weight(H, bf.F, g, ce), rtol=1e-12)
 
     def test_final_power_feasible(self):
-        H = saleh_valenzuela(6, 6, seed=71).H
+        H = saleh_valenzuela(6, 6, seed=71)
         bf, _ = altmin_beamforming(H, [2] * 6, 1.3, 1e-3, 3)
         assert np.linalg.norm(bf.F) ** 2 <= 1.3 * (1 + 1e-9)
 
     def test_max_iter_reached_reports_not_converged(self):
-        H = saleh_valenzuela(6, 6, seed=72).H
+        H = saleh_valenzuela(6, 6, seed=72)
         _, rep = altmin_beamforming(H, [1] * 6, 1.0, 1e-4, 3, eps=1e-12, max_iter=3)
         assert not rep.converged
         assert rep.iterations == 3

@@ -1,10 +1,14 @@
 """Greedy initialization, swap neighborhoods, GPOS and the exhaustive oracle."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qmimo.bitalloc as bitalloc
 from qmimo.bitalloc import (
-    BitAllocation,
     enumerate_allocations,
     exhaustive_search,
     gpos_bfba,
@@ -18,16 +22,16 @@ from qmimo.channel import saleh_valenzuela
 class TestGreedyInit:
     def test_no_reduction_needed(self):
         a = greedy_init(4, 3, 12)
-        assert a.bits == (3, 3, 3, 3)
+        assert a == (3, 3, 3, 3)
 
     def test_partial_reduction(self):
         # chains drop to the floor in index order until the budget is met
         a = greedy_init(4, 3, 8)
-        assert a.bits == (1, 1, 3, 3)
+        assert a == (1, 1, 3, 3)
 
     def test_floor_everywhere(self):
         a = greedy_init(4, 3, 4)
-        assert a.bits == (1, 1, 1, 1)
+        assert a == (1, 1, 1, 1)
 
     def test_infeasible_low(self):
         with pytest.raises(ValueError, match="Nr"):
@@ -38,42 +42,57 @@ class TestGreedyInit:
             greedy_init(4, 3, 13)
 
 
-class TestBitAllocation:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BitAllocation(bits=(0, 2), b_max=3, budget=2)
-        with pytest.raises(ValueError):
-            BitAllocation(bits=(4, 2), b_max=3, budget=6)
-        with pytest.raises(ValueError):
-            BitAllocation(bits=(2, 2), b_max=3, budget=5)
-
-
 class TestNeighborSet:
     def test_all_equal_has_no_neighbors(self):
-        a = BitAllocation(bits=(2, 2, 2), b_max=3, budget=6)
+        a = (2, 2, 2)
         assert neighbor_set(a, set()) == []
 
     def test_single_swap(self):
-        a = BitAllocation(bits=(1, 3), b_max=3, budget=4)
+        a = (1, 3)
         out = neighbor_set(a, set())
-        assert [n.bits for n in out] == [(3, 1)]
+        assert out == [(3, 1)]
 
     def test_three_unequal(self):
-        a = BitAllocation(bits=(1, 2, 3), b_max=3, budget=6)
-        out = {n.bits for n in neighbor_set(a, set())}
+        a = (1, 2, 3)
+        out = set(neighbor_set(a, set()))
         assert out == {(2, 1, 3), (3, 2, 1), (1, 3, 2)}
         assert len(out) == 3  # = Nr(Nr-1)/2
 
     def test_tabu_excluded(self):
-        a = BitAllocation(bits=(1, 2, 3), b_max=3, budget=6)
-        out = {n.bits for n in neighbor_set(a, {(3, 2, 1)})}
+        a = (1, 2, 3)
+        out = set(neighbor_set(a, {(3, 2, 1)}))
         assert out == {(2, 1, 3), (1, 3, 2)}
 
     def test_swaps_preserve_sum_and_bounds(self):
-        a = BitAllocation(bits=(1, 3, 2, 3, 1), b_max=3, budget=10)
+        a = (1, 3, 2, 3, 1)
         for n in neighbor_set(a, set()):
-            assert sum(n.bits) == 10
-            assert all(1 <= b <= 3 for b in n.bits)
+            assert sum(n) == 10
+            assert all(1 <= b <= 3 for b in n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_greedy_and_neighbors_properties(self, data):
+        nr = data.draw(st.integers(1, 8), label="nr")
+        b_max = data.draw(st.integers(1, 6), label="b_max")
+        drawn = tuple(data.draw(st.lists(st.integers(1, b_max), min_size=nr, max_size=nr),
+                                label="drawn"))
+        budget = sum(drawn)
+        greedy = greedy_init(nr, b_max, budget)
+        assert len(greedy) == nr and sum(greedy) == budget
+        assert all(1 <= b <= b_max for b in greedy)
+        bits = data.draw(st.sampled_from([greedy, drawn]), label="bits")
+        swaps = {bits[:i] + (bits[j],) + bits[i + 1:j] + (bits[i],) + bits[j + 1:]
+                 for i in range(nr) for j in range(i + 1, nr) if bits[i] != bits[j]}
+        candidates = sorted(swaps) + [greedy, bits]
+        tabu = data.draw(st.sets(st.sampled_from(candidates)), label="tabu")
+        out = neighbor_set(bits, tabu)
+        assert len(out) == len(set(out))
+        assert set(out) == swaps - tabu
+        for n in out:
+            assert sum(n) == budget
+            assert all(1 <= b <= b_max for b in n)
+            assert sum(x != y for x, y in zip(n, bits)) == 2
+            assert n not in tabu
 
 
 class TestEnumerate:
@@ -90,7 +109,7 @@ class TestEnumerate:
 
 
 def small_problem(seed):
-    H = saleh_valenzuela(8, 4, seed=seed).H
+    H = saleh_valenzuela(8, 4, seed=seed)
     return H, dict(pt=1.0, sigma_n2=0.01, ns=2, b_max=3, budget=8)
 
 
@@ -99,7 +118,7 @@ class TestGpos:
         # all chains equal: no swap exists, search exits immediately
         H, kw = small_problem(0)
         res = gpos_bfba(H, **{**kw, "budget": 12})
-        assert res.allocation.bits == (3, 3, 3, 3)
+        assert res.allocation == (3, 3, 3, 3)
         assert res.iterations == 0
         _, rep = altmin_beamforming(H, (3, 3, 3, 3), 1.0, 0.01, 2)
         assert res.se == pytest.approx(rep.final_se, rel=1e-9)
@@ -124,7 +143,7 @@ class TestGpos:
     def test_swap_search_preserves_multiset(self):
         H, kw = small_problem(4)
         res = gpos_bfba(H, **kw)
-        assert sorted(res.allocation.bits) == [1, 1, 3, 3]
+        assert sorted(res.allocation) == [1, 1, 3, 3]
 
     def test_deterministic(self):
         H, kw = small_problem(5)
@@ -138,15 +157,15 @@ class TestExhaustive:
     def test_single_candidate_all_ones(self):
         H, kw = small_problem(6)
         alloc, _ = exhaustive_search(H, **{**kw, "budget": 4})
-        assert alloc.bits == (1, 1, 1, 1)
+        assert alloc == (1, 1, 1, 1)
 
     def test_single_candidate_all_max(self):
         H, kw = small_problem(7)
         alloc, _ = exhaustive_search(H, **{**kw, "budget": 12})
-        assert alloc.bits == (3, 3, 3, 3)
+        assert alloc == (3, 3, 3, 3)
 
     def test_size_guard(self):
-        H = saleh_valenzuela(8, 8, seed=8).H
+        H = saleh_valenzuela(8, 8, seed=8)
         with pytest.raises(ValueError, match="exceeds"):
             exhaustive_search(H, pt=1.0, sigma_n2=0.01, ns=2, b_max=8, budget=32)
 
@@ -161,3 +180,35 @@ class TestExhaustive:
             assert res.se <= se_opt + 1e-9
             ratios.append(res.se / se_opt)
         assert np.mean(ratios) >= 0.98
+
+
+class TestTieBreak:
+    """Allocations scored by their multiset only: every permutation ties."""
+
+    SCORE = {(1, 2, 2, 3): 2.0}   # the best multiset; every other one scores 1.0
+
+    @pytest.fixture
+    def multiset_scores(self, monkeypatch):
+        def fake_altmin(H, bits, pt, sigma_n2, ns, eps, max_iter):
+            return None, SimpleNamespace(final_se=self.SCORE.get(tuple(sorted(bits)), 1.0))
+
+        monkeypatch.setattr(bitalloc, "altmin_beamforming", fake_altmin)
+
+    @pytest.mark.parametrize("order", [list, lambda allocs: allocs[::-1]])
+    def test_exhaustive_returns_smallest_tied_maximum(self, multiset_scores, monkeypatch, order):
+        # the tie-break holds whatever order the candidates are solved in
+        enumerate_in_order = enumerate_allocations
+        monkeypatch.setattr(bitalloc, "enumerate_allocations",
+                            lambda *args: order(enumerate_in_order(*args)))
+        H, kw = small_problem(0)
+        bits, se = exhaustive_search(H, **kw)
+        assert bits == (1, 2, 2, 3)
+        assert se == 2.0
+
+    def test_gpos_keeps_greedy_on_ties(self, multiset_scores):
+        # every neighbor is a permutation of the incumbent, so none improves it
+        H, kw = small_problem(0)
+        res = gpos_bfba(H, **kw)
+        assert res.allocation == greedy_init(4, 3, 8) == (1, 1, 3, 3)
+        assert res.iterations == 1
+        np.testing.assert_array_equal(res.se_trace, [1.0, 1.0])

@@ -24,23 +24,22 @@ class TestSteering:
 
 class TestSalehValenzuela:
     def test_deterministic(self):
-        h1 = saleh_valenzuela(8, 4, seed=123).H
-        h2 = saleh_valenzuela(8, 4, seed=123).H
+        h1 = saleh_valenzuela(8, 4, seed=123)
+        h2 = saleh_valenzuela(8, 4, seed=123)
         np.testing.assert_array_equal(h1, h2)
-        h3 = saleh_valenzuela(8, 4, seed=124).H
+        h3 = saleh_valenzuela(8, 4, seed=124)
         assert not np.array_equal(h1, h3)
 
     def test_shape_and_finite(self):
-        real = saleh_valenzuela(16, 8, seed=0)
-        assert real.H.shape == (8, 16)
-        assert np.all(np.isfinite(real.H))
-        assert real.seed == 0
+        H = saleh_valenzuela(16, 8, seed=0)
+        assert H.shape == (8, 16)
+        assert np.all(np.isfinite(H))
 
     def test_single_path_rayleigh(self):
         # 1x1 with one cluster and one ray: |H| is Rayleigh, E|H|^2 = 1
         params = SVParams(num_clusters=1, rays_per_cluster=1)
         mags2 = np.array([
-            np.abs(saleh_valenzuela(1, 1, params, seed=s).H[0, 0]) ** 2
+            np.abs(saleh_valenzuela(1, 1, params, seed=s)[0, 0]) ** 2
             for s in range(4000)
         ])
         se = mags2.std(ddof=1) / np.sqrt(mags2.size)
@@ -49,14 +48,14 @@ class TestSalehValenzuela:
     def test_frobenius_normalization(self):
         nt = nr = 8
         vals = np.array([
-            np.linalg.norm(saleh_valenzuela(nt, nr, seed=s).H, "fro") ** 2 / (nt * nr)
+            np.linalg.norm(saleh_valenzuela(nt, nr, seed=s), "fro") ** 2 / (nt * nr)
             for s in range(1000)
         ])
         assert 0.95 <= vals.mean() <= 1.05
 
     def test_rank_bounded_by_path_count(self):
         params = SVParams(num_clusters=2, rays_per_cluster=2)
-        H = saleh_valenzuela(8, 8, params, seed=7).H
+        H = saleh_valenzuela(8, 8, params, seed=7)
         assert np.linalg.matrix_rank(H) <= 4
 
     def test_param_validation(self):

@@ -188,6 +188,14 @@ class TestRunSweep:
         for name in ("results.csv", "results.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_oracle_size_guard_fails_the_point(self, tmp_path, capsys):
+        # run_sweep has no config check of its own: the refusal is not a channel failure
+        base = PointConfig(nt=8, nr=8, ns=2, b=2, b_max=8)
+        config = ExperimentConfig(base=base, snr_db=(10.0,), b=(2,), schemes=(), num_channels=2)
+        assert run_sweep(config, output_dir=tmp_path, oracle=True, progress=None) == 1
+        assert "size guard" in capsys.readouterr().err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_interrupted_run_keeps_completed_points(self, tmp_path, monkeypatch):
         import qmimo.evaluation as ev
 
@@ -341,6 +349,56 @@ class TestMain:
         with open(out / "results.csv") as fh:
             schemes = [row["scheme"] for row in csv.DictReader(fh)]
         assert schemes == ["ES"]
+
+    def oracle_only_config(self, tmp_path):
+        # ES only, 2 points x 3 channels
+        return write_config(tmp_path, Nt=8, Nr=3, Ns=2, b=2, b_max=3, schemes=[],
+                            snr_db=[0.0, 10.0], num_channels=3)
+
+    def test_oracle_channel_failure_recorded(self, tmp_path, monkeypatch):
+        calls = {"n": 0}
+        original = cli.bitalloc.exhaustive_search
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.bitalloc, "exhaustive_search", flaky)
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="scheme ES failed on channel 1"):
+            status = main(["run", str(self.oracle_only_config(tmp_path)),
+                           "--output-dir", str(out), "--oracle"])
+        assert status == 0
+        points = json.loads((out / "results.json").read_text())["points"]
+        es = [p["schemes"]["ES"] for p in points]
+        assert [e["failures"] for e in es] == [1, 0]
+        assert [len(e["allocations"]) for e in es] == [2, 3]
+        assert len(es[0]["se_apx_per_channel"]) == 2
+
+    def test_oracle_infeasible_budget_is_config_error(self, tmp_path, capsys):
+        # a budget below Nr is a config fault, not a numerical channel failure
+        path = write_config(tmp_path, Nt=8, Nr=3, Ns=2, b=2, b_max=3, schemes=[],
+                            b_total=2)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out), "--oracle"]) == 2
+        assert "budget 2 < Nr=3" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_oracle_only_run_draws_each_channel_once(self, tmp_path, monkeypatch):
+        draws = {"n": 0}
+        original = cli.channel.saleh_valenzuela
+
+        def counted(*args, **kwargs):
+            draws["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.channel, "saleh_valenzuela", counted)
+        out = tmp_path / "out"
+        assert main(["run", str(self.oracle_only_config(tmp_path)),
+                     "--output-dir", str(out), "--oracle"]) == 0
+        assert draws["n"] == 6
 
     def test_run_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -52,7 +52,7 @@ class TestEnergyEfficiency:
 
 class TestSeSimulated:
     def setup_method(self):
-        self.H = saleh_valenzuela(8, 8, seed=0).H
+        self.H = saleh_valenzuela(8, 8, seed=0)
         self.sn2 = 0.1
 
     def test_full_resolution_matches_unquantized(self):
@@ -116,7 +116,7 @@ class TestRunExperiment:
         for c in range(5):
             from qmimo.evaluation import derive_seed
 
-            H = saleh_valenzuela(8, 8, seed=derive_seed(1, 0, c)).H
+            H = saleh_valenzuela(8, 8, seed=derive_seed(1, 0, c))
             sv = np.linalg.svd(H, compute_uv=False)[:2]
             p = waterfilling_power(sv**2 / cfg.sigma_n2, 1.0)
             expected.append(np.sum(np.log2(1 + p * sv**2 / cfg.sigma_n2)))

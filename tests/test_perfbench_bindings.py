@@ -32,12 +32,33 @@ def test_tracer_records_altmin_layer_spans():
     # per-layer table without failing the install
     proc = run_with_tracer(
         "from qmimo import beamforming, channel\n"
-        "H = channel.saleh_valenzuela(4, 4, seed=0).H\n"
+        "H = channel.saleh_valenzuela(4, 4, seed=0)\n"
         "beamforming.altmin_beamforming(H, [2] * 4, 1.0, 0.1, 2, max_iter=3)\n"
         "recorded = {span[0] for span in t.spans}\n"
         "need = {'beamforming.update_combiner', 'beamforming.update_weight',\n"
         "        'beamforming.update_precoder', 'beamforming.spectral_efficiency',\n"
         "        'bussgang.effective_noise_cov'}\n"
         "assert need <= recorded, sorted(need - recorded)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_allocation_solves_are_children_of_their_search():
+    # the tracer counts exhaustive_solves and scoring_s from the AltMin spans
+    # whose parent is the search span; a traced scorer in between, or a solve
+    # outside the search, would zero those counters without failing
+    proc = run_with_tracer(
+        "from qmimo import bitalloc, channel\n"
+        "H = channel.saleh_valenzuela(8, 4, seed=0)\n"
+        "kw = dict(pt=1.0, sigma_n2=0.01, ns=2, b_max=3, budget=8)\n"
+        "bitalloc.exhaustive_search(H, **kw)\n"
+        "res = bitalloc.gpos_bfba(H, **kw)\n"
+        "name = {i: span[0] for i, span in enumerate(t.spans)}\n"
+        "parents = [name.get(s[3]) for s in t.spans if s[0] == 'beamforming.altmin_beamforming']\n"
+        "assert parents.count('bitalloc.exhaustive_search') == "
+        "len(bitalloc.enumerate_allocations(4, 3, 8)), parents\n"
+        "assert parents.count('bitalloc.gpos_bfba') == len(res.scored_allocations) + 1, parents\n"
+        "assert len(parents) == parents.count('bitalloc.exhaustive_search') "
+        "+ parents.count('bitalloc.gpos_bfba'), parents\n"
     )
     assert proc.returncode == 0, proc.stderr

@@ -14,6 +14,7 @@ import warnings
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .quantizer import _unit_quantizer, distortion_table
 
@@ -166,8 +167,10 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     All samples come from one stream, ``SeedSequence([seed, 0])``, so the
     result is bit-identical for a fixed integer ``seed``.
     """
+    if num_samples < 1:
+        raise ValueError(f"num_samples={num_samples} must be >= 1")
     if num_samples < 10**4:
-        rel_se = 1.0 / np.sqrt(max(num_samples, 1))
+        rel_se = 1.0 / np.sqrt(num_samples)
         warnings.warn(
             f"num_samples={num_samples} is small; per-entry relative "
             f"standard error on the order of {rel_se:.2%}",
@@ -176,12 +179,15 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
         )
     stream = np.random.SeedSequence([_as_seed_int(seed), 0])
     nr = H.shape[0]
-    acc = np.zeros((nr, nr), dtype=complex)
     if bits is None:
-        return acc
+        return np.zeros((nr, nr), dtype=complex)
+    # zherk on the Fortran view eta.T adds conj(eta eta^H) into the upper
+    # triangle of the accumulator only (beta=1 keeps the running sum)
+    acc = np.zeros((nr, nr), dtype=complex, order="F")
     for _, _, eta in _quantized_blocks(H, F, sigma_n2, bits, num_samples, stream):
-        acc += eta @ eta.conj().T
-    return _clip_psd(acc / num_samples)
+        acc = zherk(1.0, eta.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
+    gram = np.triu(acc).conj() + np.triu(acc, 1).T
+    return _clip_psd(gram / num_samples)
 
 
 def _as_seed_int(seed) -> int:

@@ -135,6 +135,8 @@ class PointConfig:
             )
         if not 1 <= self.b <= self.b_max:
             raise ValueError(f"b={self.b} outside [1, b_max={self.b_max}]")
+        if self.num_qd_samples < 1:
+            raise ValueError(f"num_qd_samples={self.num_qd_samples} must be >= 1")
         if "GPOS" in schemes:
             bitalloc._check_feasible(self.nr, self.b_max, self.budget)
         if "ES" in schemes:  # the exhaustive oracle row of ``qmimo run --oracle``

@@ -36,6 +36,11 @@ __all__ = [
 # a designed quantizer; the distortion factor is already < 1e-7 there
 TABLE_MAX_BITS = 12
 
+# quantize_real indexes codebooks up to this resolution by counting
+# thresholds, one vectorised pass each, into a uint8 index; beyond it a
+# binary search is cheaper
+_COUNT_MAX_BITS = 7
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarQuantizer:
@@ -88,12 +93,22 @@ class ScalarQuantizer:
 
         Input ``x`` in the half-open cell ``(t_i, t_{i+1}]`` maps to
         codebook level ``i``; exactly-zero input maps to the first
-        positive level (the cell whose open end is 0).
+        positive level (the cell whose open end is 0), and NaN to the top
+        level.
         """
         x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.thresholds[1:-1], x, side="left")
-        idx = np.where(x == 0.0, self.num_levels // 2, idx)
-        return self.codebook[idx]
+        inner = self.thresholds[1:-1]
+        if self.bits <= _COUNT_MAX_BITS:
+            # top level minus the thresholds at or above x: the count of
+            # thresholds below x, as searchsorted gives it; NaN compares
+            # false everywhere and stays at the top level, as it sorts last
+            idx = np.full(x.shape, self.num_levels - 1, dtype=np.uint8)
+            for t in inner.tolist():
+                idx -= x <= t
+        else:
+            idx = np.asarray(np.searchsorted(inner, x, side="left"))
+        idx[x == 0.0] = self.num_levels // 2
+        return self.codebook.take(idx)
 
     def quantize(self, x):
         """Quantize complex input(s): real and imaginary parts independently.

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmimo.bussgang import (
     _MC_BLOCK,
@@ -33,6 +35,41 @@ def random_instance(nr, nt, ns, seed, sigma_n2=0.1):
     F = (rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns)))
     F *= np.sqrt(1.0) / np.linalg.norm(F)
     return H, F, sigma_n2
+
+
+def one_shot_stream(H, F, sigma_n2, bits, n_samples, seed):
+    """The Monte-Carlo stream drawn and quantized in one piece: (y, z, eta).
+
+    The whole stream is drawn in the documented order (s.real, s.imag,
+    n.real, n.imag), and each chain's real and imaginary parts are
+    quantized separately.
+    """
+    nr, ns = H.shape[0], F.shape[1]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    s = (rng.standard_normal((ns, n_samples))
+         + 1j * rng.standard_normal((ns, n_samples))) / np.sqrt(2.0)
+    n = (rng.standard_normal((nr, n_samples))
+         + 1j * rng.standard_normal((nr, n_samples))) * np.sqrt(sigma_n2 / 2.0)
+    hf = H @ F
+    y = hf @ s + n
+    std = np.sqrt((np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2) / 2.0)
+    z = np.empty_like(y)
+    for i, b in enumerate(bits):
+        q = _unit_quantizer(b)
+        z[i] = std[i] * (q.quantize_real(y[i].real / std[i])
+                         + 1j * q.quantize_real(y[i].imag / std[i]))
+    eta = z - gain_diagonal(bits, nr)[:, None] * y
+    return y, z, eta
+
+
+def assert_gram_close(sim, eta):
+    """``sim`` is the dense sample covariance of ``eta`` up to summation order.
+
+    The blocked Hermitian sum adds the Gram in another order: rtol 1e-12
+    per entry, with an absolute floor at 1e-12 of the largest entry.
+    """
+    gram = eta @ eta.conj().T / eta.shape[1]
+    np.testing.assert_allclose(sim, gram, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
 
 
 class TestBussgangGain:
@@ -171,39 +208,48 @@ class TestQdCovSimulated:
         assert np.linalg.eigvalsh(sim).min() >= 0
 
     def test_sample_stream_and_remainder_block(self):
-        # one-shot reference: the whole stream drawn in the documented order
-        # (s.real, s.imag, n.real, n.imag), each chain's real and imaginary
-        # parts quantized separately; the column blocks, the last one a
-        # 17-sample remainder, must reproduce it
+        # the column blocks, the last one a 17-sample remainder, must
+        # reproduce the one-shot reference stream
         H, F, sn2 = random_instance(4, 5, 2, seed=13)
         bits = [1, 2, 3, 4]
         n_samples = 2 * _MC_BLOCK + 17
-        seed = 21
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-        s = (rng.standard_normal((2, n_samples))
-             + 1j * rng.standard_normal((2, n_samples))) / np.sqrt(2.0)
-        n = (rng.standard_normal((4, n_samples))
-             + 1j * rng.standard_normal((4, n_samples))) * np.sqrt(sn2 / 2.0)
-        hf = H @ F
-        y = hf @ s + n
-        std = np.sqrt((np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sn2) / 2.0)
-        z = np.empty_like(y)
-        for i, b in enumerate(bits):
-            q = _unit_quantizer(b)
-            z[i] = std[i] * (q.quantize_real(y[i].real / std[i])
-                             + 1j * q.quantize_real(y[i].imag / std[i]))
-        eta = z - gain_diagonal(bits, 4)[:, None] * y
+        y, z, eta = one_shot_stream(H, F, sn2, bits, n_samples, seed=21)
 
-        sim = qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=seed)
-        gram = eta @ eta.conj().T / n_samples
-        # the blocked sum adds the Gram in another order: rtol 1e-12 per
-        # entry, with an absolute floor at 1e-12 of the largest entry
-        np.testing.assert_allclose(sim, gram, rtol=1e-12, atol=1e-12 * np.abs(gram).max())
+        sim = qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=21)
+        assert_gram_close(sim, eta)
 
-        stream = np.random.SeedSequence([seed, 0])
+        stream = np.random.SeedSequence([21, 0])
         for got, want in zip(_simulate_quantized(H, F, sn2, bits, n_samples, stream),
                              (y, z, eta)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.filterwarnings("ignore:num_samples=.* is small:RuntimeWarning")
+    @pytest.mark.parametrize("n_samples", [_MC_BLOCK - 100, _MC_BLOCK, 3 * _MC_BLOCK])
+    def test_single_block_and_exact_multiple(self, n_samples):
+        # one partial block, one full block, and whole blocks with no remainder
+        H, F, sn2 = random_instance(3, 4, 2, seed=17)
+        bits = [1, 3, 6]
+        *_, eta = one_shot_stream(H, F, sn2, bits, n_samples, seed=9)
+        sim = qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=9)
+        assert_gram_close(sim, eta)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_rejects_non_positive_sample_count(self, n_samples):
+        H, F, sn2 = random_instance(2, 2, 1, seed=7)
+        with pytest.raises(ValueError, match="num_samples"):
+            qd_cov_simulated(H, F, sn2, [1, 1], num_samples=n_samples, seed=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(nr=st.integers(1, 5), ns=st.integers(1, 3), seed=st.integers(0, 2**16),
+           data=st.data())
+    def test_hermitian_psd_property(self, nr, ns, seed, data):
+        ns = min(ns, nr)
+        bits = data.draw(st.lists(st.integers(1, 6), min_size=nr, max_size=nr))
+        H, F, sn2 = random_instance(nr, nr + 1, ns, seed=seed)
+        sim = qd_cov_simulated(H, F, sn2, bits, num_samples=10**4, seed=seed)
+        scale = np.abs(sim).max()
+        np.testing.assert_allclose(sim, sim.conj().T, rtol=0, atol=1e-14 * scale)
+        assert np.linalg.eigvalsh(sim).min() >= -1e-14 * scale
 
     def test_peak_memory_is_bounded(self):
         # 32x32, Ns = 4, 1e5 samples: the drawn symbols and noise take 58 MB;

@@ -162,6 +162,8 @@ class TestParseConfig:
         ({"num_channels": 0}, [], "num_channels"),
         ({}, ["--channels", "0"], "num_channels"),
         ({"varsigma": 0.0}, [], "varsigma"),
+        ({"num_qd_samples": 0, "sim_se": True}, [], "num_qd_samples"),
+        ({"num_qd_samples": -5, "sim_se": True}, [], "num_qd_samples"),
     ])
     def test_out_of_range_names_key(self, tmp_path, capsys, overrides, args, key):
         path = write_config(tmp_path, **overrides)

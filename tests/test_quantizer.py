@@ -8,12 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from qmimo.bussgang import gain_diagonal
 from qmimo.quantizer import (
     DistortionTable,
     ScalarQuantizer,
+    _COUNT_MAX_BITS,
     _design_lloyd_max,
     _unit_quantizer,
     distortion_table,
@@ -41,6 +44,14 @@ def midpoint_residual(q: ScalarQuantizer) -> float:
     """Max deviation of interior thresholds from codeword midpoints."""
     mid = 0.5 * (q.codebook[:-1] + q.codebook[1:])
     return float(np.max(np.abs(q.thresholds[1:-1] - mid)))
+
+
+def searchsorted_reference(q: ScalarQuantizer, x) -> np.ndarray:
+    """``quantize_real`` by binary search over the inner thresholds."""
+    x = np.asarray(x, dtype=float)
+    idx = np.searchsorted(q.thresholds[1:-1], x, side="left")
+    idx = np.where(x == 0.0, q.num_levels // 2, idx)
+    return q.codebook[idx]
 
 
 class TestLloydMax:
@@ -172,6 +183,23 @@ class TestQuantizeComplex:
         z0 = q.quantize(complex(inner[2], 0.0))
         assert np.ndim(z0) == 0
         assert z0 == q.quantize_real(inner[2]) + 1j * q.quantize_real(0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bits=st.integers(1, _COUNT_MAX_BITS + 2),
+           sigma=st.sampled_from([1.0, 1e-3, 0.37, 42.0]),
+           data=st.data())
+    def test_matches_searchsorted_reference(self, bits, sigma, data):
+        # both sides of the counting cutoff, on unit and scaled designs;
+        # the input mixes the thresholds themselves, signed zeros,
+        # infinities, NaN and arbitrary floats
+        q = scale_to_variance(_unit_quantizer(bits), sigma)
+        special = q.thresholds[1:-1].tolist() + [0.0, -0.0, np.inf, -np.inf, np.nan]
+        x = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(special), st.floats(allow_nan=True)),
+            min_size=1, max_size=64)))
+        np.testing.assert_array_equal(q.quantize_real(x), searchsorted_reference(q, x))
+        for v in special:
+            assert q.quantize_real(v) == searchsorted_reference(q, v)
 
 
 class TestScaleToVariance:

@@ -3,7 +3,7 @@
 Submodules
 ----------
 quantizer
-    Lloyd-Max and optimal uniform scalar quantizers, distortion factors.
+    Unit-variance Lloyd-Max scalar quantizers, distortion factors.
 bussgang
     Linearized quantization model: gains and distortion covariances.
 channel
@@ -46,11 +46,8 @@ from .quantizer import (
     DistortionTable,
     ScalarQuantizer,
     distortion_table,
-    estimate_distortion_factor,
     gamma_approx,
     lloyd_max_design,
-    optimal_uniform_design,
-    scale_to_variance,
 )
 
 __version__ = "0.1.0"

@@ -70,6 +70,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.num_channels < 1:
             raise ConfigError(f"num_channels={self.num_channels} must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
         for axes, cfg in self.points():
             try:
                 cfg.validate(self.schemes)
@@ -336,7 +338,7 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the master seed")
     run_p.add_argument("--dump-quantizers", action="store_true",
-                       help="also write thresholds/codebooks/gamma per used resolution")
+                       help="also write thresholds/codebook/gamma for each swept b")
     run_p.add_argument("--oracle", action="store_true",
                        help="add an exhaustive-search comparison row (small instances only)")
     args = parser.parse_args(argv)

@@ -137,6 +137,11 @@ class PointConfig:
             raise ValueError(f"b={self.b} outside [1, b_max={self.b_max}]")
         if self.num_qd_samples < 1:
             raise ValueError(f"num_qd_samples={self.num_qd_samples} must be >= 1")
+        for key, value, low in (("max_iter", self.max_iter, 1), ("I2", self.i2, 0),
+                                ("scoring_max_iter", self.scoring_max_iter, 1),
+                                ("eps", self.eps, 0)):
+            if value < low:
+                raise ValueError(f"{key}={value} must be >= {low}")
         if "GPOS" in schemes:
             bitalloc._check_feasible(self.nr, self.b_max, self.budget)
         if "ES" in schemes:  # the exhaustive oracle row of ``qmimo run --oracle``

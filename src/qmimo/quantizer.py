@@ -1,13 +1,13 @@
-"""Optimal scalar quantizers for Gaussian sources.
+"""MSE-optimal (Lloyd-Max) scalar quantizers for Gaussian sources.
 
-Provides Lloyd-Max (optimal non-uniform) and optimal uniform quantizer
-design for a zero-mean Gaussian input, complex quantization by independent
-real/imaginary application, and the distortion factor (normalized
-quantization MSE) together with its two closed-form approximations.
+Provides the Lloyd-Max design for a zero-mean Gaussian input, complex
+quantization by independent real/imaginary application, and the distortion
+factor (normalized quantization MSE) together with its two closed-form
+approximations.
 
-All designs are for the standard normal reference; quantizers for other
-variances are obtained by scaling thresholds and codebook, which preserves
-optimality and scales the MSE by the variance.
+Every design is for the standard normal input. A caller with an input of
+standard deviation ``s`` quantizes ``x`` as ``s * q.quantize(x / s)``,
+which keeps the design optimal and scales its MSE by ``s**2``.
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ __all__ = [
     "ScalarQuantizer",
     "DistortionTable",
     "lloyd_max_design",
-    "optimal_uniform_design",
-    "scale_to_variance",
     "gamma_approx",
-    "estimate_distortion_factor",
     "gaussian_quantizer_mse",
     "distortion_table",
 ]
@@ -55,15 +52,11 @@ class ScalarQuantizer:
         strictly increasing.
     codebook : np.ndarray
         ``2**bits`` output levels, strictly increasing.
-    input_std : float
-        Standard deviation of the (real) input the quantizer is matched
-        to; 1 for the unit-variance reference design.
     """
 
     bits: int
     thresholds: np.ndarray
     codebook: np.ndarray
-    input_std: float = 1.0
 
     def __post_init__(self):
         t = np.array(self.thresholds, dtype=float)
@@ -77,8 +70,6 @@ class ScalarQuantizer:
             raise ValueError("end thresholds must be -inf and +inf")
         if np.any(np.diff(t) <= 0) or np.any(np.diff(c) <= 0):
             raise ValueError("thresholds and codebook must be strictly increasing")
-        if not self.input_std > 0:
-            raise ValueError(f"input_std must be positive, got {self.input_std}")
         t.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "thresholds", t)
@@ -124,25 +115,6 @@ class ScalarQuantizer:
         return self.quantize_real(x)
 
 
-def scale_to_variance(q_unit: ScalarQuantizer, sigma: float) -> ScalarQuantizer:
-    """Rescale a unit-variance quantizer to an input of std ``sigma``.
-
-    Thresholds and codebook are multiplied by ``sigma``; the scaled
-    quantizer is optimal for the scaled Gaussian and its MSE is
-    ``sigma**2`` times the unit-variance MSE.
-    """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if sigma == 1.0:
-        return q_unit
-    return ScalarQuantizer(
-        bits=q_unit.bits,
-        thresholds=q_unit.thresholds * sigma,
-        codebook=q_unit.codebook * sigma,
-        input_std=q_unit.input_std * sigma,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Closed-form Gaussian MSE
 # ---------------------------------------------------------------------------
@@ -176,9 +148,8 @@ def gaussian_quantizer_mse(thresholds: np.ndarray, codebook: np.ndarray) -> floa
 
 
 def quantizer_mse(q: ScalarQuantizer) -> float:
-    """MSE of ``q`` on a zero-mean Gaussian matched to its ``input_std``."""
-    s = q.input_std
-    return s**2 * gaussian_quantizer_mse(q.thresholds / s, q.codebook / s)
+    """MSE of ``q`` on a standard normal input."""
+    return gaussian_quantizer_mse(q.thresholds, q.codebook)
 
 
 # ---------------------------------------------------------------------------
@@ -297,63 +268,7 @@ def lloyd_max_design(bits: int, tol: float = 1e-10, max_iter: int = 10**4) -> Sc
             RuntimeWarning,
             stacklevel=2,
         )
-    return ScalarQuantizer(
-        bits=bits, thresholds=_thresholds_from_codebook(c), codebook=c, input_std=1.0
-    )
-
-
-# ---------------------------------------------------------------------------
-# Optimal uniform design
-# ---------------------------------------------------------------------------
-
-def _uniform_codebook(bits: int, step: float) -> np.ndarray:
-    nq = 2**bits
-    return (np.arange(nq) - (nq - 1) / 2.0) * step
-
-
-def optimal_uniform_design(bits: int, tol: float = 1e-8) -> ScalarQuantizer:
-    """Design the MSE-optimal *uniform* quantizer for a standard normal input.
-
-    Levels are equally spaced with step ``delta`` and thresholds sit at
-    level midpoints; the step minimizing the exact Gaussian MSE is found
-    by golden-section search over ``delta in (0, 4]`` (the MSE is
-    unimodal in the step over this range).
-    """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-
-    def mse_of_step(step: float) -> float:
-        c = _uniform_codebook(bits, step)
-        return gaussian_quantizer_mse(_thresholds_from_codebook(c), c)
-
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-9, 4.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = mse_of_step(x1), mse_of_step(x2)
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = mse_of_step(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = mse_of_step(x2)
-    else:
-        warnings.warn(
-            f"uniform step search for {bits} bits did not reach interval "
-            f"tolerance {tol:.1e} (final width {hi - lo:.3e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    step = 0.5 * (lo + hi)
-    c = _uniform_codebook(bits, step)
-    return ScalarQuantizer(
-        bits=bits, thresholds=_thresholds_from_codebook(c), codebook=c, input_std=1.0
-    )
+    return ScalarQuantizer(bits=bits, thresholds=_thresholds_from_codebook(c), codebook=c)
 
 
 # ---------------------------------------------------------------------------
@@ -417,30 +332,3 @@ class DistortionTable:
 def distortion_table() -> DistortionTable:
     """The process-wide gamma table (each resolution designed on first use)."""
     return DistortionTable()
-
-
-def estimate_distortion_factor(samples, q: ScalarQuantizer) -> float:
-    """Monte-Carlo distortion factor of ``q`` on given complex samples.
-
-    ``samples`` may be a 1-D array of scalars, in which case the estimate
-    averages per-scalar ratios ``|s - Q(s)|^2 / |s|^2``, or a 2-D array
-    whose rows are received vectors, in which case squared norms are used
-    (the per-scalar ratio is heavy-tailed for densities with mass near
-    zero; grouping into vectors is how ensemble estimates are produced).
-    Zero-magnitude samples are skipped; if all are zero the input is
-    rejected.
-    """
-    s = np.asarray(samples)
-    if s.size == 0:
-        raise ValueError("samples must be non-empty")
-    if s.ndim > 2:
-        raise ValueError("samples must be 1-D (scalars) or 2-D (rows = vectors)")
-    err2 = np.abs(s - q.quantize(s)) ** 2
-    mag2 = np.abs(s) ** 2
-    if s.ndim == 2:
-        err2 = err2.sum(axis=1)
-        mag2 = mag2.sum(axis=1)
-    keep = mag2 > 0
-    if not np.any(keep):
-        raise ValueError("all samples have zero magnitude")
-    return float(np.mean(err2[keep] / mag2[keep]))

@@ -22,7 +22,6 @@ from qmimo.quantizer import (
     distortion_table,
     gamma_approx,
     lloyd_max_design,
-    scale_to_variance,
 )
 
 TABLE = distortion_table()
@@ -296,9 +295,9 @@ class TestLmmseOffDiagonal:
         w = (rng.standard_normal((2, n)) + 1j * rng.standard_normal((2, n))) / np.sqrt(2)
         y = L @ w
         q_err = np.empty_like(y)
+        s = np.sqrt(0.5)
         for i, b in enumerate(bits):
-            q = scale_to_variance(lloyd_max_design(b), np.sqrt(0.5))
-            q_err[i] = q.quantize(y[i]) - y[i]
+            q_err[i] = s * lloyd_max_design(b).quantize(y[i] / s) - y[i]
         sample = (q_err[0] * q_err[1].conj()).mean()
         predicted = TABLE.gamma(bits[0]) * TABLE.gamma(bits[1]) * rho
         assert abs(sample - predicted) / abs(rho) < 0.10

@@ -164,6 +164,12 @@ class TestParseConfig:
         ({"varsigma": 0.0}, [], "varsigma"),
         ({"num_qd_samples": 0, "sim_se": True}, [], "num_qd_samples"),
         ({"num_qd_samples": -5, "sim_se": True}, [], "num_qd_samples"),
+        ({"max_iter": 0}, [], "max_iter"),
+        ({"scoring_max_iter": 0}, [], "scoring_max_iter"),
+        ({"I2": -1}, [], "I2"),
+        ({"eps": -1}, [], "eps"),
+        ({"seed": -1}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
     ])
     def test_out_of_range_names_key(self, tmp_path, capsys, overrides, args, key):
         path = write_config(tmp_path, **overrides)

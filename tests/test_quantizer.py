@@ -20,13 +20,10 @@ from qmimo.quantizer import (
     _design_lloyd_max,
     _unit_quantizer,
     distortion_table,
-    estimate_distortion_factor,
     gamma_approx,
     gaussian_quantizer_mse,
     lloyd_max_design,
-    optimal_uniform_design,
     quantizer_mse,
-    scale_to_variance,
 )
 
 ONE_BIT_LEVEL = np.sqrt(2.0 / np.pi)  # 0.7978845608
@@ -34,10 +31,9 @@ ONE_BIT_LEVEL = np.sqrt(2.0 / np.pi)  # 0.7978845608
 
 def centroid_residual(q: ScalarQuantizer) -> float:
     """Max deviation of codewords from the conditional cell means."""
-    t = q.thresholds / q.input_std
-    pdf, cdf = norm.pdf(t), norm.cdf(t)
+    pdf, cdf = norm.pdf(q.thresholds), norm.cdf(q.thresholds)
     means = (pdf[:-1] - pdf[1:]) / (cdf[1:] - cdf[:-1])
-    return float(np.max(np.abs(q.codebook / q.input_std - means)))
+    return float(np.max(np.abs(q.codebook - means)))
 
 
 def midpoint_residual(q: ScalarQuantizer) -> float:
@@ -108,30 +104,6 @@ class TestLloydMax:
             lloyd_max_design(0)
 
 
-class TestOptimalUniform:
-    def test_one_bit_matches_lloyd_max(self):
-        qu = optimal_uniform_design(1)
-        ql = lloyd_max_design(1)
-        np.testing.assert_allclose(qu.codebook, ql.codebook, atol=1e-7)
-
-    def test_two_bit_mse_close_to_lloyd_max(self):
-        du = quantizer_mse(optimal_uniform_design(2))
-        dl = quantizer_mse(lloyd_max_design(2))
-        assert abs(du - dl) / dl < 0.02
-
-    @pytest.mark.parametrize("bits", [3, 4, 5])
-    def test_never_beats_lloyd_max(self, bits):
-        assert quantizer_mse(optimal_uniform_design(bits)) >= quantizer_mse(lloyd_max_design(bits))
-
-    def test_structure(self):
-        q = optimal_uniform_design(3)
-        steps = np.diff(q.codebook)
-        np.testing.assert_allclose(steps, steps[0], rtol=1e-9)
-        np.testing.assert_allclose(
-            q.thresholds[1:-1], 0.5 * (q.codebook[:-1] + q.codebook[1:]), atol=1e-12
-        )
-
-
 class TestQuantizeComplex:
     def test_one_bit_sign_mapping(self):
         q = lloyd_max_design(1)
@@ -192,7 +164,8 @@ class TestQuantizeComplex:
         # both sides of the counting cutoff, on unit and scaled designs;
         # the input mixes the thresholds themselves, signed zeros,
         # infinities, NaN and arbitrary floats
-        q = scale_to_variance(_unit_quantizer(bits), sigma)
+        unit = _unit_quantizer(bits)
+        q = ScalarQuantizer(bits, unit.thresholds * sigma, unit.codebook * sigma)
         special = q.thresholds[1:-1].tolist() + [0.0, -0.0, np.inf, -np.inf, np.nan]
         x = np.array(data.draw(st.lists(
             st.one_of(st.sampled_from(special), st.floats(allow_nan=True)),
@@ -203,29 +176,15 @@ class TestQuantizeComplex:
 
 
 class TestScaleToVariance:
-    def test_identity(self):
-        q = lloyd_max_design(2)
-        assert scale_to_variance(q, 1.0) is q
-
-    def test_one_bit_scaled(self):
-        q = scale_to_variance(lloyd_max_design(1), 2.0)
-        np.testing.assert_allclose(q.codebook, [-2 * ONE_BIT_LEVEL, 2 * ONE_BIT_LEVEL])
-        assert q.input_std == 2.0
-
-    def test_invalid_sigma(self):
-        q = lloyd_max_design(1)
-        with pytest.raises(ValueError):
-            scale_to_variance(q, 0.0)
-        with pytest.raises(ValueError):
-            scale_to_variance(q, -1.0)
+    """Caller-side scaling ``sigma * q.quantize_real(x / sigma)`` of a unit design."""
 
     def test_mse_scales_with_variance(self):
         # Monte-Carlo MSE on N(0, 9) should be 9 * D(b) within 3 standard errors
         rng = np.random.default_rng(42)
         sigma = 3.0
-        q = scale_to_variance(lloyd_max_design(3), sigma)
+        q = lloyd_max_design(3)
         x = sigma * rng.standard_normal(10**6)
-        err2 = (q.quantize_real(x) - x) ** 2
+        err2 = (sigma * q.quantize_real(x / sigma) - x) ** 2
         se = err2.std(ddof=1) / np.sqrt(err2.size)
         expected = sigma**2 * quantizer_mse(lloyd_max_design(3))
         assert abs(err2.mean() - expected) < 3 * se
@@ -233,9 +192,9 @@ class TestScaleToVariance:
     @pytest.mark.parametrize("sigma", [0.1, 0.73, 2.5, 10.0])
     def test_distortion_invariance_random_scales(self, sigma):
         rng = np.random.default_rng(hash(sigma) % 2**32)
-        q = scale_to_variance(lloyd_max_design(2), sigma)
+        q = lloyd_max_design(2)
         x = sigma * rng.standard_normal(4 * 10**5)
-        err2 = (q.quantize_real(x) - x) ** 2
+        err2 = (sigma * q.quantize_real(x / sigma) - x) ** 2
         se = err2.std(ddof=1) / np.sqrt(err2.size)
         expected = sigma**2 * quantizer_mse(lloyd_max_design(2))
         assert abs(err2.mean() - expected) < 3 * se
@@ -273,10 +232,6 @@ class TestDistortionTable:
     def test_monotone_decreasing(self):
         t = distortion_table()
         gammas = [t.gamma(b) for b in range(1, 13)]
-        assert all(g2 < g1 for g1, g2 in zip(gammas, gammas[1:]))
-
-    def test_uniform_variant_monotone(self):
-        gammas = [quantizer_mse(optimal_uniform_design(b)) for b in range(1, 9)]
         assert all(g2 < g1 for g1, g2 in zip(gammas, gammas[1:]))
 
     def test_designs_each_resolution_on_first_use(self):
@@ -333,78 +288,14 @@ class TestDistortionTable:
         assert abs(gamma_approx(5, "high_res") - t.gamma(5)) / t.gamma(5) < 0.062
 
 
-class TestEstimateDistortionFactor:
-    @pytest.mark.parametrize("bits", [1, 2, 3])
-    def test_matched_gaussian_vectors(self, bits):
-        # 1e5 complex samples grouped as received vectors of 16 entries;
-        # the norm-ratio average tracks the table value
-        rng = np.random.default_rng(100 + bits)
-        rows, width = 6250, 16
-        s = (rng.standard_normal((rows, width))
-             + 1j * rng.standard_normal((rows, width))) / np.sqrt(2)
-        q = scale_to_variance(lloyd_max_design(bits), 1.0 / np.sqrt(2))
-        err2 = np.abs(s - q.quantize(s)) ** 2
-        ratios = err2.sum(axis=1) / (np.abs(s) ** 2).sum(axis=1)
-        se = ratios.std(ddof=1) / np.sqrt(rows)
-        est = estimate_distortion_factor(s, q)
-        assert est == pytest.approx(ratios.mean())
-        gamma = distortion_table().gamma(bits)
-        assert abs(est - gamma) < 3 * se
-
-    @pytest.mark.parametrize("bits", [2, 3])
-    def test_qam16_signaling_below_gaussian_gamma(self, bits):
-        # 16QAM streams mixed by a random channel land below the Gaussian
-        # table value, and below the same estimate fed Gaussian streams
-        rng = np.random.default_rng(3)
-        nt, nr, ns, count = 16, 16, 4, 6250
-        H = (rng.standard_normal((nr, nt)) + 1j * rng.standard_normal((nr, nt))) / np.sqrt(2 * nt)
-        F = np.linalg.qr(rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns)))[0]
-        std = np.sqrt(np.real(np.einsum("ij,ij->i", H @ F, (H @ F).conj())))
-        q = scale_to_variance(lloyd_max_design(bits), 1.0 / np.sqrt(2))
-
-        def estimate(kind):
-            levels = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10)
-            if kind == "qam16":
-                s = (levels[rng.integers(0, 4, (ns, count))]
-                     + 1j * levels[rng.integers(0, 4, (ns, count))])
-            else:
-                s = (rng.standard_normal((ns, count))
-                     + 1j * rng.standard_normal((ns, count))) / np.sqrt(2)
-            y_rows = (H @ F @ s / std[:, None]).T  # unit-variance entries
-            return estimate_distortion_factor(y_rows, q)
-
-        est_qam = estimate("qam16")
-        assert est_qam < distortion_table().gamma(bits)
-        assert est_qam < estimate("gaussian")
-
-    def test_codebook_samples_give_zero(self):
-        q = lloyd_max_design(2)
-        s = q.codebook + 1j * q.codebook
-        assert estimate_distortion_factor(s, q) == 0.0
-
-    def test_zero_samples_skipped(self):
-        q = lloyd_max_design(1)
-        s = np.array([0.0 + 0.0j, 1.0 + 1.0j])
-        est = estimate_distortion_factor(s, q)
-        expected = np.abs((1 + 1j) - q.quantize(1 + 1j)) ** 2 / 2.0
-        assert est == pytest.approx(expected)
-
-    def test_all_zero_rejected(self):
-        q = lloyd_max_design(1)
-        with pytest.raises(ValueError):
-            estimate_distortion_factor(np.zeros(4, dtype=complex), q)
-        with pytest.raises(ValueError):
-            estimate_distortion_factor(np.array([], dtype=complex), q)
-
-
 class TestComplexExtension:
     def test_output_uncorrelated_with_error_and_gamma_split(self):
         # E[Q(X) (Q(X)-X)^*] ~ 0 and the real/imaginary distortion factors agree
         rng = np.random.default_rng(11)
         n = 4 * 10**5
         x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        q = scale_to_variance(lloyd_max_design(2), 1.0 / np.sqrt(2))
-        z = q.quantize(x)
+        s = 1.0 / np.sqrt(2)
+        z = s * lloyd_max_design(2).quantize(x / s)
         chi = z - x
         prod = z * chi.conj()
         se = prod.std(ddof=1) / np.sqrt(n)
@@ -413,19 +304,6 @@ class TestComplexExtension:
         g_im = np.mean(chi.imag**2) / np.mean(x.imag**2)
         assert g_re == pytest.approx(g_im, rel=0.02)
         assert g_re == pytest.approx(distortion_table().gamma(2), rel=0.02)
-
-    @pytest.mark.parametrize("bits", [2, 3])
-    def test_uniform_variant_output_error_orthogonality(self, bits):
-        # the optimal step size makes E[Q(X) (Q(X)-X)^*] vanish for the
-        # uniform quantizer as well (stationarity of the MSE in the step)
-        rng = np.random.default_rng(300 + bits)
-        n = 10**6
-        x = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-        q = scale_to_variance(optimal_uniform_design(bits), 1.0 / np.sqrt(2))
-        z = q.quantize(x)
-        prod = z * (z - x).conj()
-        se = np.sqrt(prod.real.var(ddof=1) + prod.imag.var(ddof=1)) / np.sqrt(n)
-        assert abs(prod.mean()) < 3 * se
 
     @pytest.mark.parametrize("bits", [1, 2, 3])
     def test_centroid_identities(self, bits):
@@ -461,7 +339,10 @@ class TestScalarQuantizerValidation:
             )
 
     def test_gaussian_mse_helper_matches_sampling(self):
-        q = optimal_uniform_design(3)
+        # a non-Lloyd-Max design: 3-bit uniform levels, thresholds at midpoints
+        step = 0.586
+        q = ScalarQuantizer(bits=3, thresholds=np.r_[-np.inf, np.arange(-3, 4) * step, np.inf],
+                            codebook=(np.arange(8) - 3.5) * step)
         rng = np.random.default_rng(5)
         x = rng.standard_normal(10**6)
         mc = np.mean((q.quantize_real(x) - x) ** 2)

@@ -70,9 +70,14 @@ def spectral_efficiency(H: np.ndarray, F: np.ndarray, U: np.ndarray,
     ``R = log2 det(I + (U^H C_e U)^{-1} U^H G H F F^H H^H G U)``, computed
     as a difference of log-determinants, with ``g`` the length-Nr diagonal
     of ``G`` and ``C_e`` a full matrix (the Monte-Carlo one is not
-    diagonal). A singular post-combining noise covariance is ridged with
-    1e-12 I and flagged with a warning.
+    diagonal). An all-zero column of ``U`` is a switched-off stream: it
+    carries no rate and is dropped. Any other singular post-combining noise
+    covariance (an all-zero ``U`` too) is ridged with 1e-12 I and flagged
+    with a warning.
     """
+    live = np.any(U != 0, axis=0)
+    if live.any() and not live.all():
+        U = U[:, live]
     T = U.conj().T @ ((g[:, None] * H) @ F)
     A = U.conj().T @ C_e @ U
     A = 0.5 * (A + A.conj().T)

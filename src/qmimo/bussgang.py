@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from scipy.linalg.blas import zherk
 
-from .quantizer import _unit_quantizer, distortion_table
+from .quantizer import distortion_table, lloyd_max_design
 
 __all__ = [
     "gain_diagonal",
@@ -117,7 +117,7 @@ def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     nr = H.shape[0]
     ns = F.shape[1]
     g = gain_diagonal(bits, nr)
-    quantizers = [_unit_quantizer(int(b)) for b in bits]
+    quantizers = [lloyd_max_design(int(b)) for b in bits]
     rng = np.random.default_rng(seed)
     s = np.empty((ns, num_samples), dtype=complex)
     n = np.empty((nr, num_samples), dtype=complex)

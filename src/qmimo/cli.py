@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import bitalloc, channel, evaluation
-from .quantizer import distortion_table, quantizer_mse, _unit_quantizer
+from .quantizer import distortion_table, lloyd_max_design
 
 __all__ = [
     "ExperimentConfig",
@@ -251,13 +251,12 @@ def _dump_quantizers(config: ExperimentConfig, out_dir: Path) -> None:
     table = distortion_table()
     doc = {}
     for b in sorted(set(config.b)):
-        q = _unit_quantizer(b)
+        q = lloyd_max_design(b)
         doc[str(b)] = {
             "bits": b,
             "thresholds": q.thresholds.tolist(),
             "codebook": q.codebook.tolist(),
             "gamma": table.gamma(b),
-            "mse": quantizer_mse(q),
         }
     with open(out_dir / "quantizers.json", "w") as fh:
         json.dump(doc, fh, indent=1)

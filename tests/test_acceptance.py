@@ -44,7 +44,6 @@ from qmimo.channel import saleh_valenzuela
 from qmimo.cli import parse_config, run_sweep
 from qmimo.evaluation import PointConfig, run_experiment, se_simulated, total_power
 from qmimo.quantizer import (
-    _unit_quantizer,
     distortion_table,
     gamma_approx,
     lloyd_max_design,
@@ -72,7 +71,7 @@ def test_criterion_01_quantizer_fixed_points():
 
 
 def test_criterion_02_gamma_approximation_quality():
-    _unit_quantizer.cache_clear()
+    lloyd_max_design.cache_clear()
     distortion_table.cache_clear()
     t0 = time.perf_counter()
     table = distortion_table()

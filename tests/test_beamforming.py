@@ -1,5 +1,7 @@
 """Rate bound, water-filling baseline, WMMSE updates and AltMin."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,19 @@ class TestSpectralEfficiency:
         with pytest.warns(RuntimeWarning, match="regulariz"):
             r = spectral_efficiency(H, F, U, g, np.zeros((3, 3)))
         assert r == 0.0
+
+    def test_zero_combiner_column_dropped(self):
+        # a switched-off stream's zero combiner column carries no rate and
+        # must not send the noise term down the ridge path
+        H, F, g, ce, _, _ = random_instance(5, 6, 3, seed=7)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
+        U[:, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = spectral_efficiency(H, F, U, g, np.diag(ce))
+        assert r > 0.0
+        assert r == pytest.approx(spectral_efficiency(H, F, U[:, [0, 2]], g, np.diag(ce)),
+                                  rel=1e-14)
 
 
 class TestWaterfilling:

@@ -17,12 +17,7 @@ from qmimo.bussgang import (
     qd_cov_approx,
     qd_cov_simulated,
 )
-from qmimo.quantizer import (
-    _unit_quantizer,
-    distortion_table,
-    gamma_approx,
-    lloyd_max_design,
-)
+from qmimo.quantizer import distortion_table, gamma_approx, lloyd_max_design
 
 TABLE = distortion_table()
 G1 = 2.0 / np.pi  # one-bit Bussgang gain
@@ -54,7 +49,7 @@ def one_shot_stream(H, F, sigma_n2, bits, n_samples, seed):
     std = np.sqrt((np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2) / 2.0)
     z = np.empty_like(y)
     for i, b in enumerate(bits):
-        q = _unit_quantizer(b)
+        q = lloyd_max_design(b)
         z[i] = std[i] * (q.quantize_real(y[i].real / std[i])
                          + 1j * q.quantize_real(y[i].imag / std[i]))
     eta = z - gain_diagonal(bits, nr)[:, None] * y

@@ -322,6 +322,7 @@ class TestMain:
                      "--channels", "1", "--dump-quantizers"]) == 0
         doc = json.loads((out / "quantizers.json").read_text())
         assert set(doc) == {"1", "2"}
+        assert set(doc["1"]) == {"bits", "thresholds", "codebook", "gamma"}
         assert doc["1"]["codebook"] == pytest.approx([-0.7978845608, 0.7978845608])
         assert doc["1"]["gamma"] == pytest.approx(1 - 2 / np.pi)
 

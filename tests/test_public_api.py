@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +29,14 @@ def test_package_imports_are_public():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert hasattr(qmimo, alias.name), alias.name
+
+
+def test_import_leaves_out_scipy_stats():
+    # scipy.stats takes about half a second to import; the package needs
+    # only scipy.special's ndtr/ndtri
+    script = "import sys, qmimo; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(qmimo.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -12,13 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from qmimo import quantizer
 from qmimo.bussgang import gain_diagonal
 from qmimo.quantizer import (
     DistortionTable,
     ScalarQuantizer,
     _COUNT_MAX_BITS,
-    _design_lloyd_max,
-    _unit_quantizer,
     distortion_table,
     gamma_approx,
     gaussian_quantizer_mse,
@@ -30,9 +29,16 @@ ONE_BIT_LEVEL = np.sqrt(2.0 / np.pi)  # 0.7978845608
 
 
 def centroid_residual(q: ScalarQuantizer) -> float:
-    """Max deviation of codewords from the conditional cell means."""
-    pdf, cdf = norm.pdf(q.thresholds), norm.cdf(q.thresholds)
-    means = (pdf[:-1] - pdf[1:]) / (cdf[1:] - cdf[:-1])
+    """Max deviation of codewords from the conditional cell means.
+
+    Upper-half cell probabilities are survival-function differences: cdf
+    differences there cancel against 1 and floor far above 1e-10 at b >= 9.
+    """
+    t = q.thresholds
+    pdf, cdf, sf = norm.pdf(t), norm.cdf(t), norm.sf(t)
+    upper = np.arange(q.num_levels) >= q.num_levels // 2
+    prob = np.where(upper, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
+    means = (pdf[:-1] - pdf[1:]) / prob
     return float(np.max(np.abs(q.codebook - means)))
 
 
@@ -69,17 +75,14 @@ class TestLloydMax:
         fitted = 2.0 ** (-1.74 * 2 + 0.28)  # ~0.109
         assert abs(fitted - d) / d < 0.12
 
-    @pytest.mark.parametrize("bits", range(1, 9))
+    @pytest.mark.parametrize("bits", range(1, 13))
     def test_fixed_point_residuals(self, bits):
-        q = lloyd_max_design(bits, tol=1e-10)
+        lloyd_max_design.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = lloyd_max_design(bits)
         assert midpoint_residual(q) == 0.0
         assert centroid_residual(q) <= 1e-10
-
-    @pytest.mark.parametrize("bits", [2, 4, 6])
-    def test_mse_nonincreasing_over_iterations(self, bits):
-        _, info = _design_lloyd_max(bits, tol=1e-10, max_iter=10**4)
-        trace = info["mse_trace"]
-        assert np.all(np.diff(trace) <= 1e-9 * trace[:-1])
 
     def test_symmetry(self):
         q = lloyd_max_design(3)
@@ -94,10 +97,13 @@ class TestLloydMax:
         assert np.all(q.codebook > q.thresholds[:-1])
         assert np.all(q.codebook <= q.thresholds[1:])
 
-    def test_non_convergence_warns_not_raises(self):
-        with pytest.warns(RuntimeWarning, match="residual"):
-            q = lloyd_max_design(6, tol=1e-10, max_iter=3)
-        assert q.num_levels == 64
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(quantizer, "_MAX_STEPS", 1)
+        lloyd_max_design.cache_clear()
+        with pytest.raises(RuntimeError, match="did not converge"):
+            lloyd_max_design(6)
+        monkeypatch.undo()
+        assert lloyd_max_design(6).num_levels == 64
 
     def test_bits_validation(self):
         with pytest.raises(ValueError):
@@ -164,7 +170,7 @@ class TestQuantizeComplex:
         # both sides of the counting cutoff, on unit and scaled designs;
         # the input mixes the thresholds themselves, signed zeros,
         # infinities, NaN and arbitrary floats
-        unit = _unit_quantizer(bits)
+        unit = lloyd_max_design(bits)
         q = ScalarQuantizer(bits, unit.thresholds * sigma, unit.codebook * sigma)
         special = q.thresholds[1:-1].tolist() + [0.0, -0.0, np.inf, -np.inf, np.nan]
         x = np.array(data.draw(st.lists(
@@ -235,28 +241,28 @@ class TestDistortionTable:
         assert all(g2 < g1 for g1, g2 in zip(gammas, gammas[1:]))
 
     def test_designs_each_resolution_on_first_use(self):
-        _unit_quantizer.cache_clear()
+        lloyd_max_design.cache_clear()
         distortion_table.cache_clear()
         distortion_table().gamma(3)
-        assert _unit_quantizer.cache_info().currsize == 1
-        # b >= 10 designs stop at the floating-point floor without warning
+        assert lloyd_max_design.cache_info().currsize == 1
+        # the b >= 10 designs converge without warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             gain_diagonal([10, 11, 12], 3)
         for b in range(1, 13):
-            assert distortion_table().gamma(b) == quantizer_mse(_unit_quantizer(b))
+            assert distortion_table().gamma(b) == quantizer_mse(lloyd_max_design(b))
 
     def test_design_keeps_shown_warnings_shown(self):
         # leaving warnings.catch_warnings() resets the once-per-location
         # registry; a design made mid-run must not print a shown warning again
         script = (
             "import warnings\n"
-            "from qmimo.quantizer import _unit_quantizer\n"
+            "from qmimo.quantizer import lloyd_max_design\n"
             "def warn():\n"
             "    warnings.warn('shown once', UserWarning)\n"
             "warn()\n"
             "warn()\n"
-            "_unit_quantizer(4)\n"
+            "lloyd_max_design(12)\n"
             "warn()\n"
         )
         src = Path(__file__).resolve().parents[1] / "src"

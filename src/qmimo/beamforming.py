@@ -12,6 +12,7 @@ effective-noise covariance ``C_e``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -34,6 +35,11 @@ __all__ = [
 ]
 
 _RIDGE = 1e-12
+_EPS = np.finfo(float).eps
+# the precoder bisection's certified bracket: a grid of 2**-0.5 steps below
+# the initial upper end, and a cap on the Newton steps from its root side
+_GRID = 2.0 ** (-0.5 * np.arange(121))
+_NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -180,16 +186,22 @@ def update_precoder(H: np.ndarray, g: np.ndarray, U: np.ndarray,
 
     J is factored once, ``J = Q diag(lam) Q^H``. With ``c = Q^H rhs`` the
     precoder power becomes the scalar secular function
-    ``||F(mu)||_F^2 = sum_i ||c_i||^2 / (lam_i + mu)^2``, the standard
+    ``P(mu) = ||F(mu)||_F^2 = sum_i ||c_i||^2 / (lam_i + mu)^2``, the standard
     WMMSE transmit step of Shi, Razaviyayn, Luo & He, "An iteratively
     weighted MMSE approach to distributed sum-utility maximization for a
     MIMO interfering broadcast channel", IEEE TSP 2011. ``mu = 0`` when the
     unconstrained solution is feasible; for a rank-deficient J (e.g.
     Nt > Nr) that is the minimum-norm solution, which drops eigenvalues
-    with ``|lam_i| <= eps * Nt * max|lam|``. Otherwise bisection on
-    ``[0, ||H^H G U W||_F / sqrt(pt)]`` evaluates the scalar power at each
-    midpoint until it is within ``1e-8 pt`` of ``pt`` (at most 200
-    halvings), and F is formed once at the final multiplier.
+    with ``|lam_i| <= eps * Nt * max|lam|``. Otherwise mu is the midpoint
+    at which bisection on ``[0, ||H^H G U W||_F / sqrt(pt)]`` first finds
+    the power within ``1e-8 pt`` of ``pt`` (at most 200 halvings), and F is
+    formed once at that multiplier.
+
+    The bisection is replayed rather than run: Newton steps on
+    ``P(mu)**-0.5`` locate the root and certify a bracket around the band
+    where ``|P - pt| <= 1e-8 pt``. Midpoints outside the bracket take their
+    side without evaluating P; only those inside it (or below the pole of
+    P) are evaluated. The returned mu is the bisection's own, bit for bit.
     """
     return _precoder_and_multiplier(H, g, U, W, pt)[0]
 
@@ -200,32 +212,124 @@ def _precoder_and_multiplier(H: np.ndarray, g: np.ndarray, U: np.ndarray,
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
     nr, nt = H.shape
+    Hh = H.conj().T
     UWU = U @ W @ U.conj().T
     M = g[:, None] * UWU
-    M.flat[::nr + 1] += np.real(np.diag(UWU)) * (1.0 - g)
-    J = ((H.conj().T @ M) * g) @ H
+    M.flat[::nr + 1] += UWU.real.diagonal() * (1.0 - g)
+    J = ((Hh @ M) * g) @ H
     J = 0.5 * (J + J.conj().T)
-    rhs = (H.conj().T * g) @ U @ W
+    rhs = (Hh * g) @ U @ W
     lam, Q = np.linalg.eigh(J)
     c = Q.conj().T @ rhs
     c2 = np.sum(np.abs(c) ** 2, axis=1)
-    # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero
-    keep = np.abs(lam) > np.finfo(float).eps * nt * np.max(np.abs(lam))
-    if np.sum(c2[keep] / lam[keep] ** 2) <= pt * (1.0 + 1e-9):
+    # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
+    # eigh sorts lam, so max|lam| is at one end
+    keep = np.abs(lam) > _EPS * nt * max(-lam[0], lam[-1])
+    if keep.all():
+        if np.sum(c2 / lam ** 2) <= pt * (1.0 + 1e-9):
+            # Q[:, keep] is Fortran-ordered, and the product rounds by layout
+            return np.asfortranarray(Q) @ (c / lam[:, None]), 0.0
+    elif np.sum(c2[keep] / lam[keep] ** 2) <= pt * (1.0 + 1e-9):
         return Q[:, keep] @ (c[keep] / lam[keep, None]), 0.0
-    # Bisection, not Newton: SE is pinned at rtol 1e-9, and another root-finder
-    # would settle elsewhere inside the 1e-8 power tolerance.
-    lo, hi = 0.0, float(np.linalg.norm(rhs)) / np.sqrt(pt)
+    # ||rhs||_F as np.linalg.norm computes it
+    r = rhs.ravel(order="K")
+    hi = math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) / math.sqrt(pt)
+    mu = _bisect_multiplier(lam, c2, pt, hi)
+    return Q @ (c / (lam + mu)[:, None]), mu
+
+
+def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float) -> float:
+    """The midpoint at which bisection on ``[0, hi]`` finds ``|P(mu) - pt| <= 1e-8 pt``.
+
+    ``P(mu) = c2 @ (lam + mu)**-2``. Bisection, not Newton, picks mu: SE is
+    pinned at rtol 1e-9, and another root-finder would settle elsewhere
+    inside the 1e-8 power tolerance. Newton only supplies the certified
+    bracket ``(a, b)`` of :func:`_certified_bracket`, and the loop below
+    replays the bisection's midpoints: one in ``(floor, a]`` lies left of
+    the band and one at or above ``b`` right of it, so only the others
+    evaluate P. Without a bracket (``a = -1``, ``b = inf``) every midpoint
+    is evaluated.
+    """
+    tol = 1e-8 * pt
+    floor = max(0.0, -float(lam[0]))
+    a, b = _certified_bracket(lam, c2, pt, hi, tol, floor)
+    lo = 0.0
     for _ in range(200):
         mu = 0.5 * (lo + hi)
-        power = c2 @ (lam + mu) ** -2
-        if abs(power - pt) <= 1e-8 * pt:
+        if floor < mu <= a:
+            lo = mu
+            continue
+        if mu >= b:
+            hi = mu
+            continue
+        power = float(c2 @ (lam + mu) ** -2)
+        if abs(power - pt) <= tol:
             break
         if power > pt:
             lo = mu
         else:
             hi = mu
-    return Q @ (c / (lam + mu)[:, None]), mu
+    return mu
+
+
+def _certified_bracket(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float,
+                       tol: float, floor: float) -> tuple[float, float]:
+    """``(a, b)`` with ``P(mu) > pt + tol`` on ``(floor, a]`` and ``P(mu) < pt - tol`` on ``[b, inf)``.
+
+    P strictly decreases for ``mu > floor = max(0, -lam[0])``. The largest
+    point of the grid ``hi * 2**(-k/2)`` with ``P > pt`` lies left of the
+    root, and Newton steps on the concave ``P**-0.5`` (More & Sorensen,
+    "Computing a trust region step", SIAM J. Sci. Stat. Comput. 1983) climb
+    from there to the root mu*. With ``w = tol / |P'(mu*)|`` the band
+    ``|P - pt| <= tol`` is about ``mu* +- w``, so ``a = mu* - 1.01 w`` and
+    ``b = mu* + 1.01 w``. Both ends are accepted only if P, evaluated there,
+    clears the band by a relative ``1e-12``, far above the rounding error of
+    a sum of positive terms; by monotonicity every midpoint beyond them then
+    takes the same side as its own evaluation would. Otherwise ``(-1, inf)``.
+    The Newton steps and the check run in Python floats, which at the sizes
+    of a precoder cost less than numpy calls.
+    """
+    grid = hi * _GRID
+    if floor > 0.0:
+        grid = grid[grid > floor]
+    inv = 1.0 / (lam + grid[:, None])
+    left = np.flatnonzero((inv * inv) @ c2 > pt)
+    if not left.size:
+        return -1.0, math.inf
+    terms = list(zip(lam.tolist(), c2.tolist()))
+    mu = float(grid[left[0]])
+    w = 0.0
+    for _ in range(_NEWTON_STEPS):
+        p, s3 = _power_and_slope(terms, mu)
+        if not s3 > 0.0:
+            return -1.0, math.inf
+        w = tol / (2.0 * s3)
+        # Newton on P**-0.5 = pt**-0.5, with P' = -2 s3
+        step = p / s3 * (math.sqrt(p / pt) - 1.0)
+        mu += step
+        if not mu > floor:
+            return -1.0, math.inf
+        # the next Newton step is at most about step**2 / (mu - floor)
+        if step * step <= 1e-3 * w * (mu - floor):
+            break
+    a, b = mu - 1.01 * w, mu + 1.01 * w
+    if not floor < a < b < math.inf:
+        return -1.0, math.inf
+    if (_power_and_slope(terms, a)[0] > (pt + tol) * (1.0 + 1e-12)
+            and _power_and_slope(terms, b)[0] < (pt - tol) * (1.0 - 1e-12)):
+        return a, b
+    return -1.0, math.inf
+
+
+def _power_and_slope(terms: list[tuple[float, float]], mu: float) -> tuple[float, float]:
+    """``P(mu)`` and ``-P'(mu) / 2`` over ``terms = [(lam_i, c2_i)]``, for ``mu > -min lam``."""
+    p = s3 = 0.0
+    for l, c in terms:
+        x = 1.0 / (l + mu)
+        t = c * x * x
+        p += t
+        s3 += t * x
+    return p, s3
 
 
 def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,

@@ -162,13 +162,17 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     clipped at zero against sampling noise). The samples are processed in
     column blocks, so memory beyond the drawn symbols and noise stays
     bounded. At full resolution (``bits=None``) the distortion is exactly
-    zero and nothing is drawn.
+    zero: nothing is drawn, so no small-sample warning is raised either.
 
     All samples come from one stream, ``SeedSequence([seed, 0])``, so the
     result is bit-identical for a fixed integer ``seed``.
     """
     if num_samples < 1:
         raise ValueError(f"num_samples={num_samples} must be >= 1")
+    stream = np.random.SeedSequence([_as_seed_int(seed), 0])
+    nr = H.shape[0]
+    if bits is None:
+        return np.zeros((nr, nr), dtype=complex)
     if num_samples < 10**4:
         rel_se = 1.0 / np.sqrt(num_samples)
         warnings.warn(
@@ -177,10 +181,6 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
             RuntimeWarning,
             stacklevel=2,
         )
-    stream = np.random.SeedSequence([_as_seed_int(seed), 0])
-    nr = H.shape[0]
-    if bits is None:
-        return np.zeros((nr, nr), dtype=complex)
     # zherk on the Fortran view eta.T adds conj(eta eta^H) into the upper
     # triangle of the accumulator only (beta=1 keeps the running sum)
     acc = np.zeros((nr, nr), dtype=complex, order="F")

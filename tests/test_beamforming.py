@@ -1,5 +1,6 @@
 """Rate bound, water-filling baseline, WMMSE updates and AltMin."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmimo import beamforming
 from qmimo.beamforming import (
+    _bisect_multiplier,
+    _certified_bracket,
     _precoder_and_multiplier,
     altmin_beamforming,
     mse_matrix,
@@ -58,6 +62,22 @@ def reference_precoder(H, G, U, W, pt):
         else:
             hi = mu
     return F, mu
+
+
+def reference_bisection(lam, c2, pt, hi):
+    """The precoder's multiplier bisection with a power evaluation at every
+    midpoint, kept as the test oracle for the certified replay."""
+    lo = 0.0
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        power = c2 @ (lam + mu) ** -2
+        if abs(power - pt) <= 1e-8 * pt:
+            break
+        if power > pt:
+            lo = mu
+        else:
+            hi = mu
+    return mu
 
 
 # Dense-matrix forms of the updates, kept as test oracles for the vector forms:
@@ -112,6 +132,37 @@ def precoder_instances(draw):
     ce = effective_noise_cov(g, H, F, sigma_n2)
     W = update_weight(H, F, g, ce)
     return H, g, update_combiner(H, F, g, ce, W), W, pt, F, sigma_n2
+
+
+@st.composite
+def secular_instances(draw):
+    """(lam, c2, pt, hi) of the precoder's multiplier search, from J and rhs
+    formed densely. Nt = 2 Nr leaves J rank-deficient; optionally its null
+    eigenvalues are set to a tiny negative value, as rounding can leave them.
+    """
+    nr = draw(st.integers(1, 16))
+    nt = nr * draw(st.sampled_from([1, 2]))
+    ns = draw(st.integers(1, nr))
+    bits = draw(st.lists(st.integers(1, 5), min_size=nr, max_size=nr))
+    pt = 10.0 ** draw(st.floats(-2.0, 2.0))
+    snr_db = draw(st.floats(-10.0, 40.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    H = (rng.standard_normal((nr, nt)) + 1j * rng.standard_normal((nr, nt))) / np.sqrt(2 * nt)
+    F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
+    F *= np.sqrt(pt) / np.linalg.norm(F)
+    g = gain_diagonal(bits, nr)
+    ce = effective_noise_cov(g, H, F, pt / 10.0 ** (snr_db / 10.0))
+    W = update_weight(H, F, g, ce)
+    U = update_combiner(H, F, g, ce, W)
+    G = np.diag(g)
+    UWU = U @ W @ U.conj().T
+    J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(nr) - G)) @ G @ H
+    lam, Q = np.linalg.eigh(0.5 * (J + J.conj().T))
+    rhs = H.conj().T @ G @ U @ W
+    c2 = np.sum(np.abs(Q.conj().T @ rhs) ** 2, axis=1)
+    if nt > nr and draw(st.booleans()):
+        lam[:nt - nr] = -lam[-1] * 10.0 ** draw(st.floats(-17.0, -14.0))
+    return lam, c2, pt, float(np.linalg.norm(rhs)) / np.sqrt(pt)
 
 
 class TestSpectralEfficiency:
@@ -376,6 +427,48 @@ class TestPrecoder:
         assert np.linalg.norm(F_new - F_ref) <= 1e-9 * np.linalg.norm(F_ref)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-8)
         np.testing.assert_array_equal(update_precoder(H, g, U, W, pt), F_new)
+
+
+class TestBisectionReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(secular_instances())
+    def test_same_multiplier_as_bisection(self, instance):
+        assert _bisect_multiplier(*instance) == reference_bisection(*instance)
+
+    def test_bracket_certified_around_multiplier(self, monkeypatch):
+        H, F, g, ce, _, pt = random_instance(4, 8, 2, seed=27, sigma_n2=1.0)
+        W = update_weight(H, F, g, ce)
+        U = update_combiner(H, F, g, ce, W)
+        seen = []
+
+        def spy(*args):
+            seen.append(_certified_bracket(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(beamforming, "_certified_bracket", spy)
+        mu = _precoder_and_multiplier(H, g, U, W, pt)[1]
+        (a, b), = seen
+        assert 0 < a < mu < b < math.inf
+
+    def test_without_newton_steps_falls_back_to_the_full_loop(self, monkeypatch):
+        monkeypatch.setattr(beamforming, "_NEWTON_STEPS", 0)
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            lam = np.sort(rng.uniform(0.0, 2.0, 6))
+            c2 = rng.uniform(0.0, 1.0, 6)
+            pt = 0.5 * float(c2 @ lam ** -2)
+            hi = math.sqrt(c2.sum() / pt)
+            assert _certified_bracket(lam, c2, pt, hi, 1e-8 * pt, 0.0) == (-1.0, math.inf)
+            assert _bisect_multiplier(lam, c2, pt, hi) == reference_bisection(lam, c2, pt, hi)
+
+    def test_root_below_grid(self):
+        # the root sits near 1e-22, below the grid's floor hi * 2**-60
+        lam, c2, pt = np.array([1e-25, 1e3]), np.array([1e-44, 1.0]), 1.0
+        hi = math.sqrt(c2.sum() / pt)
+        assert _certified_bracket(lam, c2, pt, hi, 1e-8 * pt, 0.0) == (-1.0, math.inf)
+        mu = _bisect_multiplier(lam, c2, pt, hi)
+        assert mu == reference_bisection(lam, c2, pt, hi)
+        assert 0 < mu < 1e-21
 
 
 class TestVectorDiagonals:

@@ -1,6 +1,7 @@
 """Linearized quantization model: gains, covariances, arcsine law."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,14 @@ class TestQdCovSimulated:
         H, F, sn2 = random_instance(2, 2, 1, seed=7)
         with pytest.warns(RuntimeWarning, match="standard error"):
             qd_cov_simulated(H, F, sn2, [1, 1], num_samples=500, seed=0)
+
+    def test_full_resolution_small_sample_no_warning(self):
+        # bits=None draws nothing, so there is no sampling error to warn about
+        H, F, sn2 = random_instance(2, 2, 1, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim = qd_cov_simulated(H, F, sn2, None, num_samples=100)
+        np.testing.assert_array_equal(sim, np.zeros((2, 2)))
 
     def test_result_hermitian_psd(self):
         H, F, sn2 = random_instance(4, 4, 2, seed=8)

@@ -195,13 +195,9 @@ def update_precoder(H: np.ndarray, g: np.ndarray, U: np.ndarray,
     with ``|lam_i| <= eps * Nt * max|lam|``. Otherwise mu is the midpoint
     at which bisection on ``[0, ||H^H G U W||_F / sqrt(pt)]`` first finds
     the power within ``1e-8 pt`` of ``pt`` (at most 200 halvings), and F is
-    formed once at that multiplier.
-
-    The bisection is replayed rather than run: Newton steps on
-    ``P(mu)**-0.5`` locate the root and certify a bracket around the band
-    where ``|P - pt| <= 1e-8 pt``. Midpoints outside the bracket take their
-    side without evaluating P; only those inside it (or below the pole of
-    P) are evaluated. The returned mu is the bisection's own, bit for bit.
+    formed once at that multiplier. The bisection evaluates P only where
+    :func:`_certified_bracket` leaves the side in doubt; mu is the
+    bisection's own, bit for bit.
     """
     return _precoder_and_multiplier(H, g, U, W, pt)[0]
 
@@ -225,15 +221,9 @@ def _precoder_and_multiplier(H: np.ndarray, g: np.ndarray, U: np.ndarray,
     # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
     # eigh sorts lam, so max|lam| is at one end
     keep = np.abs(lam) > _EPS * nt * max(-lam[0], lam[-1])
-    if keep.all():
-        if np.sum(c2 / lam ** 2) <= pt * (1.0 + 1e-9):
-            # Q[:, keep] is Fortran-ordered, and the product rounds by layout
-            return np.asfortranarray(Q) @ (c / lam[:, None]), 0.0
-    elif np.sum(c2[keep] / lam[keep] ** 2) <= pt * (1.0 + 1e-9):
+    if np.sum(c2[keep] / lam[keep] ** 2) <= pt * (1.0 + 1e-9):
         return Q[:, keep] @ (c[keep] / lam[keep, None]), 0.0
-    # ||rhs||_F as np.linalg.norm computes it
-    r = rhs.ravel(order="K")
-    hi = math.sqrt(r.real.dot(r.real) + r.imag.dot(r.imag)) / math.sqrt(pt)
+    hi = float(np.linalg.norm(rhs)) / math.sqrt(pt)
     mu = _bisect_multiplier(lam, c2, pt, hi)
     return Q @ (c / (lam + mu)[:, None]), mu
 
@@ -243,12 +233,9 @@ def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float) ->
 
     ``P(mu) = c2 @ (lam + mu)**-2``. Bisection, not Newton, picks mu: SE is
     pinned at rtol 1e-9, and another root-finder would settle elsewhere
-    inside the 1e-8 power tolerance. Newton only supplies the certified
-    bracket ``(a, b)`` of :func:`_certified_bracket`, and the loop below
-    replays the bisection's midpoints: one in ``(floor, a]`` lies left of
-    the band and one at or above ``b`` right of it, so only the others
-    evaluate P. Without a bracket (``a = -1``, ``b = inf``) every midpoint
-    is evaluated.
+    inside the 1e-8 power tolerance. Midpoints outside the bracket of
+    :func:`_certified_bracket` take their side without evaluating P, so mu
+    is the bisection's own, bit for bit.
     """
     tol = 1e-8 * pt
     floor = max(0.0, -float(lam[0]))

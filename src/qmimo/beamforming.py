@@ -75,17 +75,17 @@ def spectral_efficiency(H: np.ndarray, F: np.ndarray, U: np.ndarray,
 
     ``R = log2 det(I + (U^H C_e U)^{-1} U^H G H F F^H H^H G U)``, computed
     as a difference of log-determinants, with ``g`` the length-Nr diagonal
-    of ``G`` and ``C_e`` a full matrix (the Monte-Carlo one is not
-    diagonal). An all-zero column of ``U`` is a switched-off stream: it
-    carries no rate and is dropped. Any other singular post-combining noise
-    covariance (an all-zero ``U`` too) is ridged with 1e-12 I and flagged
-    with a warning.
+    of ``G`` and ``C_e`` either a length-Nr diagonal or a full matrix (the
+    Monte-Carlo one is not diagonal). An all-zero column of ``U`` is a
+    switched-off stream: it carries no rate and is dropped. Any other
+    singular post-combining noise covariance (an all-zero ``U`` too) is
+    ridged with 1e-12 I and flagged with a warning.
     """
     live = np.any(U != 0, axis=0)
     if live.any() and not live.all():
         U = U[:, live]
     T = U.conj().T @ ((g[:, None] * H) @ F)
-    A = U.conj().T @ C_e @ U
+    A = (U.conj().T * C_e) @ U if C_e.ndim == 1 else U.conj().T @ C_e @ U
     A = 0.5 * (A + A.conj().T)
     M = T @ T.conj().T
     try:
@@ -340,19 +340,16 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     F = waterfilling_baseline(H, pt, sigma_n2, ns).F
     trace: list[float] = []
     converged = False
-    for _ in range(max_iter):
+    while True:
         ce = effective_noise_cov(g, H, F, sigma_n2)
         W = update_weight(H, F, g, ce)
         U = update_combiner(H, F, g, ce, W)
+        if converged or len(trace) >= max_iter:
+            break
         trace.append(_logdet_hermitian(W))
         F = update_precoder(H, g, U, W, pt)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps:
-            converged = True
-            break
-    ce = effective_noise_cov(g, H, F, sigma_n2)
-    W = update_weight(H, F, g, ce)
-    U = update_combiner(H, F, g, ce, W)
-    se = spectral_efficiency(H, F, U, g, np.diag(ce))
+        converged = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps
+    se = spectral_efficiency(H, F, U, g, ce)
     report = AltMinReport(
         iterations=len(trace),
         objective_trace=np.asarray(trace),

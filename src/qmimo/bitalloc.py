@@ -64,7 +64,6 @@ def neighbor_set(bits: tuple[int, ...], tabu: set[tuple[int, ...]]) -> list[tupl
     the bit sum and the bounds; there are at most Nr(Nr-1)/2 of them.
     """
     out = []
-    seen = set()
     nr = len(bits)
     for i in range(nr):
         for j in range(i + 1, nr):
@@ -73,10 +72,8 @@ def neighbor_set(bits: tuple[int, ...], tabu: set[tuple[int, ...]]) -> list[tupl
             cand = list(bits)
             cand[i], cand[j] = cand[j], cand[i]
             cand = tuple(cand)
-            if cand in tabu or cand in seen:
-                continue
-            seen.add(cand)
-            out.append(cand)
+            if cand not in tabu:
+                out.append(cand)
     return out
 
 

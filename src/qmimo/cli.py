@@ -268,7 +268,6 @@ def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
 
     Channel failures are recorded as in ``run_experiment``; an invalid point fails as a whole.
     """
-    cfg.validate(["ES"])
     rows, failures = [], 0
     for c in range(num_channels):
         H = channel.saleh_valenzuela(cfg.nt, cfg.nr, cfg.sv,
@@ -283,10 +282,10 @@ def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
             failures += 1
             continue
         rows.append((se, None, bits, 0))
-    return evaluation.SchemeOutcome.from_rows("ES", rows, failures=failures, sim_se=False)
+    return evaluation.SchemeOutcome.from_rows(rows, failures=failures, sim_se=False)
 
 
-def run_sweep(config: ExperimentConfig, output_dir=None,
+def run_sweep(config: ExperimentConfig, output_dir,
               oracle: bool = False, progress=print) -> int:
     """Execute all sweep points, streaming results to disk per point.
 
@@ -294,7 +293,7 @@ def run_sweep(config: ExperimentConfig, output_dir=None,
     run keeps every completed point. Returns a process exit status (0 on
     success, 1 if any point raised; its traceback goes to stderr).
     """
-    out_dir = Path(output_dir if output_dir is not None else config.output_dir)
+    out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     json_path = out_dir / "results.json"
@@ -348,11 +347,10 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, num_channels=args.channels)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        config.validate()
-        if not config.schemes and not args.oracle:
+        schemes = (*config.schemes, "ES") if args.oracle else config.schemes
+        dataclasses.replace(config, schemes=schemes).validate()
+        if not schemes:
             raise ConfigError("'schemes' is empty: name at least one scheme or pass --oracle")
-        if args.oracle:
-            dataclasses.replace(config, schemes=(*config.schemes, "ES")).validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -45,8 +45,9 @@ SCHEMES = ("WF", "AltMinBF", "GPOS", "FullPrecision")
 #: Per-chain resolution used to account power for the full-precision scheme.
 FULL_PRECISION_BITS = 12
 
-#: Numerical errors that fail one scheme on one channel; anything else propagates.
-CHANNEL_ERRORS = (np.linalg.LinAlgError, FloatingPointError, ValueError)
+#: Numerical errors that fail one scheme on one channel; anything else propagates,
+#: a ``ValueError`` too: on the per-channel path it is an input check or a bug.
+CHANNEL_ERRORS = (np.linalg.LinAlgError, FloatingPointError)
 
 
 # Receiver power-model constants (formula in total_power).
@@ -152,7 +153,6 @@ class PointConfig:
 class SchemeOutcome:
     """Per-scheme aggregates plus the per-channel raw values."""
 
-    scheme: str
     se_apx: np.ndarray
     se_sim: Optional[np.ndarray]
     ee: np.ndarray
@@ -162,13 +162,11 @@ class SchemeOutcome:
     failures: int
 
     @classmethod
-    def from_rows(cls, scheme: str, rows: Sequence[tuple], failures: int,
-                  sim_se: bool) -> SchemeOutcome:
+    def from_rows(cls, rows: Sequence[tuple], failures: int, sim_se: bool) -> SchemeOutcome:
         """Outcome from the per-channel ``(se_apx, se_sim, bits, iterations)`` rows."""
         se, sims, bits, iters = zip(*rows) if rows else ((),) * 4
         power = [total_power(b) for b in bits]
         return cls(
-            scheme=scheme,
             se_apx=np.asarray(se, dtype=float),
             se_sim=np.asarray(sims, dtype=float) if sim_se else None,
             ee=np.asarray([energy_efficiency(x, p) for x, p in zip(se, power)], dtype=float),
@@ -224,7 +222,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
         bits = uniform_bits if scheme == "WF" else None  # None: all gains 1
         g = bussgang.gain_diagonal(bits, nr)
         ce = bussgang.effective_noise_cov(g, H, bf.F, cfg.sigma_n2)
-        se = beamforming.spectral_efficiency(H, bf.F, bf.U, g, np.diag(ce))
+        se = beamforming.spectral_efficiency(H, bf.F, bf.U, g, ce)
         iters = 0
     elif scheme == "AltMinBF":
         bf, rep = beamforming.altmin_beamforming(
@@ -232,7 +230,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
             eps=cfg.eps, max_iter=cfg.max_iter,
         )
         bits, se, iters = uniform_bits, rep.final_se, rep.iterations
-    elif scheme == "GPOS":
+    else:  # GPOS; run_experiment rejects unknown names
         res = bitalloc.gpos_bfba(
             H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns,
             b_max=cfg.b_max, budget=cfg.budget, i2=cfg.i2,
@@ -240,8 +238,6 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
             eps=cfg.eps, max_iter=cfg.max_iter,
         )
         bf, bits, se, iters = res.beamformers, res.allocation, res.se, res.iterations
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
     se_sim = None
     if cfg.sim_se:
@@ -288,7 +284,7 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
                 failures[scheme] += 1
                 continue
             rows[scheme].append(row)
-    outcomes = {s: SchemeOutcome.from_rows(s, rows[s], failures[s], config.sim_se)
+    outcomes = {s: SchemeOutcome.from_rows(rows[s], failures[s], config.sim_se)
                 for s in schemes}
     return ExperimentResult(config=config, seed=seed, num_channels=num_channels,
                             outcomes=outcomes)

@@ -216,6 +216,21 @@ class TestSpectralEfficiency:
         assert r == pytest.approx(spectral_efficiency(H, F, U[:, [0, 2]], g, np.diag(ce)),
                                   rel=1e-14)
 
+    @pytest.mark.parametrize("nt, nr, ns", [(8, 4, 2), (16, 16, 4)])
+    @pytest.mark.parametrize("design", ["altmin", "wf"])
+    def test_vector_diagonal_equals_dense(self, nt, nr, ns, design):
+        # the dense product only adds exact zeros, so the two forms agree bit for bit
+        H = saleh_valenzuela(nt, nr, seed=nt + nr)
+        bits, pt, sn2 = [2] * nr, 1.0, 0.05
+        g = gain_diagonal(bits, nr)
+        if design == "altmin":
+            bf, _ = altmin_beamforming(H, bits, pt, sn2, ns)
+        else:
+            bf = waterfilling_baseline(H, pt, sn2, ns)
+        ce = effective_noise_cov(g, H, bf.F, sn2)
+        assert (spectral_efficiency(H, bf.F, bf.U, g, ce)
+                == spectral_efficiency(H, bf.F, bf.U, g, np.diag(ce)))
+
 
 class TestWaterfilling:
     def test_single_stream_gets_all_power(self):
@@ -560,3 +575,10 @@ class TestAltMin:
         _, rep = altmin_beamforming(H, [1] * 6, 1.0, 1e-4, 3, eps=1e-12, max_iter=3)
         assert not rep.converged
         assert rep.iterations == 3
+
+    @pytest.mark.parametrize("max_iter", [0, -2])
+    def test_no_iterations_returns_waterfilling_start(self, max_iter):
+        H = saleh_valenzuela(6, 6, seed=72)
+        bf, rep = altmin_beamforming(H, [1] * 6, 1.0, 1e-4, 3, max_iter=max_iter)
+        assert rep.iterations == 0 and not rep.converged
+        np.testing.assert_array_equal(bf.F, waterfilling_baseline(H, 1.0, 1e-4, 3).F)

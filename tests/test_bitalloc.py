@@ -81,13 +81,16 @@ class TestNeighborSet:
         assert len(greedy) == nr and sum(greedy) == budget
         assert all(1 <= b <= b_max for b in greedy)
         bits = data.draw(st.sampled_from([greedy, drawn]), label="bits")
-        swaps = {bits[:i] + (bits[j],) + bits[i + 1:j] + (bits[i],) + bits[j + 1:]
-                 for i in range(nr) for j in range(i + 1, nr) if bits[i] != bits[j]}
+        # one swap per unequal pair; it changes exactly those two positions,
+        # so distinct pairs never give the same neighbor and only tabu rejects one
+        swaps = [bits[:i] + (bits[j],) + bits[i + 1:j] + (bits[i],) + bits[j + 1:]
+                 for i in range(nr) for j in range(i + 1, nr) if bits[i] != bits[j]]
         candidates = sorted(swaps) + [greedy, bits]
         tabu = data.draw(st.sets(st.sampled_from(candidates)), label="tabu")
         out = neighbor_set(bits, tabu)
         assert len(out) == len(set(out))
-        assert set(out) == swaps - tabu
+        assert len(out) == sum(s not in tabu for s in swaps)
+        assert set(out) == set(swaps) - tabu
         for n in out:
             assert sum(n) == budget
             assert all(1 <= b <= b_max for b in n)

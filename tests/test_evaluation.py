@@ -167,15 +167,18 @@ class TestRunExperiment:
         assert out.failures == 1
         assert out.se_apx.size == 2
 
-    def test_programming_error_propagates(self, monkeypatch):
+    @pytest.mark.parametrize("error", [TypeError, ValueError])
+    def test_programming_error_propagates(self, monkeypatch, error):
+        # a ValueError on the per-channel path is an input check or a shape
+        # bug, not a numerical channel failure
         import qmimo.evaluation as ev
 
         def broken(H, pt, sigma_n2, ns):
-            raise TypeError("synthetic bug")
+            raise error("synthetic bug")
 
         monkeypatch.setattr(ev.beamforming, "waterfilling_baseline", broken)
         cfg = PointConfig(**DESK, snr_db=10.0, b=2)
-        with pytest.raises(TypeError, match="synthetic bug"):
+        with pytest.raises(error, match="synthetic bug"):
             run_experiment(cfg, ["WF"], num_channels=2, seed=9)
 
     def test_unknown_scheme_rejected(self):

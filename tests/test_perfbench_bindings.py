@@ -43,6 +43,27 @@ def test_tracer_records_altmin_layer_spans():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_altmin_layer_span_counts():
+    # the per-layer table divides by these counts: the receive side runs once
+    # per iteration plus once at the final precoder, the precoder once per iteration
+    proc = run_with_tracer(
+        "from collections import Counter\n"
+        "from qmimo import beamforming, channel\n"
+        "H = channel.saleh_valenzuela(8, 4, seed=0)\n"
+        "for max_iter in (500, 3):\n"
+        "    start = len(t.spans)\n"
+        "    _, rep = beamforming.altmin_beamforming(H, [2] * 4, 1.0, 0.01, 2, max_iter=max_iter)\n"
+        "    assert rep.converged if max_iter == 500 else rep.iterations == 3, rep\n"
+        "    n = Counter(span[0] for span in t.spans[start:])\n"
+        "    k = rep.iterations\n"
+        "    for name in ('bussgang.effective_noise_cov', 'beamforming.update_weight',\n"
+        "                 'beamforming.update_combiner'):\n"
+        "        assert n[name] == k + 1, (name, n[name], k)\n"
+        "    assert n['beamforming.update_precoder'] == k, (n['beamforming.update_precoder'], k)\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_allocation_solves_are_children_of_their_search():
     # the tracer counts exhaustive_solves and scoring_s from the AltMin spans
     # whose parent is the search span; a traced scorer in between, or a solve

@@ -18,11 +18,10 @@ import json
 import math
 import sys
 import traceback
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import bitalloc, channel, evaluation
+from . import channel, evaluation
 from .quantizer import distortion_table, lloyd_max_design
 
 __all__ = [
@@ -268,21 +267,8 @@ def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
 
     Channel failures are recorded as in ``run_experiment``; an invalid point fails as a whole.
     """
-    rows, failures = [], 0
-    for c in range(num_channels):
-        H = channel.saleh_valenzuela(cfg.nt, cfg.nr, cfg.sv,
-                                     seed=evaluation.derive_seed(seed, 0, c))
-        try:
-            bits, se = bitalloc.exhaustive_search(
-                H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
-                budget=cfg.budget, eps=cfg.eps, max_iter=cfg.max_iter,
-            )
-        except evaluation.CHANNEL_ERRORS as exc:
-            warnings.warn(f"scheme ES failed on channel {c}: {exc}", RuntimeWarning, stacklevel=2)
-            failures += 1
-            continue
-        rows.append((se, None, bits, 0))
-    return evaluation.SchemeOutcome.from_rows(rows, failures=failures, sim_se=False)
+    return evaluation._ensemble(dataclasses.replace(cfg, sim_se=False), ("ES",),
+                                num_channels, seed)["ES"]
 
 
 def run_sweep(config: ExperimentConfig, output_dir,

@@ -15,6 +15,8 @@ Schemes
     Joint beamforming and bit allocation by greedy pair-order search.
 ``FullPrecision``
     Unquantized water-filling link (power accounted at a 12-bit proxy).
+``ES``
+    Exhaustive-search oracle row of ``qmimo run --oracle``; not in ``SCHEMES``.
 """
 
 from __future__ import annotations
@@ -230,13 +232,13 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
             eps=cfg.eps, max_iter=cfg.max_iter,
         )
         bits, se, iters = uniform_bits, rep.final_se, rep.iterations
-    else:  # GPOS; run_experiment rejects unknown names
-        res = bitalloc.gpos_bfba(
-            H, pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns,
-            b_max=cfg.b_max, budget=cfg.budget, i2=cfg.i2,
-            scoring_max_iter=cfg.scoring_max_iter,
-            eps=cfg.eps, max_iter=cfg.max_iter,
-        )
+    else:  # GPOS or ES; run_experiment rejects unknown names
+        kw = dict(pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
+                  budget=cfg.budget, eps=cfg.eps, max_iter=cfg.max_iter)
+        if scheme == "ES":  # the oracle row: no beamformers, so no simulated SE
+            bits, se = bitalloc.exhaustive_search(H, **kw)
+            return se, None, bits, 0
+        res = bitalloc.gpos_bfba(H, i2=cfg.i2, scoring_max_iter=cfg.scoring_max_iter, **kw)
         bf, bits, se, iters = res.beamformers, res.allocation, res.se, res.iterations
 
     se_sim = None
@@ -266,6 +268,13 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     if len(set(schemes)) != len(schemes):
         raise ValueError(f"duplicate scheme name in {list(schemes)}")
     config.validate(schemes)
+    return ExperimentResult(config=config, seed=seed, num_channels=num_channels,
+                            outcomes=_ensemble(config, schemes, num_channels, seed))
+
+
+def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
+              seed: int) -> dict[str, SchemeOutcome]:
+    """The channel loop of ``run_experiment``, unchecked; ``schemes`` may name ``"ES"``."""
     rows: dict[str, list] = {s: [] for s in schemes}
     failures = dict.fromkeys(schemes, 0)
     for c in range(num_channels if schemes else 0):
@@ -279,12 +288,9 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
                 warnings.warn(
                     f"scheme {scheme} failed on channel {c}: {exc}",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
                 failures[scheme] += 1
                 continue
             rows[scheme].append(row)
-    outcomes = {s: SchemeOutcome.from_rows(rows[s], failures[s], config.sim_se)
-                for s in schemes}
-    return ExperimentResult(config=config, seed=seed, num_channels=num_channels,
-                            outcomes=outcomes)
+    return {s: SchemeOutcome.from_rows(rows[s], failures[s], config.sim_se) for s in schemes}

@@ -366,7 +366,7 @@ class TestMain:
 
     def test_oracle_channel_failure_recorded(self, tmp_path, monkeypatch):
         calls = {"n": 0}
-        original = cli.bitalloc.exhaustive_search
+        original = cli.evaluation.bitalloc.exhaustive_search
 
         def flaky(*args, **kwargs):
             calls["n"] += 1
@@ -374,7 +374,7 @@ class TestMain:
                 raise np.linalg.LinAlgError("synthetic failure")
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli.bitalloc, "exhaustive_search", flaky)
+        monkeypatch.setattr(cli.evaluation.bitalloc, "exhaustive_search", flaky)
         out = tmp_path / "out"
         with pytest.warns(RuntimeWarning, match="scheme ES failed on channel 1"):
             status = main(["run", str(self.oracle_only_config(tmp_path)),

@@ -76,14 +76,16 @@ def spectral_efficiency(H: np.ndarray, F: np.ndarray, U: np.ndarray,
     ``R = log2 det(I + (U^H C_e U)^{-1} U^H G H F F^H H^H G U)``, computed
     as a difference of log-determinants, with ``g`` the length-Nr diagonal
     of ``G`` and ``C_e`` either a length-Nr diagonal or a full matrix (the
-    Monte-Carlo one is not diagonal). An all-zero column of ``U`` is a
-    switched-off stream: it carries no rate and is dropped. Any other
+    Monte-Carlo one is not diagonal). The rate depends on ``U`` only through
+    its range, so it is evaluated on an orthonormal basis of ``range(U)``
+    (left singular vectors above numpy's ``matrix_rank`` cutoff): a zero or
+    linearly dependent combiner column carries no rate of its own. A
     singular post-combining noise covariance (an all-zero ``U`` too) is
     ridged with 1e-12 I and flagged with a warning.
     """
-    live = np.any(U != 0, axis=0)
-    if live.any() and not live.all():
-        U = U[:, live]
+    Q, s, _ = np.linalg.svd(U, full_matrices=False)
+    if s.max(initial=0.0) > 0:
+        U = Q[:, s > s.max() * max(U.shape) * _EPS]
     T = U.conj().T @ ((g[:, None] * H) @ F)
     A = (U.conj().T * C_e) @ U if C_e.ndim == 1 else U.conj().T @ C_e @ U
     A = 0.5 * (A + A.conj().T)

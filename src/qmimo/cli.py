@@ -79,10 +79,11 @@ class ExperimentConfig:
 
 
 # Strict JSON value parsers: a boolean is not a number, a string is neither,
-# and an integer key takes a float only at an integral value (say 1e5).
+# NaN and Infinity (which json.loads accepts) are not finite numbers, and an
+# integer key takes a float only at an integral value (say 1e5).
 def _real(value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -271,10 +272,10 @@ def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
                                 num_channels, seed)["ES"]
 
 
-def run_sweep(config: ExperimentConfig, output_dir,
-              oracle: bool = False, progress=print) -> int:
+def run_sweep(config: ExperimentConfig, output_dir, progress=print) -> int:
     """Execute all sweep points, streaming results to disk per point.
 
+    A scheme ``"ES"`` in ``config.schemes`` adds the exhaustive-oracle row.
     The CSV is rewritten and flushed after each point so an interrupted
     run keeps every completed point. Returns a process exit status (0 on
     success, 1 if any point raised; its traceback goes to stderr).
@@ -285,15 +286,16 @@ def run_sweep(config: ExperimentConfig, output_dir,
     json_path = out_dir / "results.json"
     records: list[tuple] = []
     points = config.points()
+    schemes = tuple(s for s in config.schemes if s != "ES")
     status = 0
     for i, (axes, cfg) in enumerate(points):
         if progress:
             progress(f"[{i + 1}/{len(points)}] snr_db={axes['snr_db']:g} b={axes['b']}")
         try:
             result = evaluation.run_experiment(
-                cfg, config.schemes, config.num_channels, config.seed
+                cfg, schemes, config.num_channels, config.seed
             )
-            if oracle:
+            if "ES" in config.schemes:
                 result.outcomes["ES"] = _oracle_outcome(
                     cfg, config.seed, config.num_channels
                 )
@@ -333,9 +335,10 @@ def main(argv=None) -> int:
             config = dataclasses.replace(config, num_channels=args.channels)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-        schemes = (*config.schemes, "ES") if args.oracle else config.schemes
-        dataclasses.replace(config, schemes=schemes).validate()
-        if not schemes:
+        if args.oracle:
+            config = dataclasses.replace(config, schemes=(*config.schemes, "ES"))
+        config.validate()
+        if not config.schemes:
             raise ConfigError("'schemes' is empty: name at least one scheme or pass --oracle")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -346,7 +349,7 @@ def main(argv=None) -> int:
     if args.dump_quantizers:
         _dump_quantizers(config, out_dir)
     try:
-        return run_sweep(config, output_dir=out_dir, oracle=args.oracle)
+        return run_sweep(config, output_dir=out_dir)
     except Exception:
         print(f"run error:\n{traceback.format_exc()}", end="", file=sys.stderr)
         return 1

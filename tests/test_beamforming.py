@@ -216,6 +216,22 @@ class TestSpectralEfficiency:
         assert r == pytest.approx(spectral_efficiency(H, F, U[:, [0, 2]], g, np.diag(ce)),
                                   rel=1e-14)
 
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6, 7])
+    def test_dependent_combiner_column_carries_no_rate(self, seed):
+        # the rate depends on range(U) only: a dependent third column adds
+        # nothing and must not make the noise term singular
+        H = saleh_valenzuela(6, 5, seed=seed)
+        nr, sn2 = 5, 0.05
+        g = gain_diagonal([2] * nr, nr)
+        F = waterfilling_baseline(H, 1.0, sn2, 3).F
+        ce = effective_noise_cov(g, H, F, sn2)
+        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
+        u0, u1 = U[:, 0], U[:, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = spectral_efficiency(H, F, np.column_stack([u0, u1, u0 - 0.5 * u1]), g, ce)
+        assert r == pytest.approx(spectral_efficiency(H, F, U[:, :2], g, ce), rel=1e-12)
+
     @pytest.mark.parametrize("nt, nr, ns", [(8, 4, 2), (16, 16, 4)])
     @pytest.mark.parametrize("design", ["altmin", "wf"])
     def test_vector_diagonal_equals_dense(self, nt, nr, ns, design):
@@ -503,6 +519,17 @@ class TestVectorDiagonals:
 
 
 class TestAltMin:
+    @pytest.mark.parametrize("max_iter", [20, 40, 200])
+    def test_final_se_on_nearly_dependent_combiner(self, max_iter):
+        # WMMSE drives two combiner columns of this channel toward dependence;
+        # the reported SE must stay the objective log2 det W at the returned F
+        H = saleh_valenzuela(7, 8, seed=494840897)
+        bits = (1, 4, 5, 5, 4, 2, 1, 2)
+        sn2 = 10 ** (-19.206880934016112 / 10)
+        bf, rep = altmin_beamforming(H, bits, 1.0, sn2, 7, max_iter=max_iter)
+        expected = np.linalg.slogdet(bf.W)[1] / np.log(2)
+        assert rep.final_se == pytest.approx(expected, rel=1e-9)
+
     def test_full_resolution_matches_wf_capacity(self):
         H = saleh_valenzuela(8, 8, seed=30)
         pt, sn2, ns = 1.0, 0.1, 4

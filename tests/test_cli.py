@@ -118,6 +118,8 @@ class TestParseConfig:
         ("sim_se", "false"), ("Nt", 8.7), ("num_channels", 2.9), ("Nt", True),
         ("sv", {"num_clusters": 2.5}), ("schemes", ["WF", "WF"]), ("schemes", "WF"),
         ("output_dir", None), ("output_dir", 3),
+        ("snr_db", math.nan), ("Pt", math.inf), ("eps", math.nan),
+        ("snr_db", [10.0, -math.inf]), ("sv", {"angle_spread_deg": math.inf}),
     ])
     def test_invalid_value_names_key(self, tmp_path, key, value):
         path = write_config(tmp_path, **{key: value})
@@ -199,8 +201,9 @@ class TestRunSweep:
     def test_oracle_size_guard_fails_the_point(self, tmp_path, capsys):
         # run_sweep has no config check of its own: the refusal is not a channel failure
         base = PointConfig(nt=8, nr=8, ns=2, b=2, b_max=8)
-        config = ExperimentConfig(base=base, snr_db=(10.0,), b=(2,), schemes=(), num_channels=2)
-        assert run_sweep(config, output_dir=tmp_path, oracle=True, progress=None) == 1
+        config = ExperimentConfig(base=base, snr_db=(10.0,), b=(2,), schemes=("ES",),
+                                  num_channels=2)
+        assert run_sweep(config, output_dir=tmp_path, progress=None) == 1
         assert "size guard" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 

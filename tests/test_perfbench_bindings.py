@@ -1,5 +1,6 @@
 """The benchmark tracer binds qmimo functions by name; deleting one breaks ``--trace 1``."""
 
+import json
 import os
 import subprocess
 import sys
@@ -81,5 +82,28 @@ def test_allocation_solves_are_children_of_their_search():
         "assert parents.count('bitalloc.gpos_bfba') == len(res.scored_allocations) + 1, parents\n"
         "assert len(parents) == parents.count('bitalloc.exhaustive_search') "
         "+ parents.count('bitalloc.gpos_bfba'), parents\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_oracle_row_shares_the_point_channel_ids(tmp_path):
+    # the tracer gives a point's oracle row the channel ids of its other
+    # schemes; an oracle loop entered through the traced run_experiment
+    # would open a second point and split one channel evaluation in two
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"Nt": 8, "Nr": 4, "Ns": 2, "snr_db": 10, "b": 2,
+                                  "b_max": 3, "schemes": ["GPOS"]}))
+    args = ["run", str(config), "--output-dir", str(tmp_path / "out"),
+            "--channels", "2", "--oracle"]
+    proc = run_with_tracer(
+        "from collections import Counter\n"
+        "from qmimo import cli\n"
+        f"assert cli.main({args!r}) == 0\n"
+        "n = Counter(span[0] for span in t.spans)\n"
+        "assert n['evaluation.run_experiment'] == 1, n\n"
+        "assert n['cli.oracle_outcome'] == 1, n\n"
+        "for name in ('bitalloc.exhaustive_search', 'bitalloc.gpos_bfba'):\n"
+        "    ids = [span[4] for span in t.spans if span[0] == name]\n"
+        "    assert ids == ['0.0', '0.1'], (name, ids)\n"
     )
     assert proc.returncode == 0, proc.stderr

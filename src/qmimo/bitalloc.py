@@ -5,9 +5,11 @@ sums to the active-bit budget, which the caller passes in
 (``PointConfig.budget`` is floor(varsigma * b_total)). A greedy sweep
 produces the starting allocation; a pair-swap neighborhood search with a
 visited list improves it, scoring candidates by short
-alternating-minimization solves. An exhaustive enumeration is kept as the
-optimality oracle for small instances. Both pick the best of a list of
-allocations through one scorer, ``_best``.
+alternating-minimization solves. An exhaustive oracle returns the optimum
+over every feasible allocation of a small instance; it fully solves only
+the multisets whose certified SE ceiling (:func:`se_ceiling`) reaches its
+incumbent. Both pick the best of a list of allocations through one scorer,
+``_best``.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from itertools import product
 import numpy as np
 
 from .beamforming import Beamformers, altmin_beamforming
+from .bussgang import gain_diagonal
 
 __all__ = [
     "GposResult",
@@ -24,10 +27,17 @@ __all__ = [
     "neighbor_set",
     "gpos_bfba",
     "exhaustive_search",
+    "se_ceiling",
 ]
 
 #: Largest unconstrained search space b_max^Nr the exhaustive oracle accepts.
 MAX_SEARCH_SPACE = 10**6
+# AltMin's precoder meets pt only to within the bisection's 1e-8 pt (the
+# minimum-norm branch to 1e-9 pt), so the oracle bounds a power 1e-7 above it
+_POWER_SLACK = 1e-7
+# the oracle skips a multiset only if its ceiling is below the incumbent SE
+# by more than this relative margin, far above the rounding of either
+_PRUNE_RTOL = 1e-9
 
 
 def _check_feasible(nr: int, b_max: int, budget: int) -> None:
@@ -77,6 +87,11 @@ def neighbor_set(bits: tuple[int, ...], tabu: set[tuple[int, ...]]) -> list[tupl
     return out
 
 
+def _rank(pair: tuple[float, tuple[int, ...]]) -> tuple[float, tuple[int, ...]]:
+    """Sort key of an ``(se, bits)`` pair: highest SE first, ties to the smallest bits."""
+    return -pair[0], pair[1]
+
+
 def _best(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
           ns: int, eps: float, max_iter: int) -> tuple[float, tuple[int, ...]]:
     """Solve each allocation in order; ``(se, bits)`` of the highest SE, ties to the smallest bits."""
@@ -84,7 +99,7 @@ def _best(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2
     for bits in allocations:
         _, rep = altmin_beamforming(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter)
         scored.append((rep.final_se, bits))
-    return min(scored, key=lambda pair: (-pair[0], pair[1]))
+    return min(scored, key=_rank)
 
 
 @dataclass(frozen=True)
@@ -156,17 +171,65 @@ def _check_oracle(nr: int, b_max: int, budget: int) -> None:
     _check_feasible(nr, b_max, budget)
 
 
+def se_ceiling(H: np.ndarray, bits: tuple[int, ...], pt: float, sigma_n2: float,
+               ns: int) -> float:
+    """Certified upper bound on the SE of ``bits`` over every ``F`` with ``||F||_F^2 <= pt``.
+
+    With ``A = H F``, ``d_k = ||A_k||^2`` and
+    ``w_k = g_k / ((1 - g_k) d_k + sigma_n2)``, the MMSE combiner, which no
+    other combiner beats, reaches ``log2 det(I + A^H diag(w) A)``. Hadamard's
+    inequality and AM-GM bound that by ``Ns log2(1 + T / Ns)``, where T is the
+    largest ``sum_k g_k d_k / ((1 - g_k) d_k + sigma_n2)`` over ``d >= 0`` with
+    ``sum d <= D = pt ||H||_2^2``. T is separable and concave; its Lagrangian
+    dual ``q(nu) = nu D + sum_k g_k / (1 - g_k) (1 - sqrt(sigma_n2 nu / g_k))_+^2``
+    is at least T at every ``nu >= 0`` (weak duality). It is evaluated at the
+    multiplier of the water-filling on ``nu**-0.5``, so rounding in that
+    multiplier loosens the bound but never breaks it. The bound depends on
+    ``bits`` only through its multiset.
+    """
+    if not sigma_n2 > 0:
+        raise ValueError(f"sigma_n2 must be positive, got {sigma_n2}")
+    g = np.sort(gain_diagonal(bits, H.shape[0]))[::-1]
+    big_d = pt * np.linalg.norm(H, 2) ** 2
+    # water level x = nu**-0.5 with the k strongest chains active, from
+    # sum over them of (sqrt(g sigma_n2) x - sigma_n2) / (1 - g) = D
+    x = ((big_d + sigma_n2 * np.cumsum(1.0 / (1.0 - g)))
+         / (np.sqrt(sigma_n2) * np.cumsum(np.sqrt(g) / (1.0 - g))))
+    active = np.flatnonzero(x > np.sqrt(sigma_n2 / g))
+    nu = x[active[-1]] ** -2.0 if active.size else g[0] / sigma_n2
+    gap = np.clip(1.0 - np.sqrt(sigma_n2 * nu / g), 0.0, None)
+    t = nu * big_d + float(np.sum(g / (1.0 - g) * gap**2))
+    return ns * float(np.log2(1.0 + t / ns))
+
+
 def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
                       b_max: int, budget: int, eps: float = 1e-4,
                       max_iter: int = 500) -> tuple[tuple[int, ...], float]:
-    """Score every feasible allocation with a full solve; return ``(bits, se)``.
+    """The best feasible allocation and its SE, ``(bits, se)``, from full solves.
 
+    Visits the multisets of the feasible allocations in descending
+    :func:`se_ceiling` order, the ceiling taken at ``pt (1 + 1e-7)`` to cover
+    the precoder's power tolerance. It solves every permutation of a
+    multiset whose ceiling reaches the incumbent SE (less a relative 1e-9)
+    and skips every later multiset: each of their allocations has an SE
+    strictly below the incumbent, so the result is that of solving every
+    allocation, and the number of solves depends on the channel and SNR.
     Refuses instances whose unconstrained search space b_max^Nr exceeds
     ``MAX_SEARCH_SPACE``. Ties break toward the lexicographically smallest
     allocation, which makes the result deterministic.
     """
     nr = H.shape[0]
     _check_oracle(nr, b_max, budget)
-    se, bits = _best(H, enumerate_allocations(nr, b_max, budget), pt, sigma_n2, ns,
-                     eps, max_iter)
+    multisets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for bits in enumerate_allocations(nr, b_max, budget):
+        multisets.setdefault(tuple(sorted(bits)), []).append(bits)
+    ceiling = {m: se_ceiling(H, m, pt * (1.0 + _POWER_SLACK), sigma_n2, ns)
+               for m in multisets}
+    best = None
+    for m in sorted(multisets, key=lambda m: (-ceiling[m], m)):
+        if best is not None and ceiling[m] < best[0] * (1.0 - _PRUNE_RTOL):
+            break
+        winner = _best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter)
+        best = winner if best is None else min(best, winner, key=_rank)
+    se, bits = best
     return bits, float(se)

@@ -121,9 +121,15 @@ class PointConfig:
 
     @property
     def budget(self) -> int:
-        """Active-bit budget ``floor(varsigma * b_total)``; ``b_total`` defaults to Nr * b."""
+        """Active-bit budget ``floor(varsigma * b_total)``; ``b_total`` defaults to Nr * b.
+
+        The 1e-9 absorbs the binary rounding of the product, so 0.29 of 100
+        bits is 29 (``0.29 * 100 == 28.999999999999996``). It is exact for a
+        varsigma of up to eight decimals, whose product with an integer is
+        either an integer or at least 1e-8 below the next one.
+        """
         total = self.nr * self.b if self.b_total is None else self.b_total
-        return int(np.floor(self.varsigma * total))
+        return int(np.floor(self.varsigma * total + 1e-9))
 
     def validate(self, schemes: Sequence[str] = ()) -> None:
         if not self.pt > 0:

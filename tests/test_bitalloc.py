@@ -14,8 +14,10 @@ from qmimo.bitalloc import (
     gpos_bfba,
     greedy_init,
     neighbor_set,
+    se_ceiling,
 )
-from qmimo.beamforming import altmin_beamforming
+from qmimo.beamforming import altmin_beamforming, spectral_efficiency
+from qmimo.bussgang import effective_noise_cov, gain_diagonal
 from qmimo.channel import saleh_valenzuela
 
 
@@ -183,6 +185,89 @@ class TestExhaustive:
             assert res.se <= se_opt + 1e-9
             ratios.append(res.se / se_opt)
         assert np.mean(ratios) >= 0.98
+
+
+    @pytest.mark.parametrize("snr_db", [0, 10, 20, 30])
+    def test_pruned_oracle_matches_solving_every_allocation(self, monkeypatch, snr_db):
+        # criterion-08 instances: the ceiling skips no allocation that could
+        # win or tie, and at 20 dB it skips some
+        solve = bitalloc.altmin_beamforming
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(bitalloc, "altmin_beamforming", counted)
+        kw = dict(pt=1.0, sigma_n2=10 ** (-snr_db / 10), ns=2, b_max=3, budget=8)
+        allocations = enumerate_allocations(4, 3, 8)
+        solves = []
+        for seed in range(8000, 8010):
+            H = saleh_valenzuela(8, 4, seed=seed)
+            se, bits = bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], kw["ns"],
+                                      1e-4, 500)
+            calls[0] = 0
+            assert exhaustive_search(H, **kw) == (bits, se)
+            solves.append(calls[0])
+        assert all(1 <= n <= len(allocations) for n in solves), solves
+        if snr_db == 20:
+            assert min(solves) < len(allocations), solves
+
+
+class TestSeCeiling:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bounds_any_precoder_and_combiner(self, data):
+        nt = data.draw(st.integers(1, 8), label="nt")
+        nr = data.draw(st.integers(1, 8), label="nr")
+        ns = data.draw(st.integers(1, min(nt, nr)), label="ns")
+        bits = tuple(data.draw(st.lists(st.integers(1, 10), min_size=nr, max_size=nr),
+                               label="bits"))
+        snr_db = data.draw(st.floats(-10, 40), label="snr_db")
+        pt = data.draw(st.floats(0.1, 10), label="pt")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        H = saleh_valenzuela(nt, nr, seed=int(rng.integers(2**32)))
+        F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
+        F *= np.sqrt(pt) / np.linalg.norm(F)
+        U = rng.standard_normal((nr, ns)) + 1j * rng.standard_normal((nr, ns))
+        sigma_n2 = pt / 10 ** (snr_db / 10)
+        g = gain_diagonal(bits, nr)
+        se = spectral_efficiency(H, F, U, g, effective_noise_cov(g, H, F, sigma_n2))
+        assert se <= se_ceiling(H, bits, pt, sigma_n2, ns) + 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_bounds_altmin(self, data):
+        nt = data.draw(st.integers(2, 8), label="nt")
+        nr = data.draw(st.integers(2, 6), label="nr")
+        ns = data.draw(st.integers(1, min(nt, nr)), label="ns")
+        bits = tuple(data.draw(st.lists(st.integers(1, 6), min_size=nr, max_size=nr),
+                               label="bits"))
+        snr_db = data.draw(st.sampled_from([0, 10, 20, 30]), label="snr_db")
+        H = saleh_valenzuela(nt, nr, seed=data.draw(st.integers(0, 10**6), label="seed"))
+        sigma_n2 = 10 ** (-snr_db / 10)
+        _, rep = altmin_beamforming(H, bits, 1.0, sigma_n2, ns)
+        # the precoder meets pt only to its power tolerance; the oracle
+        # bounds the same slightly larger power
+        ceiling = se_ceiling(H, bits, 1.0 + bitalloc._POWER_SLACK, sigma_n2, ns)
+        assert rep.final_se <= ceiling + 1e-9
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.permutations((1, 1, 2, 3, 5, 8)), st.integers(0, 10**6))
+    def test_depends_on_multiset_only(self, bits, seed):
+        H = saleh_valenzuela(8, 6, seed=seed)
+        ceiling = se_ceiling(H, (1, 1, 2, 3, 5, 8), 1.0, 0.01, 3)
+        assert se_ceiling(H, tuple(bits), 1.0, 0.01, 3) == ceiling
+
+    def test_noiseless_one_bit_limit_is_criterion_07_ceiling(self):
+        nr, ns = 16, 4
+        H = saleh_valenzuela(16, nr, seed=7000)
+        g = 2 / np.pi
+        limit = ns * np.log2(1 + nr / ns * g / (1 - g))
+        ceilings = [se_ceiling(H, (1,) * nr, 1.0, sigma_n2, ns)
+                    for sigma_n2 in (1e-3, 1e-6, 1e-9, 1e-12)]
+        assert np.all(np.diff(ceilings) > 0)
+        assert ceilings[-1] == pytest.approx(limit, rel=1e-6)
 
 
 class TestTieBreak:

@@ -92,6 +92,14 @@ class TestPointConfig:
         cfg = PointConfig(nr=64, b=2, varsigma=0.55)
         assert cfg.budget == int(np.floor(0.55 * 128))
 
+    @pytest.mark.parametrize("varsigma, total, budget", [
+        (0.29, 100, 29),   # 0.29 * 100 == 28.999999999999996
+        (0.57, 100, 57),   # 0.57 * 100 == 56.99999999999999
+        (0.6, 192, 115),
+    ])
+    def test_budget_floors_the_decimal_product(self, varsigma, total, budget):
+        assert PointConfig(nr=64, b=3, varsigma=varsigma, b_total=total).budget == budget
+
     def test_validate_ns(self):
         cfg = PointConfig(nt=4, nr=4, ns=5)
         with pytest.raises(ValueError, match="ns"):

@@ -68,7 +68,8 @@ def test_altmin_layer_span_counts():
 def test_allocation_solves_are_children_of_their_search():
     # the tracer counts exhaustive_solves and scoring_s from the AltMin spans
     # whose parent is the search span; a traced scorer in between, or a solve
-    # outside the search, would zero those counters without failing
+    # outside the search, would zero those counters without failing; the
+    # oracle's SE ceiling may skip some of its allocations, never all
     proc = run_with_tracer(
         "from qmimo import bitalloc, channel\n"
         "H = channel.saleh_valenzuela(8, 4, seed=0)\n"
@@ -77,7 +78,7 @@ def test_allocation_solves_are_children_of_their_search():
         "res = bitalloc.gpos_bfba(H, **kw)\n"
         "name = {i: span[0] for i, span in enumerate(t.spans)}\n"
         "parents = [name.get(s[3]) for s in t.spans if s[0] == 'beamforming.altmin_beamforming']\n"
-        "assert parents.count('bitalloc.exhaustive_search') == "
+        "assert 1 <= parents.count('bitalloc.exhaustive_search') <= "
         "len(bitalloc.enumerate_allocations(4, 3, 8)), parents\n"
         "assert parents.count('bitalloc.gpos_bfba') == len(res.scored_allocations) + 1, parents\n"
         "assert len(parents) == parents.count('bitalloc.exhaustive_search') "

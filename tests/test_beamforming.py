@@ -107,6 +107,9 @@ def dense_mse(H, F, U, G, C_e):
 
 
 def dense_se(H, F, U, G, C_e):
+    # the rate depends on U only through its range: a QR basis of it keeps
+    # the dense log-dets accurate when the combiner's columns are ill-conditioned
+    U = np.linalg.qr(U)[0]
     T = U.conj().T @ (G @ H @ F)
     A = U.conj().T @ C_e @ U
     A = 0.5 * (A + A.conj().T)

@@ -146,23 +146,19 @@ def waterfilling_baseline(H: np.ndarray, pt: float, sigma_n2: float,
     return Beamformers(F=F, U=U, W=np.eye(ns, dtype=complex))
 
 
-def update_combiner(H: np.ndarray, F: np.ndarray, g: np.ndarray,
-                    ce: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F from vectors g, ce.
+def update_combiner(GHF: np.ndarray, ce: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F from ``GHF = G H F`` and ``ce``.
 
     By Woodbury this is ``C_e^{-1} G H F W^{-1}`` with the weight
-    ``W = update_weight(H, F, g, ce)`` at the same F, so one Ns x Ns solve
+    ``W = update_weight(GHF, ce)`` at the same F, so one Ns x Ns solve
     replaces the Nr x Nr one; ``W >= I`` is always positive definite.
     """
-    B = ((g[:, None] * H) @ F) / ce[:, None]
-    return np.linalg.solve(W, B.conj().T).conj().T
+    return np.linalg.solve(W, (GHF / ce[:, None]).conj().T).conj().T
 
 
-def update_weight(H: np.ndarray, F: np.ndarray, g: np.ndarray,
-                  ce: np.ndarray) -> np.ndarray:
-    """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F from vectors g, ce."""
-    GHF = (g[:, None] * H) @ F
-    W = np.eye(F.shape[1]) + GHF.conj().T @ (GHF / ce[:, None])
+def update_weight(GHF: np.ndarray, ce: np.ndarray) -> np.ndarray:
+    """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F from ``GHF = G H F`` and ``ce``."""
+    W = np.eye(GHF.shape[1]) + GHF.conj().T @ (GHF / ce[:, None])
     return 0.5 * (W + W.conj().T)
 
 
@@ -178,13 +174,14 @@ def mse_matrix(H: np.ndarray, F: np.ndarray, U: np.ndarray, g: np.ndarray,
 
 
 def update_precoder(H: np.ndarray, g: np.ndarray, U: np.ndarray,
-                    W: np.ndarray, pt: float) -> np.ndarray:
+                    W: np.ndarray, pt: float, nt: Optional[int] = None) -> np.ndarray:
     """Power-constrained precoder update of the weighted-MSE objective.
 
-    ``F(mu) = (J + mu I)^{-1} H^H G U W`` with
-    ``J = H^H (G U W U^H + diag(U W U^H)(I - G)) G H``, where ``g`` is the
+    ``F(mu) = (J + mu I)^{-1} T W`` with ``T = H^H G U``, ``d = diag(U W U^H)``
+    and ``J = T W T^H + H^H diag(d (1 - g) g) H``, where ``g`` is the
     length-Nr diagonal of ``G``; the diagonal term accounts for the
-    precoder dependence of the distortion covariance.
+    precoder dependence of the distortion covariance. Both terms are formed
+    from Nt x Ns and Nt x Nr factors, never from the Nr x Nr ``U W U^H``.
 
     J is factored once, ``J = Q diag(lam) Q^H``. With ``c = Q^H rhs`` the
     precoder power becomes the scalar secular function
@@ -194,35 +191,38 @@ def update_precoder(H: np.ndarray, g: np.ndarray, U: np.ndarray,
     MIMO interfering broadcast channel", IEEE TSP 2011. ``mu = 0`` when the
     unconstrained solution is feasible; for a rank-deficient J (e.g.
     Nt > Nr) that is the minimum-norm solution, which drops eigenvalues
-    with ``|lam_i| <= eps * Nt * max|lam|``. Otherwise mu is the midpoint
-    at which bisection on ``[0, ||H^H G U W||_F / sqrt(pt)]`` first finds
-    the power within ``1e-8 pt`` of ``pt`` (at most 200 halvings), and F is
-    formed once at that multiplier. The bisection evaluates P only where
+    with ``|lam_i| <= eps * nt * max|lam|``. ``nt`` defaults to the column
+    count of H; a caller that passes the reduced channel ``H V_r`` passes
+    the full transmit dimension, so the cutoff is that of the full-space
+    update. Otherwise mu is the midpoint at which bisection on
+    ``[0, ||T W||_F / sqrt(pt)]`` first finds the power within ``1e-8 pt``
+    of ``pt`` (at most 200 halvings), and F is formed once at that
+    multiplier. The bisection evaluates P only where
     :func:`_certified_bracket` leaves the side in doubt; mu is the
     bisection's own, bit for bit.
     """
-    return _precoder_and_multiplier(H, g, U, W, pt)[0]
+    return _precoder_and_multiplier(H, g, U, W, pt, nt)[0]
 
 
 def _precoder_and_multiplier(H: np.ndarray, g: np.ndarray, U: np.ndarray,
-                             W: np.ndarray, pt: float) -> tuple[np.ndarray, float]:
+                             W: np.ndarray, pt: float,
+                             nt: Optional[int] = None) -> tuple[np.ndarray, float]:
     """:func:`update_precoder` plus its multiplier mu (0 on the minimum-norm branch)."""
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
-    nr, nt = H.shape
     Hh = H.conj().T
-    UWU = U @ W @ U.conj().T
-    M = g[:, None] * UWU
-    M.flat[::nr + 1] += UWU.real.diagonal() * (1.0 - g)
-    J = ((Hh @ M) * g) @ H
+    T = (Hh * g) @ U
+    rhs = T @ W
+    d = np.einsum("ij,ij->i", U @ W, U.conj()).real
+    J = rhs @ T.conj().T + (Hh * (d * (1.0 - g) * g)) @ H
     J = 0.5 * (J + J.conj().T)
-    rhs = (Hh * g) @ U @ W
     lam, Q = np.linalg.eigh(J)
     c = Q.conj().T @ rhs
     c2 = np.sum(np.abs(c) ** 2, axis=1)
     # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
-    # eigh sorts lam, so max|lam| is at one end
-    keep = np.abs(lam) > _EPS * nt * max(-lam[0], lam[-1])
+    # eigh sorts lam, so max|lam| is at one end (a channel of rank 0 has none)
+    top = max(-lam[0], lam[-1]) if lam.size else 0.0
+    keep = np.abs(lam) > _EPS * (H.shape[1] if nt is None else nt) * top
     if np.sum(c2[keep] / lam[keep] ** 2) <= pt * (1.0 + 1e-9):
         return Q[:, keep] @ (c[keep] / lam[keep, None]), 0.0
     hi = float(np.linalg.norm(rhs)) / math.sqrt(pt)
@@ -326,36 +326,52 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
                        max_iter: int = 500) -> tuple[Beamformers, AltMinReport]:
     """Alternating WMMSE beamforming for fixed per-chain ADC resolutions.
 
-    Starts from the water-filling precoder, then cycles weight, combiner
+    Starts from the water-filling precoder F0, then cycles weight, combiner
     and precoder updates (the effective-noise covariance is recomputed
     from the current precoder each cycle) until the change of the
     natural-log objective log det W drops below ``eps`` or ``max_iter``
     is hit. The Bussgang gains come from ``gain_diagonal(bits)``;
     ``bits=None`` runs the full-resolution model.
 
+    Every precoder update, and F0, lies in ``range(H^H)`` (Zhao, Lu, Shi &
+    Luo, "Rethinking WMMSE: Can its complexity scale linearly with the
+    number of BS antennas?", IEEE TSP 2023). So the iteration runs on the
+    Nr x r channel ``H V_r``, where ``V_r`` holds the right singular vectors
+    of H above numpy's ``matrix_rank`` cutoff, from ``V_r^H F0``; its cost
+    scales with ``r = rank(H)``, not with Nt. The precoder is mapped back
+    once, ``F = V_r F_r``, with the same Frobenius norm; when no precoder
+    update ran, F is F0 itself. Each iteration forms ``H F`` and ``G H F``
+    once and hands them to the receive-side updates.
+
     Returns the final beamformers (weight and combiner re-derived at the
     final precoder) and a report with the objective trace and the SE in
     bits/s/Hz.
     """
-    nr = H.shape[0]
+    nr, nt = H.shape
     g = gain_diagonal(bits, nr)
-    F = waterfilling_baseline(H, pt, sigma_n2, ns).F
+    F0 = waterfilling_baseline(H, pt, sigma_n2, ns).F
+    _, s, Vh = np.linalg.svd(H, full_matrices=False)
+    Vr = Vh[s > s.max() * max(nr, nt) * _EPS].conj().T
+    Hr = H @ Vr
+    F = Vr.conj().T @ F0
     trace: list[float] = []
     converged = False
     while True:
-        ce = effective_noise_cov(g, H, F, sigma_n2)
-        W = update_weight(H, F, g, ce)
-        U = update_combiner(H, F, g, ce, W)
+        HF = Hr @ F
+        ce = effective_noise_cov(g, HF, sigma_n2)
+        GHF = g[:, None] * HF
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         if converged or len(trace) >= max_iter:
             break
         trace.append(_logdet_hermitian(W))
-        F = update_precoder(H, g, U, W, pt)
+        F = update_precoder(Hr, g, U, W, pt, nt=nt)
         converged = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps
-    se = spectral_efficiency(H, F, U, g, ce)
+    se = spectral_efficiency(Hr, F, U, g, ce)
     report = AltMinReport(
         iterations=len(trace),
         objective_trace=np.asarray(trace),
         final_se=se,
         converged=converged,
     )
-    return Beamformers(F=F, U=U, W=W), report
+    return Beamformers(F=Vr @ F if trace else F0, U=U, W=W), report

@@ -74,16 +74,15 @@ def qd_cov_approx(g: np.ndarray, C_y: np.ndarray) -> QdCovApprox:
     return QdCovApprox(C_q=C_q, C_eta=C_eta, C_z=C_z)
 
 
-def effective_noise_cov(g: np.ndarray, H: np.ndarray, F: np.ndarray,
-                        sigma_n2: float) -> np.ndarray:
+def effective_noise_cov(g: np.ndarray, HF: np.ndarray, sigma_n2: float) -> np.ndarray:
     """Diagonal of the approximate covariance of the effective noise G n + eta.
 
-    ``g`` is the length-Nr gain vector. Returns the length-Nr vector
-    ``ce = g (1 - g) diag(H F F^H H^H) + sigma_n^2 g``, the diagonal of
-    ``C_e``, which is increasingly accurate with higher ADC resolution.
+    ``g`` is the length-Nr gain vector and ``HF`` the product ``H F``.
+    Returns the length-Nr vector ``ce = g (1 - g) diag(H F F^H H^H) +
+    sigma_n^2 g``, the diagonal of ``C_e``, which is increasingly accurate
+    with higher ADC resolution.
     """
-    hf = H @ F
-    d = np.real(np.einsum("ij,ij->i", hf, hf.conj()))
+    d = np.real(np.einsum("ij,ij->i", HF, HF.conj()))
     return g * (1.0 - g) * d + sigma_n2 * g
 
 

@@ -177,9 +177,10 @@ def test_criterion_05_wmmse_identities():
         F /= np.linalg.norm(F)
         bits = list(rng.integers(1, 6, nr))
         g = gain_diagonal(bits, len(bits))
-        ce = effective_noise_cov(g, H, F, 0.05)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-        W = update_weight(H, F, g, ce)
+        ce = effective_noise_cov(g, H @ F, 0.05)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         E = mse_matrix(H, F, U, g, ce)
         worst_tr = max(worst_tr, abs(np.trace(W @ E).real - ns))
         r = spectral_efficiency(H, F, U, g, np.diag(ce))
@@ -230,7 +231,7 @@ def test_criterion_07_beamforming_gain_trend():
     for k in range(100):
         H = saleh_valenzuela(nt, nr, seed=7000 + k)
         wf = waterfilling_baseline(H, 1.0, sn2, ns)
-        ce = effective_noise_cov(g, H, wf.F, sn2)
+        ce = effective_noise_cov(g, H @ wf.F, sn2)
         se_wf.append(spectral_efficiency(H, wf.F, wf.U, g, np.diag(ce)))
         _, rep = altmin_beamforming(H, bits, 1.0, sn2, ns)
         se_am.append(rep.final_se)

@@ -23,7 +23,7 @@ from qmimo.beamforming import (
     waterfilling_power,
 )
 from qmimo.bussgang import effective_noise_cov, gain_diagonal
-from qmimo.channel import saleh_valenzuela
+from qmimo.channel import SVParams, saleh_valenzuela
 
 
 def random_instance(nr, nt, ns, seed, sigma_n2=0.05, pt=1.0, bits_val=2):
@@ -32,7 +32,7 @@ def random_instance(nr, nt, ns, seed, sigma_n2=0.05, pt=1.0, bits_val=2):
     F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
     F *= np.sqrt(pt) / np.linalg.norm(F)
     g = gain_diagonal([bits_val] * nr, nr)
-    ce = effective_noise_cov(g, H, F, sigma_n2)
+    ce = effective_noise_cov(g, H @ F, sigma_n2)
     return H, F, g, ce, sigma_n2, pt
 
 
@@ -132,9 +132,10 @@ def precoder_instances(draw):
     F *= np.sqrt(pt) / np.linalg.norm(F)
     g = gain_diagonal(bits, len(bits))
     sigma_n2 = pt / 10.0 ** (snr_db / 10.0)
-    ce = effective_noise_cov(g, H, F, sigma_n2)
-    W = update_weight(H, F, g, ce)
-    return H, g, update_combiner(H, F, g, ce, W), W, pt, F, sigma_n2
+    ce = effective_noise_cov(g, H @ F, sigma_n2)
+    GHF = g[:, None] * (H @ F)
+    W = update_weight(GHF, ce)
+    return H, g, update_combiner(GHF, ce, W), W, pt, F, sigma_n2
 
 
 @st.composite
@@ -154,9 +155,10 @@ def secular_instances(draw):
     F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
     F *= np.sqrt(pt) / np.linalg.norm(F)
     g = gain_diagonal(bits, nr)
-    ce = effective_noise_cov(g, H, F, pt / 10.0 ** (snr_db / 10.0))
-    W = update_weight(H, F, g, ce)
-    U = update_combiner(H, F, g, ce, W)
+    ce = effective_noise_cov(g, H @ F, pt / 10.0 ** (snr_db / 10.0))
+    GHF = g[:, None] * (H @ F)
+    W = update_weight(GHF, ce)
+    U = update_combiner(GHF, ce, W)
     G = np.diag(g)
     UWU = U @ W @ U.conj().T
     J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(nr) - G)) @ G @ H
@@ -168,12 +170,33 @@ def secular_instances(draw):
     return lam, c2, pt, float(np.linalg.norm(rhs)) / np.sqrt(pt)
 
 
+def range_basis(H):
+    """V_r: the right singular vectors of H above numpy's ``matrix_rank`` cutoff."""
+    _, s, Vh = np.linalg.svd(H, full_matrices=False)
+    return Vh[s > s.max() * max(H.shape) * np.finfo(float).eps].conj().T
+
+
+@st.composite
+def altmin_instances(draw):
+    """(H, bits, pt, sigma_n2, ns): few-path Saleh-Valenzuela channels, Nt in {Nr/2, Nr, 2 Nr}."""
+    nr = draw(st.sampled_from([2, 4, 6, 8]))
+    nt = draw(st.sampled_from([nr // 2, nr, 2 * nr]))
+    ns = draw(st.integers(1, min(nr, nt)))
+    sv = SVParams(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.floats(1.0, 20.0)))
+    H = saleh_valenzuela(nt, nr, sv, seed=draw(st.integers(0, 2**32 - 1)))
+    bits = draw(st.none() | st.lists(st.integers(1, 4), min_size=nr, max_size=nr))
+    pt = 10.0 ** draw(st.floats(-1.0, 1.0))
+    snr_db = draw(st.floats(-10.0, 30.0))
+    return H, bits, pt, pt / 10.0 ** (snr_db / 10.0), ns
+
+
 class TestSpectralEfficiency:
     def test_zero_precoder(self):
         H, F, g, _, sn2, _ = random_instance(4, 4, 2, seed=0)
         F0 = np.zeros_like(F)
-        ce = effective_noise_cov(g, H, F0, sn2)
-        U = update_combiner(H, F0, g, ce, update_weight(H, F0, g, ce))
+        ce = effective_noise_cov(g, H @ F0, sn2)
+        GHF = g[:, None] * (H @ F0)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
         with pytest.warns(RuntimeWarning):  # zero combiner makes the noise term singular
             assert spectral_efficiency(H, F0, U, g, np.diag(ce)) == 0.0
 
@@ -184,7 +207,8 @@ class TestSpectralEfficiency:
         F = np.array([[np.sqrt(pt)]], dtype=complex)
         g = np.ones(1)
         ce = sn2 * np.ones(1)
-        U = update_combiner(h, F, g, ce, update_weight(h, F, g, ce))
+        GHF = g[:, None] * (h @ F)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
         expected = np.log2(1 + np.abs(h[0, 0]) ** 2 * pt / sn2)
         assert spectral_efficiency(h, F, U, g, np.diag(ce)) == pytest.approx(expected, abs=1e-12)
 
@@ -192,9 +216,9 @@ class TestSpectralEfficiency:
     def test_mmse_combiner_identity(self, seed):
         # with the MMSE combiner the rate equals the combiner-free form
         H, F, g, ce, _, _ = random_instance(5, 6, 3, seed=seed)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
+        GHF = g[:, None] * (H @ F)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
         r = spectral_efficiency(H, F, U, g, np.diag(ce))
-        GHF = (g[:, None] * H) @ F
         M = np.eye(5) + np.linalg.solve(np.diag(ce), GHF @ GHF.conj().T)
         expected = np.linalg.slogdet(M)[1] / np.log(2)
         assert abs(r - expected) < 1e-9
@@ -210,7 +234,8 @@ class TestSpectralEfficiency:
         # a switched-off stream's zero combiner column carries no rate and
         # must not send the noise term down the ridge path
         H, F, g, ce, _, _ = random_instance(5, 6, 3, seed=7)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
+        GHF = g[:, None] * (H @ F)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
         U[:, 1] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -227,8 +252,9 @@ class TestSpectralEfficiency:
         nr, sn2 = 5, 0.05
         g = gain_diagonal([2] * nr, nr)
         F = waterfilling_baseline(H, 1.0, sn2, 3).F
-        ce = effective_noise_cov(g, H, F, sn2)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
+        ce = effective_noise_cov(g, H @ F, sn2)
+        GHF = g[:, None] * (H @ F)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
         u0, u1 = U[:, 0], U[:, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -246,7 +272,7 @@ class TestSpectralEfficiency:
             bf, _ = altmin_beamforming(H, bits, pt, sn2, ns)
         else:
             bf = waterfilling_baseline(H, pt, sn2, ns)
-        ce = effective_noise_cov(g, H, bf.F, sn2)
+        ce = effective_noise_cov(g, H @ bf.F, sn2)
         assert (spectral_efficiency(H, bf.F, bf.U, g, ce)
                 == spectral_efficiency(H, bf.F, bf.U, g, np.diag(ce)))
 
@@ -298,30 +324,33 @@ class TestCombiner:
         g = np.ones(4)
         sn2 = 1e9
         ce = sn2 * np.ones(4)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
+        GHF = g[:, None] * (H @ F)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
         np.testing.assert_allclose(U, H @ F / sn2, rtol=1e-6)
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_woodbury_form(self, seed):
         H, F, g, ce, _, _ = random_instance(5, 4, 3, seed=seed)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-        L = (g[:, None] * H) @ F
-        Ci_L = np.linalg.solve(np.diag(ce), L)
-        inner = np.linalg.solve(np.eye(3) + L.conj().T @ Ci_L, L.conj().T @ Ci_L)
+        GHF = g[:, None] * (H @ F)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        Ci_L = np.linalg.solve(np.diag(ce), GHF)
+        inner = np.linalg.solve(np.eye(3) + GHF.conj().T @ Ci_L, GHF.conj().T @ Ci_L)
         U_wood = Ci_L - Ci_L @ inner
         np.testing.assert_allclose(U, U_wood, atol=1e-10)
 
     def test_zero_precoder(self):
         H, F, g, _, sn2, _ = random_instance(3, 3, 2, seed=10)
         F0 = np.zeros_like(F)
-        ce = effective_noise_cov(g, H, F0, sn2)
-        np.testing.assert_array_equal(
-            update_combiner(H, F0, g, ce, update_weight(H, F0, g, ce)), np.zeros((3, 2)))
+        ce = effective_noise_cov(g, H @ F0, sn2)
+        GHF = g[:, None] * (H @ F0)
+        np.testing.assert_array_equal(update_combiner(GHF, ce, update_weight(GHF, ce)),
+                                      np.zeros((3, 2)))
 
     def test_one_stream_space_solve(self, monkeypatch):
         # the combiner solves against the Ns x Ns weight, never an Nr x Nr system
         H, F, g, ce, _, _ = random_instance(6, 5, 2, seed=27)
-        W = update_weight(H, F, g, ce)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
         shapes = []
         solve = np.linalg.solve
 
@@ -330,7 +359,7 @@ class TestCombiner:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        update_combiner(H, F, g, ce, W)
+        update_combiner(GHF, ce, W)
         assert shapes == [(2, 2)]
 
 
@@ -338,28 +367,31 @@ class TestWeight:
     def test_zero_precoder_gives_identity(self):
         H, F, g, _, sn2, _ = random_instance(3, 3, 2, seed=11)
         F0 = np.zeros_like(F)
-        ce = effective_noise_cov(g, H, F0, sn2)
-        np.testing.assert_allclose(update_weight(H, F0, g, ce), np.eye(2))
+        ce = effective_noise_cov(g, H @ F0, sn2)
+        np.testing.assert_allclose(update_weight(g[:, None] * (H @ F0), ce), np.eye(2))
 
     @pytest.mark.parametrize("seed", [12, 13])
     def test_logdet_w_equals_rate(self, seed):
         H, F, g, ce, _, _ = random_instance(4, 5, 2, seed=seed)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-        W = update_weight(H, F, g, ce)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         r = spectral_efficiency(H, F, U, g, np.diag(ce))
         assert abs(np.linalg.slogdet(W)[1] / np.log(2) - r) < 1e-9
 
     @pytest.mark.parametrize("seed", [14, 15])
     def test_w_is_inverse_mse_at_mmse_combiner(self, seed):
         H, F, g, ce, _, _ = random_instance(4, 4, 3, seed=seed)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-        W = update_weight(H, F, g, ce)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         E = mse_matrix(H, F, U, g, ce)
         np.testing.assert_allclose(W @ E, np.eye(3), atol=1e-9)
 
     def test_w_minus_identity_psd(self):
         H, F, g, ce, _, _ = random_instance(4, 4, 2, seed=16)
-        W = update_weight(H, F, g, ce)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
         assert np.linalg.eigvalsh(W - np.eye(2)).min() > -1e-12
 
 
@@ -372,16 +404,17 @@ class TestMseMatrix:
 
     def test_mmse_closed_form(self):
         H, F, g, ce, _, _ = random_instance(4, 5, 3, seed=18)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
+        GHF = g[:, None] * (H @ F)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
         E = mse_matrix(H, F, U, g, ce)
-        GHF = (g[:, None] * H) @ F
         A = GHF @ GHF.conj().T + np.diag(ce)
         E_closed = np.eye(3) - GHF.conj().T @ np.linalg.solve(A, GHF)
         np.testing.assert_allclose(E, E_closed, atol=1e-10)
 
     def test_trace_bounded_at_mmse(self):
         H, F, g, ce, _, _ = random_instance(4, 4, 3, seed=19)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
+        GHF = g[:, None] * (H @ F)
+        U = update_combiner(GHF, ce, update_weight(GHF, ce))
         assert np.trace(mse_matrix(H, F, U, g, ce)).real <= 3 + 1e-12
 
 
@@ -391,8 +424,9 @@ class TestPrecoder:
         H, F, _, _, sn2, pt = random_instance(4, 4, 2, seed=20)
         g = np.ones(4)
         ce = sn2 * np.ones(4)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-        W = update_weight(H, F, g, ce)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         F_new = update_precoder(H, g, U, W, pt)
         UWU = U @ W @ U.conj().T
         J = H.conj().T @ UWU @ H
@@ -407,15 +441,17 @@ class TestPrecoder:
     @pytest.mark.parametrize("seed", [21, 22, 23])
     def test_power_feasible(self, seed):
         H, F, g, ce, _, pt = random_instance(4, 6, 3, seed=seed, sigma_n2=1e-4)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-        W = update_weight(H, F, g, ce)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         F_new = update_precoder(H, g, U, W, pt)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
     def test_power_monotone_in_multiplier(self):
         H, F, g, ce, _, pt = random_instance(4, 4, 2, seed=24)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-        W = update_weight(H, F, g, ce)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         UWU = U @ W @ U.conj().T
         G = np.diag(g)
         J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(4) - G)) @ G @ H
@@ -429,8 +465,9 @@ class TestPrecoder:
     def test_rank_deficient_j_handled(self):
         # Nt > Nr makes J singular; the minimum-norm solution is used
         H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=25)
-        U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-        W = update_weight(H, F, g, ce)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         F_new = update_precoder(H, g, U, W, pt)
         assert np.all(np.isfinite(F_new))
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
@@ -440,8 +477,9 @@ class TestPrecoder:
         instances = []
         for sn2 in (1e-4, 1.0):  # minimum-norm branch, then bisection
             H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=26, sigma_n2=sn2)
-            U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-            instances.append((H, g, U, update_weight(H, F, g, ce), pt))
+            GHF = g[:, None] * (H @ F)
+            W = update_weight(GHF, ce)
+            instances.append((H, g, update_combiner(GHF, ce, W), W, pt))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("linear solve in the precoder update")
@@ -463,6 +501,68 @@ class TestPrecoder:
         np.testing.assert_array_equal(update_precoder(H, g, U, W, pt), F_new)
 
 
+class TestReducedPrecoder:
+    """The update on the reduced channel H V_r, mapped back by V_r, is the full-space update."""
+
+    @staticmethod
+    def two_mode_channel(nt, ratio):
+        # a 2 x nt channel of rank 2 whose weak mode puts an eigenvalue of J
+        # between the cutoffs eps * 2 * max|lam| and eps * nt * max|lam|
+        rng = np.random.default_rng(1)
+        A = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        B = np.linalg.qr(rng.standard_normal((nt, 2)) + 1j * rng.standard_normal((nt, 2)))[0]
+        F = B @ (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))
+        return (A * [1.0, ratio]) @ B.conj().T, F / np.linalg.norm(F)
+
+    @staticmethod
+    def paired_updates(H, F, g, sigma_n2):
+        GHF = g[:, None] * (H @ F)
+        ce = effective_noise_cov(g, H @ F, sigma_n2)
+        W = update_weight(GHF, ce)
+        return update_combiner(GHF, ce, W), W
+
+    @pytest.mark.parametrize("quantized", [True, False])
+    @pytest.mark.parametrize("sn2, minimum_norm", [(1e-4, True), (1.0, False)])
+    def test_gaussian_channel(self, quantized, sn2, minimum_norm):
+        # Nt = 2 Nr: the full-space J has Nt - Nr null eigenvalues for the cutoff to drop
+        H, F, g, _, _, pt = random_instance(3, 6, 2, seed=26, sigma_n2=sn2)
+        g = g if quantized else np.ones(3)
+        U, W = self.paired_updates(H, F, g, sn2)
+        Vr = range_basis(H)
+        F_full, mu = _precoder_and_multiplier(H, g, U, W, pt)
+        assert (mu == 0.0) == minimum_norm
+        np.testing.assert_allclose(Vr @ update_precoder(H @ Vr, g, U, W, pt, 6), F_full,
+                                   rtol=1e-10)
+
+    @pytest.mark.parametrize("bits", [[1, 2, 3, 4] * 2, None])
+    @pytest.mark.parametrize("sn2", [1e-2, 1.0])
+    def test_few_path_channel(self, bits, sn2):
+        # four paths: rank 4 of min(Nt, Nr) = 8, from the water-filling start
+        H = saleh_valenzuela(16, 8, SVParams(2, 2), seed=5)
+        g = gain_diagonal(bits, 8)
+        U, W = self.paired_updates(H, waterfilling_baseline(H, 1.0, sn2, 3).F, g, sn2)
+        Vr = range_basis(H)
+        assert Vr.shape[1] == 4
+        np.testing.assert_allclose(Vr @ update_precoder(H @ Vr, g, U, W, 1.0, 16),
+                                   update_precoder(H, g, U, W, 1.0), rtol=1e-10)
+
+    @pytest.mark.parametrize("bits", [[2, 2], None])
+    def test_cutoff_keeps_the_full_dimension(self, bits):
+        H, F = self.two_mode_channel(64, 1e-7)
+        g = gain_diagonal(bits, 2)
+        U, W = self.paired_updates(H, F, g, 1e-2)
+        Vr = range_basis(H)
+        assert Vr.shape[1] == 2
+        F_full, mu = _precoder_and_multiplier(H, g, U, W, 1.0)
+        assert mu == 0.0
+        np.testing.assert_allclose(Vr @ update_precoder(H @ Vr, g, U, W, 1.0, 64), F_full,
+                                   rtol=1e-10)
+        if bits is not None:
+            # the reduced dimension's cutoff keeps the weak eigenvalue and
+            # lands on another branch
+            assert _precoder_and_multiplier(H @ Vr, g, U, W, 1.0)[1] > 0
+
+
 class TestBisectionReplay:
     @settings(max_examples=300, deadline=None)
     @given(secular_instances())
@@ -471,8 +571,9 @@ class TestBisectionReplay:
 
     def test_bracket_certified_around_multiplier(self, monkeypatch):
         H, F, g, ce, _, pt = random_instance(4, 8, 2, seed=27, sigma_n2=1.0)
-        W = update_weight(H, F, g, ce)
-        U = update_combiner(H, F, g, ce, W)
+        GHF = g[:, None] * (H @ F)
+        W = update_weight(GHF, ce)
+        U = update_combiner(GHF, ce, W)
         seen = []
 
         def spy(*args):
@@ -510,7 +611,7 @@ class TestVectorDiagonals:
     @given(precoder_instances())
     def test_match_dense_forms(self, instance):
         H, g, U, W, pt, F, sigma_n2 = instance
-        ce = effective_noise_cov(g, H, F, sigma_n2)
+        ce = effective_noise_cov(g, H @ F, sigma_n2)
         G, C_e = np.diag(g), np.diag(ce)
         np.testing.assert_allclose(C_e, dense_noise_cov(G, H, F, sigma_n2), rtol=1e-12)
         np.testing.assert_allclose(U, dense_combiner(H, F, G, C_e), rtol=1e-12)
@@ -559,7 +660,7 @@ class TestAltMin:
             bits = [1] * 8
             g = gain_diagonal(bits, len(bits))
             wf = waterfilling_baseline(H, 1.0, sn2, 2)
-            ce = effective_noise_cov(g, H, wf.F, sn2)
+            ce = effective_noise_cov(g, H @ wf.F, sn2)
             se_wf = spectral_efficiency(H, wf.F, wf.U, g, np.diag(ce))
             _, rep = altmin_beamforming(H, bits, 1.0, sn2, 2)
             wins += rep.final_se > se_wf
@@ -569,8 +670,9 @@ class TestAltMin:
         # tr(W E) = Ns and log2 det W = R at the paired updates
         for seed in range(10):
             H, F, g, ce, _, _ = random_instance(5, 4, 3, seed=600 + seed)
-            U = update_combiner(H, F, g, ce, update_weight(H, F, g, ce))
-            W = update_weight(H, F, g, ce)
+            GHF = g[:, None] * (H @ F)
+            W = update_weight(GHF, ce)
+            U = update_combiner(GHF, ce, W)
             E = mse_matrix(H, F, U, g, ce)
             assert abs(np.trace(W @ E).real - 3) < 1e-9
             r = spectral_efficiency(H, F, U, g, np.diag(ce))
@@ -592,8 +694,8 @@ class TestAltMin:
         bits, sn2 = [1, 3, 2, 1], 0.01
         bf, _ = altmin_beamforming(H, bits, 1.0, sn2, 2)
         g = gain_diagonal(bits, len(bits))
-        ce = effective_noise_cov(g, H, bf.F, sn2)
-        np.testing.assert_allclose(bf.W, update_weight(H, bf.F, g, ce), rtol=1e-12)
+        ce = effective_noise_cov(g, H @ bf.F, sn2)
+        np.testing.assert_allclose(bf.W, update_weight(g[:, None] * (H @ bf.F), ce), rtol=1e-12)
 
     def test_final_power_feasible(self):
         H = saleh_valenzuela(6, 6, seed=71)
@@ -605,6 +707,47 @@ class TestAltMin:
         _, rep = altmin_beamforming(H, [1] * 6, 1.0, 1e-4, 3, eps=1e-12, max_iter=3)
         assert not rep.converged
         assert rep.iterations == 3
+
+    @settings(max_examples=60, deadline=None)
+    @given(altmin_instances())
+    def test_reduced_solve_properties(self, instance):
+        H, bits, pt, sigma_n2, ns = instance
+        bf, rep = altmin_beamforming(H, bits, pt, sigma_n2, ns)
+        Vr = range_basis(H)
+        F = bf.F
+        assert np.linalg.norm(F - Vr @ (Vr.conj().T @ F)) <= 1e-12 * np.linalg.norm(F)
+        assert np.linalg.norm(F) ** 2 <= pt * (1 + 1e-8)
+        # the bisection stops anywhere within 1e-8 pt of pt; a step that lands
+        # below the previous precoder's power loses up to about Ns * 1e-8 of
+        # log det W (a 2 x 1 channel at 0 dB loses 1.1e-9, on the full-space
+        # solve as well)
+        assert np.all(np.diff(rep.objective_trace) >= -(1e-9 + 1e-8 * ns))
+        np.testing.assert_allclose(rep.final_se, np.linalg.slogdet(bf.W)[1] / np.log(2),
+                                   rtol=1e-12)
+
+    def test_zero_channel(self):
+        # rank 0: the reduced channel has no columns and the precoder stays zero
+        H = np.zeros((4, 8), dtype=complex)
+        with pytest.warns(RuntimeWarning, match="regulariz"):
+            bf, rep = altmin_beamforming(H, [2] * 4, 1.0, 0.1, 2)
+        assert rep.final_se == 0.0 and rep.iterations == 2 and rep.converged
+        np.testing.assert_array_equal(bf.F, np.zeros((8, 2)))
+
+    @pytest.mark.parametrize("bits", [[2] * 8, None])
+    def test_rank_one_channel(self, bits):
+        # one path, two streams: every precoder in range(H^H) is v x^H, so the
+        # SE is log2(1 + sum_k g_k d_k / ((1 - g_k) d_k + sigma_n2)) with the
+        # row powers d_k = ||F||^2 ||h_k||^2, and the best F spends all of pt
+        H = saleh_valenzuela(8, 8, SVParams(1, 1), seed=0)
+        pt, sn2 = 1.0, 0.01
+        bf, rep = altmin_beamforming(H, bits, pt, sn2, 2)
+        g = gain_diagonal(bits, 8)
+        power = np.linalg.norm(bf.F) ** 2
+        d = power * np.sum(np.abs(H) ** 2, axis=1)
+        expected = np.log2(1 + np.sum(g * d / ((1 - g) * d + sn2)))
+        assert rep.final_se == pytest.approx(expected, rel=1e-12)
+        assert rep.iterations == 2 and rep.converged
+        assert power == pytest.approx(pt, rel=1e-8)
 
     @pytest.mark.parametrize("max_iter", [0, -2])
     def test_no_iterations_returns_waterfilling_start(self, max_iter):

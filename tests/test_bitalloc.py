@@ -232,7 +232,7 @@ class TestSeCeiling:
         U = rng.standard_normal((nr, ns)) + 1j * rng.standard_normal((nr, ns))
         sigma_n2 = pt / 10 ** (snr_db / 10)
         g = gain_diagonal(bits, nr)
-        se = spectral_efficiency(H, F, U, g, effective_noise_cov(g, H, F, sigma_n2))
+        se = spectral_efficiency(H, F, U, g, effective_noise_cov(g, H @ F, sigma_n2))
         assert se <= se_ceiling(H, bits, pt, sigma_n2, ns) + 1e-9
 
     @settings(max_examples=40, deadline=None)

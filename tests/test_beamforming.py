@@ -505,19 +505,21 @@ class TestReducedPrecoder:
     """The update on the reduced channel H V_r, mapped back by V_r, is the full-space update."""
 
     @staticmethod
-    def two_mode_channel(nt, ratio):
-        # a 2 x nt channel of rank 2 whose weak mode puts an eigenvalue of J
-        # between the cutoffs eps * 2 * max|lam| and eps * nt * max|lam|
+    def two_mode_channel():
+        # a 2 x 64 channel of rank 2 with singular values 1 and 1e-7, whose
+        # weak mode puts an eigenvalue of J between the cutoffs
+        # eps * 2 * max|lam| and eps * 64 * max|lam|
         rng = np.random.default_rng(1)
         A = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-        B = np.linalg.qr(rng.standard_normal((nt, 2)) + 1j * rng.standard_normal((nt, 2)))[0]
+        B = np.linalg.qr(rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2)))[0]
         F = B @ (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1)))
-        return (A * [1.0, ratio]) @ B.conj().T, F / np.linalg.norm(F)
+        return (A * [1.0, 1e-7]) @ B.conj().T, F / np.linalg.norm(F)
 
     @staticmethod
     def paired_updates(H, F, g, sigma_n2):
-        GHF = g[:, None] * (H @ F)
-        ce = effective_noise_cov(g, H @ F, sigma_n2)
+        HF = H @ F
+        ce = effective_noise_cov(g, HF, sigma_n2)
+        GHF = g[:, None] * HF
         W = update_weight(GHF, ce)
         return update_combiner(GHF, ce, W), W
 
@@ -548,7 +550,7 @@ class TestReducedPrecoder:
 
     @pytest.mark.parametrize("bits", [[2, 2], None])
     def test_cutoff_keeps_the_full_dimension(self, bits):
-        H, F = self.two_mode_channel(64, 1e-7)
+        H, F = self.two_mode_channel()
         g = gain_diagonal(bits, 2)
         U, W = self.paired_updates(H, F, g, 1e-2)
         Vr = range_basis(H)

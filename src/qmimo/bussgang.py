@@ -14,7 +14,6 @@ import warnings
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.linalg.blas import zherk
 
 from .quantizer import distortion_table, lloyd_max_design
 
@@ -103,7 +102,7 @@ _MC_BLOCK = 8192
 
 def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
                       bits: Sequence[int], num_samples: int, seed):
-    """Draw y = H F s + n, quantize per chain, yield ``(y, z, eta)`` blocks.
+    """Draw y = H F s + n, quantize per chain, yield planar ``(y, z, eta)`` blocks.
 
     The whole sample stream is drawn first, in the order ``s.real``,
     ``s.imag``, ``n.real``, ``n.imag`` (each ``num_samples`` columns wide),
@@ -111,7 +110,10 @@ def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     Lloyd-Max quantizer for its resolution (the design whose MSE is gamma),
     scaled to the analytic per-component std sqrt(C_y[i,i]/2); the real
     and imaginary parts of a chain are quantized in one contiguous call.
-    Blocks are ``_MC_BLOCK`` columns wide, the last one holds the remainder.
+    Every block is yielded as real 2Nr-row arrays ``[Re; Im]``, so the
+    noise, the quantization and ``eta = z - G y`` all run on contiguous
+    rows; only ``H F s`` is formed complex. Blocks are ``_MC_BLOCK`` columns
+    wide, the last one holds the remainder.
     """
     nr = H.shape[0]
     ns = F.shape[1]
@@ -119,35 +121,43 @@ def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     quantizers = [lloyd_max_design(int(b)) for b in bits]
     rng = np.random.default_rng(seed)
     s = np.empty((ns, num_samples), dtype=complex)
-    n = np.empty((nr, num_samples), dtype=complex)
-    for buf in (s, n):
-        buf.real = rng.standard_normal(buf.shape)
-        buf.imag = rng.standard_normal(buf.shape)
+    s.real = rng.standard_normal(s.shape)
+    s.imag = rng.standard_normal(s.shape)
     s /= np.sqrt(2.0)
-    n *= np.sqrt(sigma_n2 / 2.0)
+    noise = rng.standard_normal((2, nr, num_samples))
+    noise_std = np.sqrt(sigma_n2 / 2.0)
     hf = H @ F
     cy_diag = np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2
     std = np.sqrt(cy_diag / 2.0)
     for start in range(0, num_samples, _MC_BLOCK):
         cols = slice(start, start + _MC_BLOCK)
-        y = n[:, cols] + hf @ s[:, cols]
-        y_re = y.view(float)
+        hfs = hf @ s[:, cols]
+        y = noise[:, :, cols] * noise_std
+        y[0] += hfs.real
+        y[1] += hfs.imag
         z = np.empty_like(y)
-        z_re = z.view(float)
+        eta = np.empty_like(y)
         for i, q in enumerate(quantizers):
-            z_re[i] = std[i] * q.quantize_real(y_re[i] / std[i])
-        eta = (z_re - g[:, None] * y_re).view(complex)
-        yield y, z, eta
+            np.multiply(q.quantize_real(y[:, i] / std[i]), std[i], out=z[:, i])
+            np.multiply(y[:, i], g[i], out=eta[:, i])
+            np.subtract(z[:, i], eta[:, i], out=eta[:, i])
+        yield tuple(a.reshape(2 * nr, -1) for a in (y, z, eta))
 
 
 def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
                         bits: Sequence[int], num_samples: int, seed):
-    """All samples of ``_quantized_blocks`` at once: ``(y, z, eta)``, Nr x N each.
+    """All samples of ``_quantized_blocks`` at once: complex ``(y, z, eta)``, Nr x N each.
 
     Used by statistical tests on the distortion term.
     """
-    blocks = list(_quantized_blocks(H, F, sigma_n2, bits, num_samples, seed))
-    return tuple(np.concatenate(parts, axis=1) for parts in zip(*blocks))
+    nr = H.shape[0]
+    out = []
+    for planar in zip(*_quantized_blocks(H, F, sigma_n2, bits, num_samples, seed)):
+        part = np.concatenate(planar, axis=1)
+        full = np.empty((nr, num_samples), dtype=complex)
+        full.real, full.imag = part[:nr], part[nr:]
+        out.append(full)
+    return tuple(out)
 
 
 def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
@@ -162,6 +172,11 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     column blocks, so memory beyond the drawn symbols and noise stays
     bounded. At full resolution (``bits=None``) the distortion is exactly
     zero: nothing is drawn, so no small-sample warning is raised either.
+
+    The Hermitian Gram is summed as the real Gram ``R = E E^T`` of the
+    planar blocks ``E = [Re eta; Im eta]`` (numpy hands ``E @ E.T`` to BLAS
+    ``dsyrk``, as many flops as a complex Hermitian rank-k update), and
+    ``eta eta^H = (R11 + R22) + i (R21 - R12)`` in Nr x Nr quadrants.
 
     All samples come from one stream, ``SeedSequence([seed, 0])``, so the
     result is bit-identical for a fixed integer ``seed``.
@@ -180,12 +195,12 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
             RuntimeWarning,
             stacklevel=2,
         )
-    # zherk on the Fortran view eta.T adds conj(eta eta^H) into the upper
-    # triangle of the accumulator only (beta=1 keeps the running sum)
-    acc = np.zeros((nr, nr), dtype=complex, order="F")
-    for _, _, eta in _quantized_blocks(H, F, sigma_n2, bits, num_samples, stream):
-        acc = zherk(1.0, eta.T, beta=1.0, c=acc, trans=2, overwrite_c=1)
-    gram = np.triu(acc).conj() + np.triu(acc, 1).T
+    R = np.zeros((2 * nr, 2 * nr))
+    for _, _, E in _quantized_blocks(H, F, sigma_n2, bits, num_samples, stream):
+        R += E @ E.T
+    gram = np.empty((nr, nr), dtype=complex)
+    gram.real = R[:nr, :nr] + R[nr:, nr:]
+    gram.imag = R[nr:, :nr] - R[:nr, nr:]
     return _clip_psd(gram / num_samples)
 
 

@@ -7,7 +7,10 @@ approximations.
 
 The design is one Newton solve of the Lloyd-Max fixed point. Every
 resolution the distortion table designs (1 to 12 bits) converges to a
-centroid residual of 1e-10; a solve that does not converge raises.
+centroid residual of 1e-10; a solve that does not converge raises. The
+design needs numpy and the standard library only: the Gaussian CDF comes
+from ``math.erfc``, the quantile start from ``statistics.NormalDist`` and
+each Newton step is one tridiagonal solve.
 
 Every design is for the standard normal input. A caller with an input of
 standard deviation ``s`` quantizes ``x`` as ``s * q.quantize(x / s)``,
@@ -16,12 +19,12 @@ which keeps the design optimal and scales its MSE by ``s**2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.special import ndtr, ndtri
 
 __all__ = [
     "ScalarQuantizer",
@@ -42,6 +45,8 @@ TABLE_MAX_BITS = 12
 _COUNT_MAX_BITS = 7
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_2 = math.sqrt(2.0)
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 # the Lloyd-Max Newton solve stops once every codeword is within _TOL of
 # its centroid; from the quantile start it needs at most 5 steps for
@@ -138,15 +143,24 @@ def _thresholds_from_codebook(codebook: np.ndarray) -> np.ndarray:
     return t
 
 
+def _ndtr(t: np.ndarray) -> np.ndarray:
+    """Standard-normal CDF ``Phi(t) = erfc(-t / sqrt 2) / 2``, elementwise.
+
+    ``math.erfc`` keeps full relative precision far into the lower tail and
+    gives exactly 0 and 1 at ``-inf`` and ``+inf``.
+    """
+    return 0.5 * _erfc(-t / _SQRT_2).astype(float)
+
+
 def _cells(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standard-normal pdf at the thresholds ``t`` and each cell's probability.
 
     Cells whose lower end is at or above 0 take differences of the survival
-    function ``ndtr(-t)``, so an upper tail cell does not cancel against 1.
+    function ``Phi(-t)``, so an upper tail cell does not cancel against 1.
     """
     pdf = np.exp(-0.5 * t * t) / _SQRT_2PI
-    cdf = ndtr(t)
-    sf = ndtr(-t)
+    cdf = _ndtr(t)
+    sf = _ndtr(-t)
     p = np.where(t[:-1] >= 0.0, sf[:-1] - sf[1:], cdf[1:] - cdf[:-1])
     return pdf, p
 
@@ -185,7 +199,8 @@ def lloyd_max_design(bits: int) -> ScalarQuantizer:
     codewords at their cells' conditional means) as the fixed point
     ``c = centroid(mid(c))`` by Newton's method from the Gaussian-quantile
     codebook. The map has a tridiagonal Jacobian because each centroid
-    depends only on its two cell ends. The solve stops once every codeword
+    depends only on its two cell ends, so each step is one
+    :func:`_solve_tridiagonal`. The solve stops once every codeword
     is within ``_TOL`` of its centroid and raises ``RuntimeError`` if it
     has not after ``_MAX_STEPS`` steps. Each resolution is designed once
     per process.
@@ -193,8 +208,7 @@ def lloyd_max_design(bits: int) -> ScalarQuantizer:
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
     nq = 2**bits
-    # codebook at Gaussian quantiles of 2^b equal-probability cells
-    c = ndtri((np.arange(nq) + 0.5) / nq)
+    c = _quantile_codebook(nq)
     for _ in range(_MAX_STEPS):
         t = _thresholds_from_codebook(c)
         pdf, p = _cells(t)
@@ -204,14 +218,46 @@ def lloyd_max_design(bits: int) -> ScalarQuantizer:
         t_fin = np.where(np.isfinite(t), t, 0.0)  # pdf is 0 at the infinite ends
         dm_dtl = pdf[:-1] * (m - t_fin[:-1]) / p
         dm_dtr = pdf[1:] * (t_fin[1:] - m) / p
-        ab = np.zeros((3, nq))
-        ab[0, 1:] = 0.5 * dm_dtr[:-1]          # dm_j/dc_{j+1}
-        ab[1, :] = 0.5 * (dm_dtl + dm_dtr) - 1.0
-        ab[2, :-1] = 0.5 * dm_dtl[1:]          # dm_j/dc_{j-1}
-        c = c + solve_banded((1, 1), ab, c - m)
+        c = c + _solve_tridiagonal(
+            0.5 * dm_dtl[1:],                  # dm_j/dc_{j-1}
+            0.5 * (dm_dtl + dm_dtr) - 1.0,
+            0.5 * dm_dtr[:-1],                 # dm_j/dc_{j+1}
+            c - m,
+        )
     raise RuntimeError(
         f"Lloyd-Max design for {bits} bits did not converge in {_MAX_STEPS} Newton steps"
     )
+
+
+def _quantile_codebook(nq: int) -> np.ndarray:
+    """Gaussian quantiles at the midpoints of ``nq`` equal-probability cells."""
+    inv_cdf = NormalDist().inv_cdf
+    return np.array([inv_cdf((k + 0.5) / nq) for k in range(nq)])
+
+
+def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Solve ``A x = rhs`` for tridiagonal A by the Thomas algorithm.
+
+    ``diag`` holds the n diagonal entries, ``lower`` the n - 1 entries
+    ``A[j+1, j]`` and ``upper`` the n - 1 entries ``A[j, j+1]``. Without
+    pivoting this needs A diagonally dominant. ``I - dm/dc`` of the
+    Gaussian centroid map is: with ``a_j, b_j >= 0`` the derivatives of
+    centroid j in its cell ends, row j is ``-a_j/2, 1 - (a_j + b_j)/2,
+    -b_j/2``, and ``a_j + b_j < 1`` for a log-concave density. The steps
+    are LAPACK ``gtsv``'s when no row interchange is needed, in Python
+    floats, which at these sizes cost less than numpy calls.
+    """
+    lo, d, up, x = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    n = len(d)
+    for j in range(n - 1):
+        f = lo[j] / d[j]
+        d[j + 1] -= f * up[j]
+        x[j + 1] -= f * x[j]
+    x[-1] /= d[-1]
+    for j in range(n - 2, -1, -1):
+        x[j] = (x[j] - up[j] * x[j + 1]) / d[j]
+    return np.array(x)
 
 
 # ---------------------------------------------------------------------------

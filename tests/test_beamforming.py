@@ -652,6 +652,32 @@ class TestAltMin:
         _, rep = altmin_beamforming(H, [1] * 8, 1.0, 1e-3, 2)
         assert np.all(np.diff(rep.objective_trace) >= -1e-9)
 
+    def test_objective_dip_within_power_tolerance(self):
+        # the bisection accepts any power within 1e-8 pt, so the trace may
+        # fall by up to about Ns * 1e-8; on this 2 x 1 channel it falls by
+        # 1.08e-9 from iteration 1 to 2
+        H = np.array([[-0.32007138 - 0.15245022j], [0.17447379 - 0.30861895j]])
+        ns = 1
+        _, rep = altmin_beamforming(H, None, 1.0, 1.0, ns)
+        assert rep.iterations == 2 and rep.converged
+        drop = rep.objective_trace[0] - rep.objective_trace[1]
+        assert drop == pytest.approx(1.08e-9, rel=1e-2)
+        assert drop <= ns * 1e-8
+
+    def test_one_svd_of_h_per_solve(self, monkeypatch):
+        # the water-filling start and V_r come from one thin SVD of H
+        H = saleh_valenzuela(8, 4, seed=71)
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a is H)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        altmin_beamforming(H, [1, 3, 2, 1], 1.0, 0.01, 2, max_iter=3)
+        assert sum(calls) == 1
+
     def test_one_bit_high_snr_beats_wf(self):
         # quantization-aware design strictly better than the unaware WF
         # beamformers on at least 95 of 100 channels

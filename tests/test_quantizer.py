@@ -109,6 +109,65 @@ class TestLloydMax:
         with pytest.raises(ValueError):
             lloyd_max_design(0)
 
+    @pytest.mark.parametrize("bits", range(1, 13))
+    def test_newton_steps(self, bits, monkeypatch):
+        # from the quantile start every design converges in at most 5 steps,
+        # far inside _MAX_STEPS
+        steps = []
+        solve = quantizer._solve_tridiagonal
+
+        def counting(*args):
+            steps.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(quantizer, "_solve_tridiagonal", counting)
+        lloyd_max_design.cache_clear()
+        lloyd_max_design(bits)
+        assert 1 <= len(steps) <= 5 < quantizer._MAX_STEPS
+
+
+class TestDesignNumerics:
+    """The numpy-only Gaussian CDF, quantile start and tridiagonal solve."""
+
+    EPS = np.finfo(float).eps
+    TINY = np.finfo(float).tiny
+
+    def test_cdf_exact_at_infinities_and_zero(self):
+        phi = quantizer._ndtr(np.array([-np.inf, 0.0, np.inf]))
+        np.testing.assert_array_equal(phi, [0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(phi, norm.cdf([-np.inf, 0.0, np.inf]))
+        np.testing.assert_array_equal(quantizer._ndtr(np.array([np.inf, -np.inf])),
+                                      norm.sf([-np.inf, np.inf]))
+
+    def test_cdf_and_survival_match_scipy_out_to_38(self):
+        # rounding t / sqrt 2 alone moves Phi(t) by about t^2 eps relative in
+        # the tail, in either implementation; below the smallest normal
+        # number scipy flushes to zero while erfc keeps the subnormal value
+        t = np.linspace(-38.0, 38.0, 7601)
+        bound = 4.0 * (1.0 + t * t) * self.EPS
+        for ours, ref in ((quantizer._ndtr(t), norm.cdf(t)), (quantizer._ndtr(-t), norm.sf(t))):
+            assert np.all(np.abs(ours - ref) <= bound * ref + self.TINY)
+        assert np.all(np.diff(quantizer._ndtr(t)) >= 0)
+
+    @pytest.mark.parametrize("nq", [2, 8, 4096])
+    def test_quantile_start_matches_ppf(self, nq):
+        want = norm.ppf((np.arange(nq) + 0.5) / nq)
+        np.testing.assert_allclose(quantizer._quantile_codebook(nq), want,
+                                   rtol=8 * self.EPS, atol=8 * self.EPS)
+
+    @pytest.mark.parametrize("n", [2, 3, 257, 4097])
+    def test_tridiagonal_solve_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        lower = rng.uniform(-1.0, 1.0, n - 1)
+        upper = rng.uniform(-1.0, 1.0, n - 1)
+        # |diag| > 2 exceeds every row's off-diagonal sum, of either sign
+        diag = rng.choice([-1.0, 1.0], n) * rng.uniform(2.0, 3.0, n)
+        rhs = rng.standard_normal(n)
+        A = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        want = np.linalg.solve(A, rhs)
+        got = quantizer._solve_tridiagonal(lower, diag, upper, rhs)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
 
 class TestQuantizeComplex:
     def test_one_bit_sign_mapping(self):

@@ -96,52 +96,59 @@ def _clip_psd(C: np.ndarray) -> np.ndarray:
 
 
 # samples per column block of the Monte-Carlo path; bounds the working set
-# to a few Nr x _MC_BLOCK arrays whatever the sample count
+# beyond the drawn samples to one 2Nr x _MC_BLOCK product
 _MC_BLOCK = 8192
 
 
 def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
-                      bits: Sequence[int], num_samples: int, seed):
-    """Draw y = H F s + n, quantize per chain, yield planar ``(y, z, eta)`` blocks.
+                      bits: Sequence[int], num_samples: int, seed, record=None):
+    """Draw y = H F s + n, quantize per chain, yield planar ``[Re eta; Im eta]`` blocks.
 
-    The whole sample stream is drawn first, in the order ``s.real``,
-    ``s.imag``, ``n.real``, ``n.imag`` (each ``num_samples`` columns wide),
-    so the samples do not depend on the block size. Each chain uses the
-    Lloyd-Max quantizer for its resolution (the design whose MSE is gamma),
-    scaled to the analytic per-component std sqrt(C_y[i,i]/2); the real
-    and imaginary parts of a chain are quantized in one contiguous call.
-    Every block is yielded as real 2Nr-row arrays ``[Re; Im]``, so the
-    noise, the quantization and ``eta = z - G y`` all run on contiguous
-    rows; only ``H F s`` is formed complex. Blocks are ``_MC_BLOCK`` columns
-    wide, the last one holds the remainder.
+    The whole stream is drawn first, in the order ``s.real``, ``s.imag``,
+    ``n.real``, ``n.imag``, into a real ``(2, Ns, N)`` and a real
+    ``(2, Nr, N)`` array, so the samples do not depend on the block size.
+    Each ``_MC_BLOCK``-column block (the last one holds the remainder) runs
+    in place in the noise array: ``H F s`` is added as the real product
+    ``[[Re HF, -Im HF], [Im HF, Re HF]] @ [Re s; Im s]``, and each chain's
+    two rows are quantized in one call by the Lloyd-Max quantizer of its
+    resolution (the design whose MSE is gamma), scaled to the analytic std
+    sqrt(C_y[i,i]/2), and overwritten with ``eta = z - G y``. ``record``, a
+    pair of ``(2, Nr, N)`` arrays, receives each block's ``y`` and ``z``.
     """
     nr = H.shape[0]
     ns = F.shape[1]
     g = gain_diagonal(bits, nr)
     quantizers = [lloyd_max_design(int(b)) for b in bits]
     rng = np.random.default_rng(seed)
-    s = np.empty((ns, num_samples), dtype=complex)
-    s.real = rng.standard_normal(s.shape)
-    s.imag = rng.standard_normal(s.shape)
-    s /= np.sqrt(2.0)
-    noise = rng.standard_normal((2, nr, num_samples))
-    noise_std = np.sqrt(sigma_n2 / 2.0)
+    s = rng.standard_normal((2, ns, num_samples))
+    # times the reciprocal: bit for bit the complex s / sqrt(2)
+    s *= 1.0 / np.sqrt(2.0)
+    y = rng.standard_normal((2, nr, num_samples))
+    y *= np.sqrt(sigma_n2 / 2.0)
     hf = H @ F
+    hf_planar = np.block([[hf.real, -hf.imag], [hf.imag, hf.real]])
     cy_diag = np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2
     std = np.sqrt(cy_diag / 2.0)
+    product = np.empty(2 * nr * min(num_samples, _MC_BLOCK))
     for start in range(0, num_samples, _MC_BLOCK):
         cols = slice(start, start + _MC_BLOCK)
-        hfs = hf @ s[:, cols]
-        y = noise[:, :, cols] * noise_std
-        y[0] += hfs.real
-        y[1] += hfs.imag
-        z = np.empty_like(y)
-        eta = np.empty_like(y)
+        Y = y[:, :, cols]
+        width = Y.shape[2]
+        hfs = product[:2 * nr * width].reshape(2 * nr, width)
+        np.matmul(hf_planar, s[:, :, cols].reshape(2 * ns, width), out=hfs)
+        E = Y.reshape(2 * nr, width)  # a view: the (2, Nr) row axes merge
+        E += hfs
+        if record is not None:
+            record[0][:, :, cols] = Y
         for i, q in enumerate(quantizers):
-            np.multiply(q.quantize_real(y[:, i] / std[i]), std[i], out=z[:, i])
-            np.multiply(y[:, i], g[i], out=eta[:, i])
-            np.subtract(z[:, i], eta[:, i], out=eta[:, i])
-        yield tuple(a.reshape(2 * nr, -1) for a in (y, z, eta))
+            rows = Y[:, i]  # [Re y_i; Im y_i], left holding eta_i
+            z = q.quantize_real(rows / std[i])
+            z *= std[i]
+            rows *= g[i]
+            np.subtract(z, rows, out=rows)
+            if record is not None:
+                record[1][:, i, cols] = z
+        yield E
 
 
 def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
@@ -151,11 +158,13 @@ def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     Used by statistical tests on the distortion term.
     """
     nr = H.shape[0]
+    y, z = np.empty((2, 2, nr, num_samples))
+    blocks = _quantized_blocks(H, F, sigma_n2, bits, num_samples, seed, record=(y, z))
+    eta = np.concatenate(list(blocks), axis=1).reshape(2, nr, num_samples)
     out = []
-    for planar in zip(*_quantized_blocks(H, F, sigma_n2, bits, num_samples, seed)):
-        part = np.concatenate(planar, axis=1)
+    for planar in (y, z, eta):
         full = np.empty((nr, num_samples), dtype=complex)
-        full.real, full.imag = part[:nr], part[nr:]
+        full.real, full.imag = planar
         out.append(full)
     return tuple(out)
 
@@ -169,9 +178,10 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     quantized per chain by the matched Lloyd-Max quantizer, and the sample
     covariance of ``eta = z - G y`` is returned (Hermitian, eigenvalues
     clipped at zero against sampling noise). The samples are processed in
-    column blocks, so memory beyond the drawn symbols and noise stays
-    bounded. At full resolution (``bits=None``) the distortion is exactly
-    zero: nothing is drawn, so no small-sample warning is raised either.
+    place in column blocks, so memory beyond the drawn symbols and noise
+    is one block. At full resolution (``bits=None``) the distortion is
+    exactly zero: nothing is drawn, so no small-sample warning is raised
+    either.
 
     The Hermitian Gram is summed as the real Gram ``R = E E^T`` of the
     planar blocks ``E = [Re eta; Im eta]`` (numpy hands ``E @ E.T`` to BLAS
@@ -196,7 +206,7 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
             stacklevel=2,
         )
     R = np.zeros((2 * nr, 2 * nr))
-    for _, _, E in _quantized_blocks(H, F, sigma_n2, bits, num_samples, stream):
+    for E in _quantized_blocks(H, F, sigma_n2, bits, num_samples, stream):
         R += E @ E.T
     gram = np.empty((nr, nr), dtype=complex)
     gram.real = R[:nr, :nr] + R[nr:, nr:]

@@ -18,7 +18,7 @@ from qmimo.bussgang import (
     qd_cov_approx,
     qd_cov_simulated,
 )
-from qmimo.quantizer import distortion_table, gamma_approx, lloyd_max_design
+from qmimo.quantizer import _COUNT_MAX_BITS, distortion_table, gamma_approx, lloyd_max_design
 
 TABLE = distortion_table()
 G1 = 2.0 / np.pi  # one-bit Bussgang gain
@@ -36,8 +36,9 @@ def one_shot_stream(H, F, sigma_n2, bits, n_samples, seed):
     """The Monte-Carlo stream drawn and quantized in one piece: (y, z, eta).
 
     The whole stream is drawn in the documented order (s.real, s.imag,
-    n.real, n.imag), and each chain's real and imaginary parts are
-    quantized separately.
+    n.real, n.imag), ``H F s`` is the real planar product
+    ``[[Re HF, -Im HF], [Im HF, Re HF]] @ [Re s; Im s]``, and each chain's
+    real and imaginary parts are quantized separately.
     """
     nr, ns = H.shape[0], F.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
@@ -46,7 +47,15 @@ def one_shot_stream(H, F, sigma_n2, bits, n_samples, seed):
     n = (rng.standard_normal((nr, n_samples))
          + 1j * rng.standard_normal((nr, n_samples))) * np.sqrt(sigma_n2 / 2.0)
     hf = H @ F
-    y = hf @ s + n
+    planar = (np.block([[hf.real, -hf.imag], [hf.imag, hf.real]])
+              @ np.concatenate([s.real, s.imag]))
+    hfs = planar[:nr] + 1j * planar[nr:]
+    # the planar product is the complex one up to rounding: a few ulp of
+    # the largest entry
+    complex_hfs = hf @ s
+    np.testing.assert_allclose(hfs, complex_hfs, rtol=0,
+                               atol=8 * np.finfo(float).eps * np.abs(complex_hfs).max())
+    y = hfs + n
     std = np.sqrt((np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2) / 2.0)
     z = np.empty_like(y)
     for i, b in enumerate(bits):
@@ -212,19 +221,22 @@ class TestQdCovSimulated:
 
     def test_sample_stream_and_remainder_block(self):
         # the column blocks, the last one a 17-sample remainder, must
-        # reproduce the one-shot reference stream
+        # reproduce the one-shot reference stream; the second allocation
+        # spans the quantizer's switch from counting thresholds to a
+        # binary search
         H, F, sn2 = random_instance(4, 5, 2, seed=13)
-        bits = [1, 2, 3, 4]
         n_samples = 2 * _MC_BLOCK + 17
-        y, z, eta = one_shot_stream(H, F, sn2, bits, n_samples, seed=21)
+        cut = _COUNT_MAX_BITS
+        for bits in ([1, 2, 3, 4], [1, cut, cut + 1, cut + 2]):
+            y, z, eta = one_shot_stream(H, F, sn2, bits, n_samples, seed=21)
 
-        sim = qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=21)
-        assert_gram_close(sim, eta)
+            sim = qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=21)
+            assert_gram_close(sim, eta)
 
-        stream = np.random.SeedSequence([21, 0])
-        for got, want in zip(_simulate_quantized(H, F, sn2, bits, n_samples, stream),
-                             (y, z, eta)):
-            np.testing.assert_array_equal(got, want)
+            stream = np.random.SeedSequence([21, 0])
+            for got, want in zip(_simulate_quantized(H, F, sn2, bits, n_samples, stream),
+                                 (y, z, eta)):
+                np.testing.assert_array_equal(got, want)
 
     @pytest.mark.filterwarnings("ignore:num_samples=.* is small:RuntimeWarning")
     @pytest.mark.parametrize("n_samples", [_MC_BLOCK - 100, _MC_BLOCK, 3 * _MC_BLOCK])
@@ -255,8 +267,9 @@ class TestQdCovSimulated:
         assert np.linalg.eigvalsh(sim).min() >= -1e-14 * scale
 
     def test_peak_memory_is_bounded(self):
-        # 32x32, Ns = 4, 1e5 samples: the drawn symbols and noise take 58 MB;
-        # the blocked quantization and Gram stay within a few blocks on top
+        # 32x32, Ns = 4, 1e5 samples: the drawn symbols and noise take
+        # 2 (Nr + Ns) N floats = 57.6 MB, and the in-place blocks add at most
+        # two 2Nr x _MC_BLOCK arrays (4.2 MB each) on top
         H, F, sn2 = random_instance(32, 32, 4, seed=14)
         bits = [3] * 32
         qd_cov_simulated(H, F, sn2, bits, num_samples=10**4, seed=0)  # design the quantizer
@@ -266,7 +279,7 @@ class TestQdCovSimulated:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 120e6, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 66e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestUncorrelatedness:

@@ -108,3 +108,22 @@ def test_oracle_row_shares_the_point_channel_ids(tmp_path):
         "    assert ids == ['0.0', '0.1'], (name, ids)\n"
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_quantize_spans_are_children_of_the_covariance():
+    # the tracer's per-layer quantize columns count quantize_real spans; a
+    # kernel that inlined the quantizer would zero them without failing.
+    # Nr = 3 over two full blocks and a remainder: one call per chain and block
+    proc = run_with_tracer(
+        "import numpy as np\n"
+        "from qmimo import bussgang\n"
+        "rng = np.random.default_rng(0)\n"
+        "H = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))\n"
+        "F = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))\n"
+        "bussgang.qd_cov_simulated(H, F, 0.1, [1, 2, 3],\n"
+        "                          num_samples=2 * bussgang._MC_BLOCK + 17, seed=0)\n"
+        "name = {i: span[0] for i, span in enumerate(t.spans)}\n"
+        "parents = [name.get(s[3]) for s in t.spans if s[0] == 'quantizer.quantize_real']\n"
+        "assert parents == ['bussgang.qd_cov_simulated'] * 9, parents\n"
+    )
+    assert proc.returncode == 0, proc.stderr

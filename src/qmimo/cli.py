@@ -1,10 +1,10 @@
 """Configuration-driven batch front end.
 
-A JSON config file describes one experiment family; ``snr_db`` and ``b``
-may be lists, in which case the Cartesian product of the swept axes is
-executed. Results stream to CSV (one row per point and scheme, flushed per
-point) with a JSON mirror carrying per-channel arrays and the final bit
-allocations.
+A JSON config file describes one experiment family: ``snr_db``, ``b`` and
+any integer or real per-point key given as a list are swept axes, whose
+Cartesian product runs in ``_KEYS`` order. Results stream to CSV (one row
+per point and scheme, one column per axis, flushed per point) with a JSON
+mirror carrying per-channel arrays and the final bit allocations.
 
 Exit codes: 0 success, 1 run error, 2 config error.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 CSV_COLUMNS = [
-    "snr_db", "b", "scheme",
+    "scheme",
     "mean_se_apx", "stderr_se_apx", "mean_se_sim", "stderr_se_sim",
     "mean_ee", "total_power_w", "mean_iterations", "seed",
 ]
@@ -50,12 +51,12 @@ class ExperimentConfig:
     """Validated experiment description: a base point, swept axes and run settings.
 
     ``base`` holds every per-point parameter (at the first value of each
-    swept axis); ``points()`` varies its ``snr_db`` and ``b`` over the axes.
+    swept axis); ``axes`` maps config keys to their swept values, outermost
+    first, and ``points()`` varies ``base`` over their product.
     """
 
     base: evaluation.PointConfig
-    snr_db: tuple[float, ...]
-    b: tuple[int, ...]
+    axes: dict[str, tuple]
     seed: int = 0
     schemes: tuple[str, ...] = ("WF", "AltMinBF")
     num_channels: int = 1000
@@ -63,8 +64,9 @@ class ExperimentConfig:
 
     def points(self) -> list[tuple[dict, evaluation.PointConfig]]:
         """Expand swept axes into (axes, point-config) pairs."""
-        return [({"snr_db": snr, "b": b}, dataclasses.replace(self.base, snr_db=snr, b=b))
-                for snr in self.snr_db for b in self.b]
+        return [(axes, dataclasses.replace(self.base, **{_KEYS[k][0]: v for k, v in axes.items()}))
+                for axes in (dict(zip(self.axes, values))
+                             for values in itertools.product(*self.axes.values()))]
 
     def validate(self) -> None:
         if self.num_channels < 1:
@@ -117,16 +119,6 @@ def _schemes(value) -> tuple[str, ...]:
     return names
 
 
-def _axis(parse):
-    """Parser of a sweepable key: one value or a non-empty list of values."""
-    def parse_axis(value) -> tuple:
-        values = tuple(map(parse, value if isinstance(value, list) else [value]))
-        if not values:
-            raise ValueError("a swept axis needs at least one value")
-        return values
-    return parse_axis
-
-
 _SV_KEYS = {"num_clusters": _integer, "rays_per_cluster": _integer,
             "angle_spread_deg": _real}
 
@@ -140,11 +132,11 @@ def _sv_params(value) -> channel.SVParams:
     return channel.SVParams(**{k: _SV_KEYS[k](v) for k, v in value.items()})
 
 
-#: JSON key -> (field, parser). ``PointConfig`` fields go to the base point
-#: and the rest to ``ExperimentConfig``; an absent key keeps the field default.
+#: JSON key -> (field, parser), in axis order. ``PointConfig`` fields go to the
+#: base point and the rest to ``ExperimentConfig``; an absent key keeps the default.
 _KEYS = {
     "Nt": ("nt", _integer), "Nr": ("nr", _integer), "Ns": ("ns", _integer),
-    "snr_db": ("snr_db", _axis(_real)), "b": ("b", _axis(_integer)),
+    "snr_db": ("snr_db", _real), "b": ("b", _integer),
     "Pt": ("pt", _real), "b_max": ("b_max", _integer), "varsigma": ("varsigma", _real),
     "b_total": ("b_total", lambda v: None if v is None else _integer(v)),
     "eps": ("eps", _real), "max_iter": ("max_iter", _integer), "I2": ("i2", _integer),
@@ -179,32 +171,37 @@ def parse_config(path) -> ExperimentConfig:
     if missing:
         raise ConfigError(f"missing required config keys: {sorted(missing)}")
 
-    values = {}
-    for key, value in raw.items():
-        name, parse = _KEYS[key]
+    values, axes = {}, {}
+    for key in [k for k in _KEYS if k in raw]:
+        (name, parse), value = _KEYS[key], raw[key]
         try:
-            values[name] = parse(value)
+            if key in ("snr_db", "b") or (isinstance(value, list) and name in _POINT_FIELDS
+                                          and parse in (_real, _integer)):
+                axes[key] = tuple(map(parse, value if isinstance(value, list) else [value]))
+                if not axes[key]:
+                    raise ValueError("a swept axis needs at least one value")
+            else:
+                values[name] = parse(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid value for {key!r}: {exc}") from exc
 
     point = {k: v for k, v in values.items() if k in _POINT_FIELDS}
     run = {k: v for k, v in values.items() if k not in _POINT_FIELDS}
-    base = evaluation.PointConfig(**dict(point, snr_db=point["snr_db"][0], b=point["b"][0]))
-    config = ExperimentConfig(base=base, snr_db=point["snr_db"], b=point["b"], **run)
+    base = evaluation.PointConfig(**point, **{_KEYS[k][0]: v[0] for k, v in axes.items()})
+    config = ExperimentConfig(base=base, axes=axes, **run)
     config.validate()
     return config
 
 
 def _fmt(value) -> str:
-    """Serialize one CSV cell; floats carry 17 significant digits, None and NaN are empty."""
-    if value is None or (isinstance(value, float) and math.isnan(value)):
+    """Serialize one CSV cell; floats carry 17 significant digits, None is empty."""
+    if value is None:
         return ""
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def _rows_of(axes: dict, result: evaluation.ExperimentResult) -> list[dict]:
-    return [{"snr_db": float(axes["snr_db"]), "b": axes["b"], "scheme": scheme,
-             **out.summary(), "seed": result.seed}
+    return [{**axes, "scheme": scheme, **out.summary(), "seed": result.seed}
             for scheme, out in result.outcomes.items()]
 
 
@@ -233,16 +230,17 @@ def write_results(records: list[tuple], format: str, path) -> None:
     """Write collected ``(axes, result)`` point records as CSV rows or a JSON document."""
     path = Path(path)
     if format == "csv":
+        columns = [*(records[0][0] if records else ()), *CSV_COLUMNS]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
+            writer.writerow(columns)
             for axes, result in records:
                 for row in _rows_of(axes, result):
-                    writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+                    writer.writerow([_fmt(row[c]) for c in columns])
     elif format == "json":
         doc = {"points": [_json_record(axes, result) for axes, result in records]}
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1, allow_nan=False)
     else:
         raise ValueError(f"unknown results format {format!r}")
 
@@ -250,7 +248,7 @@ def write_results(records: list[tuple], format: str, path) -> None:
 def _dump_quantizers(config: ExperimentConfig, out_dir: Path) -> None:
     table = distortion_table()
     doc = {}
-    for b in sorted(set(config.b)):
+    for b in sorted({cfg.b for _, cfg in config.points()}):
         q = lloyd_max_design(b)
         doc[str(b)] = {
             "bits": b,
@@ -290,7 +288,7 @@ def run_sweep(config: ExperimentConfig, output_dir, progress=print) -> int:
     status = 0
     for i, (axes, cfg) in enumerate(points):
         if progress:
-            progress(f"[{i + 1}/{len(points)}] snr_db={axes['snr_db']:g} b={axes['b']}")
+            progress(f"[{i + 1}/{len(points)}] " + " ".join(f"{k}={v:g}" for k, v in axes.items()))
         try:
             result = evaluation.run_experiment(
                 cfg, schemes, config.num_channels, config.seed

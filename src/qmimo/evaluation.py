@@ -187,14 +187,14 @@ class SchemeOutcome:
     def summary(self) -> dict:
         """Ensemble aggregates, in result-file column order.
 
-        An empty array has a NaN mean, fewer than two values a NaN standard
-        error; the simulated-SE entries are None when ``se_sim`` is None.
+        Undefined aggregates are None: the mean of no values, the standard error
+        of fewer than two, and the simulated-SE entries when ``se_sim`` is None.
         """
         def mean(x):
-            return float(np.mean(x)) if x.size else float("nan")
+            return float(np.mean(x)) if x.size else None
 
         def stderr(x):
-            return float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else float("nan")
+            return float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else None
 
         sim = self.se_sim
         return {

@@ -11,7 +11,6 @@ import pytest
 import qmimo.cli as cli
 from qmimo.channel import SVParams
 from qmimo.cli import (
-    CSV_COLUMNS,
     ConfigError,
     ExperimentConfig,
     main,
@@ -27,6 +26,15 @@ JSON_SCHEME_KEYS = [
     "total_power_w", "mean_iterations", "se_apx_per_channel", "se_sim_per_channel",
     "ee_per_channel", "allocations", "failures",
 ]
+# CSV columns after the one column per swept axis
+FIXED_HEADER = ("scheme,mean_se_apx,stderr_se_apx,mean_se_sim,stderr_se_sim,"
+                "mean_ee,total_power_w,mean_iterations,seed")
+# keys that take a list of values as a swept axis, with two feasible values each
+SWEEPABLE = {
+    "Nt": [4, 5], "Nr": [4, 5], "Ns": [1, 2], "snr_db": [0.0, 10.0], "b": [1, 2],
+    "Pt": [1.0, 2.0], "b_max": [4, 8], "varsigma": [0.5, 1.0], "eps": [1e-4, 1e-3],
+    "max_iter": [10, 20], "I2": [1, 2], "scoring_max_iter": [5, 6], "num_qd_samples": [10, 20],
+}
 
 def write_config(tmp_path, **overrides):
     doc = {
@@ -54,7 +62,8 @@ class TestParseConfig:
         path.write_text(json.dumps({"Nt": 8, "Nr": 6, "Ns": 3, "snr_db": 5, "b": 4}))
         cfg = parse_config(path)
         assert cfg == ExperimentConfig(
-            base=PointConfig(nt=8, nr=6, ns=3, snr_db=5.0, b=4), snr_db=(5.0,), b=(4,)
+            base=PointConfig(nt=8, nr=6, ns=3, snr_db=5.0, b=4),
+            axes={"snr_db": (5.0,), "b": (4,)},
         )
 
     def test_every_key_lands_on_its_field(self, tmp_path):
@@ -78,10 +87,10 @@ class TestParseConfig:
             sim_se=True, num_qd_samples=20000,
         )
         assert cfg == ExperimentConfig(
-            base=base, snr_db=(1.5, 2.5), b=(3, 4), seed=12,
+            base=base, axes={"snr_db": (1.5, 2.5), "b": (3, 4)}, seed=12,
             schemes=("GPOS", "FullPrecision"), num_channels=7, output_dir="elsewhere",
         )
-        defaults = ExperimentConfig(base=PointConfig(), snr_db=(), b=())
+        defaults = ExperimentConfig(base=PointConfig(), axes={})
         for f in dataclasses.fields(PointConfig):
             assert getattr(cfg.base, f.name) != getattr(defaults.base, f.name), f.name
         for f in dataclasses.fields(ExperimentConfig):
@@ -120,6 +129,10 @@ class TestParseConfig:
         ("output_dir", None), ("output_dir", 3),
         ("snr_db", math.nan), ("Pt", math.inf), ("eps", math.nan),
         ("snr_db", [10.0, -math.inf]), ("sv", {"angle_spread_deg": math.inf}),
+        # an empty axis, and a list for a key that is not an axis
+        *[(key, []) for key in SWEEPABLE if key != "snr_db"],
+        ("seed", [1, 2]), ("num_channels", [1, 2]), ("b_total", [8, 9]),
+        ("sv", [{"num_clusters": 2}]), ("sim_se", [True, False]),
     ])
     def test_invalid_value_names_key(self, tmp_path, key, value):
         path = write_config(tmp_path, **{key: value})
@@ -180,6 +193,63 @@ class TestParseConfig:
         assert err.startswith("config error:") and key in err
 
 
+class TestSweepAxes:
+    def run(self, tmp_path, **overrides):
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, **overrides)), "--output-dir", str(out)]) == 0
+        doc = json.loads((out / "results.json").read_text())
+        with open(out / "results.csv") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        return doc, ",".join(reader.fieldnames), rows
+
+    def test_extra_axis_nests_in_key_order(self, tmp_path, capsys):
+        doc, header, rows = self.run(tmp_path, Nt=8, Nr=8, Ns=[2, 4], b=[2, 3], snr_db=20,
+                                     num_channels=1)
+        assert header == "Ns,snr_db,b," + FIXED_HEADER
+        assert [(r["Ns"], r["snr_db"], r["b"]) for r in rows] == [
+            ("2", "20", "2"), ("2", "20", "3"), ("4", "20", "2"), ("4", "20", "3")]
+        assert [list(p["axes"]) for p in doc["points"]] == [["Ns", "snr_db", "b"]] * 4
+        assert [p["config"]["ns"] for p in doc["points"]] == [int(r["Ns"]) for r in rows]
+        assert [p["config"]["b"] for p in doc["points"]] == [int(r["b"]) for r in rows]
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "[1/4] Ns=2 snr_db=20 b=2"
+
+    def test_default_layout_is_pinned(self, tmp_path):
+        doc, header, _ = self.run(tmp_path, snr_db=[0, 10], b=[1, 2])
+        assert header == "snr_db,b," + FIXED_HEADER
+        assert all(list(p["axes"]) == ["snr_db", "b"] for p in doc["points"])
+
+    def test_json_key_order_does_not_change_output(self, tmp_path):
+        ordered = {"snr_db": [0, 10], "b": [2, 1], "Ns": [1, 2]}
+        runs = []
+        for name, keys in (("a", ["snr_db", "b", "Ns"]), ("b", ["b", "Ns", "snr_db"])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"Nt": 4, "Nr": 4, **{k: ordered[k] for k in keys},
+                                        "schemes": ["WF"], "num_channels": 1}))
+            out = tmp_path / name
+            assert main(["run", str(path), "--output-dir", str(out)]) == 0
+            runs.append(out)
+        for name in ("results.csv", "results.json"):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+        axes = [p["axes"] for p in json.loads((runs[0] / "results.json").read_text())["points"]]
+        assert axes[:3] == [{"Ns": 1, "snr_db": 0.0, "b": 2}, {"Ns": 1, "snr_db": 0.0, "b": 1},
+                            {"Ns": 1, "snr_db": 10.0, "b": 2}]
+
+    @pytest.mark.parametrize("key", SWEEPABLE)
+    def test_every_sweepable_key_is_an_axis(self, tmp_path, key):
+        cfg = parse_config(write_config(tmp_path, **{key: SWEEPABLE[key]}))
+        assert cfg.axes[key] == tuple(SWEEPABLE[key])
+        field = cli._KEYS[key][0]
+        assert [getattr(point, field) for _, point in cfg.points()] == SWEEPABLE[key]
+
+    def test_infeasible_point_on_new_axis_names_all_axes(self, tmp_path):
+        path = write_config(tmp_path, Nt=8, Nr=8, Ns=[2, 9])
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert "infeasible point {'Ns': 9, 'snr_db': 10.0, 'b': 1}" in str(err.value)
+
+
 class TestRunSweep:
     def test_single_point_csv(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -201,8 +271,8 @@ class TestRunSweep:
     def test_oracle_size_guard_fails_the_point(self, tmp_path, capsys):
         # run_sweep has no config check of its own: the refusal is not a channel failure
         base = PointConfig(nt=8, nr=8, ns=2, b=2, b_max=8)
-        config = ExperimentConfig(base=base, snr_db=(10.0,), b=(2,), schemes=("ES",),
-                                  num_channels=2)
+        config = ExperimentConfig(base=base, axes={"snr_db": (10.0,), "b": (2,)},
+                                  schemes=("ES",), num_channels=2)
         assert run_sweep(config, output_dir=tmp_path, progress=None) == 1
         assert "size guard" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
@@ -230,10 +300,11 @@ class TestRunSweep:
 
 class TestWriteResults:
     def test_empty_csv_is_header_only(self, tmp_path):
+        # no records name no axes: the header is the fixed columns alone
         path = tmp_path / "empty.csv"
         write_results([], "csv", path)
         lines = path.read_text().strip().splitlines()
-        assert lines == [",".join(CSV_COLUMNS)]
+        assert lines == [FIXED_HEADER]
 
     def test_json_round_trip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
@@ -285,11 +356,31 @@ class TestWriteResults:
         wf = doc["points"][0]["schemes"]["WF"]
         assert list(wf) == JSON_SCHEME_KEYS
         for key in JSON_SCHEME_KEYS[:7]:
-            assert math.isnan(wf[key]), key
+            assert wf[key] is None, key
             assert row[key] == "", key
         for key in ("se_apx_per_channel", "se_sim_per_channel", "ee_per_channel", "allocations"):
             assert wf[key] == [], key
         assert wf["failures"] == cfg.num_channels == 2
+
+    def test_one_channel_run_is_strict_json(self, tmp_path):
+        def strict(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--output-dir", str(out),
+                     "--channels", "1"]) == 0
+        doc = json.loads((out / "results.json").read_text(), parse_constant=strict)
+        wf = doc["points"][0]["schemes"]["WF"]
+        assert wf["stderr_se_apx"] is None
+        assert wf["mean_se_apx"] == wf["se_apx_per_channel"][0]
+
+    def test_non_finite_value_is_refused(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path))
+        [(axes, point)] = cfg.points()
+        result = cli.evaluation.run_experiment(point, ("WF",), 1, 0)
+        result.outcomes["WF"].se_apx[0] = np.nan
+        with pytest.raises(ValueError, match="JSON"):
+            write_results([(axes, result)], "json", tmp_path / "bad.json")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,8 @@ Gaussian effective noise. For fixed per-chain resolutions, the precoder
 and combiner are obtained by alternating minimization of a weighted MSE
 objective whose fixed points coincide with the rate maximizer; the
 eigen-mode water-filling solution serves as both the unquantized baseline
-and the initializer. Diagonal quantities are length-Nr vectors: ``g`` is the
-diagonal of the Bussgang gain ``G`` and ``ce`` that of the approximate
-effective-noise covariance ``C_e``.
+and the initializer. ``g`` and ``ce`` are the length-Nr diagonals of ``G``
+and ``C_e``.
 """
 
 from __future__ import annotations
@@ -73,15 +72,10 @@ def spectral_efficiency(H: np.ndarray, F: np.ndarray, U: np.ndarray,
                         g: np.ndarray, C_e: np.ndarray) -> float:
     """Achievable rate (bits/s/Hz) of the linearized quantized link.
 
-    ``R = log2 det(I + (U^H C_e U)^{-1} U^H G H F F^H H^H G U)``, computed
-    as a difference of log-determinants, with ``g`` the length-Nr diagonal
-    of ``G`` and ``C_e`` either a length-Nr diagonal or a full matrix (the
-    Monte-Carlo one is not diagonal). The rate depends on ``U`` only through
-    its range, so it is evaluated on an orthonormal basis of ``range(U)``
-    (left singular vectors above numpy's ``matrix_rank`` cutoff): a zero or
-    linearly dependent combiner column carries no rate of its own. A
-    singular post-combining noise covariance (an all-zero ``U`` too) is
-    ridged with 1e-12 I and flagged with a warning.
+    ``R = log2 det(I + (U^H C_e U)^{-1} U^H G H F F^H H^H G U)`` on an
+    orthonormal basis of ``range(U)`` (README, "Beamforming"), for
+    ``g`` the diagonal of ``G`` and ``C_e`` a length-Nr diagonal or a full
+    matrix. A singular ``U^H C_e U`` is ridged with 1e-12 I, with a warning.
     """
     Q, s, _ = np.linalg.svd(U, full_matrices=False)
     if s.max(initial=0.0) > 0:
@@ -182,28 +176,12 @@ def update_precoder(H: np.ndarray, g: np.ndarray, U: np.ndarray,
     """Power-constrained precoder update of the weighted-MSE objective.
 
     ``F(mu) = (J + mu I)^{-1} T W`` with ``T = H^H G U``, ``d = diag(U W U^H)``
-    and ``J = T W T^H + H^H diag(d (1 - g) g) H``, where ``g`` is the
-    length-Nr diagonal of ``G``; the diagonal term accounts for the
-    precoder dependence of the distortion covariance. Both terms are formed
-    from Nt x Ns and Nt x Nr factors, never from the Nr x Nr ``U W U^H``.
-
-    J is factored once, ``J = Q diag(lam) Q^H``. With ``c = Q^H rhs`` the
-    precoder power becomes the scalar secular function
-    ``P(mu) = ||F(mu)||_F^2 = sum_i ||c_i||^2 / (lam_i + mu)^2``, the standard
-    WMMSE transmit step of Shi, Razaviyayn, Luo & He, "An iteratively
-    weighted MMSE approach to distributed sum-utility maximization for a
-    MIMO interfering broadcast channel", IEEE TSP 2011. ``mu = 0`` when the
-    unconstrained solution is feasible; for a rank-deficient J (e.g.
-    Nt > Nr) that is the minimum-norm solution, which drops eigenvalues
-    with ``|lam_i| <= eps * nt * max|lam|``. ``nt`` defaults to the column
-    count of H; a caller that passes the reduced channel ``H V_r`` passes
-    the full transmit dimension, so the cutoff is that of the full-space
-    update. Otherwise mu is the midpoint at which bisection on
-    ``[0, ||T W||_F / sqrt(pt)]`` first finds the power within ``1e-8 pt``
-    of ``pt`` (at most 200 halvings), and F is formed once at that
-    multiplier. The bisection evaluates P only where
-    :func:`_certified_bracket` leaves the side in doubt; mu is the
-    bisection's own, bit for bit.
+    and ``J = T W T^H + H^H diag(d (1 - g) g) H``, whose last term carries
+    the distortion's dependence on F: the WMMSE transmit step of Shi,
+    Razaviyayn, Luo & He, "An iteratively weighted MMSE approach to
+    distributed sum-utility maximization for a MIMO interfering broadcast
+    channel", IEEE TSP 2011. README, "Beamforming", gives mu. ``nt``
+    (default: H's columns) sets the eigenvalue cutoff; ``pt <= 0`` raises.
     """
     return _precoder_and_multiplier(H, g, U, W, pt, nt)[0]
 
@@ -240,8 +218,7 @@ def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float) ->
     ``P(mu) = c2 @ (lam + mu)**-2``. Bisection, not Newton, picks mu: SE is
     pinned at rtol 1e-9, and another root-finder would settle elsewhere
     inside the 1e-8 power tolerance. Midpoints outside the bracket of
-    :func:`_certified_bracket` take their side without evaluating P, so mu
-    is the bisection's own, bit for bit.
+    :func:`_certified_bracket` take their side without evaluating P.
     """
     tol = 1e-8 * pt
     floor = max(0.0, -float(lam[0]))
@@ -330,32 +307,15 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
                        max_iter: int = 500) -> tuple[Beamformers, AltMinReport]:
     """Alternating WMMSE beamforming for fixed per-chain ADC resolutions.
 
-    Starts from the water-filling precoder F0, then cycles weight, combiner
-    and precoder updates (the effective-noise covariance is recomputed
-    from the current precoder each cycle) until the change of the
-    natural-log objective log det W drops below ``eps`` or ``max_iter``
-    is hit. The Bussgang gains come from ``gain_diagonal(bits)``;
-    ``bits=None`` runs the full-resolution model.
-
-    The objective trace is non-decreasing only up to the precoder's power
-    tolerance: each update accepts any power within ``1e-8 pt`` of ``pt``,
-    so log det W can fall by up to about ``Ns * 1e-8`` from one iteration
-    to the next (1.08e-9 on a 2 x 1 channel at 0 dB, Ns = 1).
-
-    Every precoder update, and F0, lies in ``range(H^H)`` (Zhao, Lu, Shi &
-    Luo, "Rethinking WMMSE: Can its complexity scale linearly with the
-    number of BS antennas?", IEEE TSP 2023). So the iteration runs on the
-    Nr x r channel ``H V_r``, where ``V_r`` holds the right singular vectors
-    of H above numpy's ``matrix_rank`` cutoff, from ``V_r^H F0``; its cost
-    scales with ``r = rank(H)``, not with Nt. F0 and ``V_r`` come from the
-    same thin SVD of H, taken once per solve. The precoder is mapped back
-    once, ``F = V_r F_r``, with the same Frobenius norm; when no precoder
-    update ran, F is F0 itself. Each iteration forms ``H F`` and ``G H F``
-    once and hands them to the receive-side updates.
-
-    Returns the final beamformers (weight and combiner re-derived at the
-    final precoder) and a report with the objective trace and the SE in
-    bits/s/Hz.
+    From the water-filling precoder F0, cycles weight, combiner and
+    precoder updates until log det W changes by at most ``eps`` or
+    ``max_iter`` updates have run (``max_iter <= 0`` returns F0). The gains
+    are ``gain_diagonal(bits)``; ``bits=None`` is full resolution. The
+    iteration runs on ``range(H^H)`` (Zhao, Lu, Shi & Luo, "Rethinking
+    WMMSE: Can its complexity scale linearly with the number of BS
+    antennas?", IEEE TSP 2023; README, "Beamforming"). Returns the
+    beamformers, U and W taken at the final F, and a report with the
+    objective trace and the SE in bits/s/Hz.
     """
     nr, nt = H.shape
     g = gain_diagonal(bits, nr)

@@ -1,15 +1,12 @@
 """Per-chain ADC bit allocation under a total-bit budget.
 
-An allocation is a tuple of per-chain resolutions in {1, ..., b_max} that
-sums to the active-bit budget, which the caller passes in
-(``PointConfig.budget`` is floor(varsigma * b_total)). A greedy sweep
-produces the starting allocation; a pair-swap neighborhood search with a
-visited list improves it, scoring candidates by short
+An allocation is a tuple of per-chain resolutions in {1, ..., b_max}
+summing to the caller's active-bit budget (``PointConfig.budget``). A
+greedy sweep produces the starting allocation; a pair-swap neighborhood
+search with a visited list improves it, scoring candidates by short
 alternating-minimization solves. An exhaustive oracle returns the optimum
-over every feasible allocation of a small instance; it fully solves only
-the multisets whose certified SE ceiling (:func:`se_ceiling`) reaches its
-incumbent. Both pick the best of a list of allocations through one scorer,
-``_best``.
+over every feasible allocation of a small instance. Both pick the best of
+a list of allocations through one scorer, ``_best``.
 """
 
 from __future__ import annotations
@@ -207,16 +204,11 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
                       max_iter: int = 500) -> tuple[tuple[int, ...], float]:
     """The best feasible allocation and its SE, ``(bits, se)``, from full solves.
 
-    Visits the multisets of the feasible allocations in descending
-    :func:`se_ceiling` order, the ceiling taken at ``pt (1 + 1e-7)`` to cover
-    the precoder's power tolerance. It solves every permutation of a
-    multiset whose ceiling reaches the incumbent SE (less a relative 1e-9)
-    and skips every later multiset: each of their allocations has an SE
-    strictly below the incumbent, so the result is that of solving every
-    allocation, and the number of solves depends on the channel and SNR.
-    Refuses instances whose unconstrained search space b_max^Nr exceeds
-    ``MAX_SEARCH_SPACE``. Ties break toward the lexicographically smallest
-    allocation, which makes the result deterministic.
+    The result is that of solving every allocation, ties broken toward the
+    lexicographically smallest; multisets whose :func:`se_ceiling` lies
+    below the incumbent are skipped (README, "CLI", ``--oracle``). Raises
+    ``ValueError`` if the unconstrained search space b_max^Nr exceeds
+    ``MAX_SEARCH_SPACE`` or the budget is infeasible.
     """
     nr = H.shape[0]
     _check_oracle(nr, b_max, budget)

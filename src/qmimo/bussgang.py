@@ -30,10 +30,9 @@ __all__ = [
 def gain_diagonal(bits: Optional[Sequence[int]], nr: int) -> np.ndarray:
     """Per-chain Bussgang gains 1 - gamma(b_i) as a real vector.
 
-    gamma is the distortion factor of the Lloyd-Max quantizer, read from
-    ``distortion_table()``; this is its only reader in the pipeline.
-    ``bits=None`` means full resolution (all gains 1). Resolutions above
-    the table limit fall back to the high-resolution gamma approximation.
+    gamma is ``distortion_table().gamma``, which the model reads only here
+    and ``cli._dump_quantizers`` writes out. ``bits=None`` means full
+    resolution (all gains 1).
     """
     if bits is None:
         return np.ones(nr)
@@ -101,19 +100,12 @@ _MC_BLOCK = 8192
 
 
 def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
-                      bits: Sequence[int], num_samples: int, seed, record=None):
+                      bits: Sequence[int], num_samples: int, seed):
     """Draw y = H F s + n, quantize per chain, yield planar ``[Re eta; Im eta]`` blocks.
 
-    The whole stream is drawn first, in the order ``s.real``, ``s.imag``,
-    ``n.real``, ``n.imag``, into a real ``(2, Ns, N)`` and a real
-    ``(2, Nr, N)`` array, so the samples do not depend on the block size.
-    Each ``_MC_BLOCK``-column block (the last one holds the remainder) runs
-    in place in the noise array: ``H F s`` is added as the real product
-    ``[[Re HF, -Im HF], [Im HF, Re HF]] @ [Re s; Im s]``, and each chain's
-    two rows are quantized in one call by the Lloyd-Max quantizer of its
-    resolution (the design whose MSE is gamma), scaled to the analytic std
-    sqrt(C_y[i,i]/2), and overwritten with ``eta = z - G y``. ``record``, a
-    pair of ``(2, Nr, N)`` arrays, receives each block's ``y`` and ``z``.
+    ``seed`` goes to ``np.random.default_rng``. Each block is a view of at
+    most ``_MC_BLOCK`` columns, valid until the next is drawn (README,
+    "Monte-Carlo SE").
     """
     nr = H.shape[0]
     ns = F.shape[1]
@@ -138,35 +130,13 @@ def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
         np.matmul(hf_planar, s[:, :, cols].reshape(2 * ns, width), out=hfs)
         E = Y.reshape(2 * nr, width)  # a view: the (2, Nr) row axes merge
         E += hfs
-        if record is not None:
-            record[0][:, :, cols] = Y
         for i, q in enumerate(quantizers):
             rows = Y[:, i]  # [Re y_i; Im y_i], left holding eta_i
             z = q.quantize_real(rows / std[i])
             z *= std[i]
             rows *= g[i]
             np.subtract(z, rows, out=rows)
-            if record is not None:
-                record[1][:, i, cols] = z
         yield E
-
-
-def _simulate_quantized(H: np.ndarray, F: np.ndarray, sigma_n2: float,
-                        bits: Sequence[int], num_samples: int, seed):
-    """All samples of ``_quantized_blocks`` at once: complex ``(y, z, eta)``, Nr x N each.
-
-    Used by statistical tests on the distortion term.
-    """
-    nr = H.shape[0]
-    y, z = np.empty((2, 2, nr, num_samples))
-    blocks = _quantized_blocks(H, F, sigma_n2, bits, num_samples, seed, record=(y, z))
-    eta = np.concatenate(list(blocks), axis=1).reshape(2, nr, num_samples)
-    out = []
-    for planar in (y, z, eta):
-        full = np.empty((nr, num_samples), dtype=complex)
-        full.real, full.imag = planar
-        out.append(full)
-    return tuple(out)
 
 
 def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
@@ -174,22 +144,11 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
                      seed=0) -> np.ndarray:
     """Monte-Carlo estimate of the full distortion covariance E[eta eta^H].
 
-    Gaussian symbol and noise vectors are drawn, the received vector is
-    quantized per chain by the matched Lloyd-Max quantizer, and the sample
-    covariance of ``eta = z - G y`` is returned (Hermitian, eigenvalues
-    clipped at zero against sampling noise). The samples are processed in
-    place in column blocks, so memory beyond the drawn symbols and noise
-    is one block. At full resolution (``bits=None``) the distortion is
-    exactly zero: nothing is drawn, so no small-sample warning is raised
-    either.
-
-    The Hermitian Gram is summed as the real Gram ``R = E E^T`` of the
-    planar blocks ``E = [Re eta; Im eta]`` (numpy hands ``E @ E.T`` to BLAS
-    ``dsyrk``, as many flops as a complex Hermitian rank-k update), and
-    ``eta eta^H = (R11 + R22) + i (R21 - R12)`` in Nr x Nr quadrants.
-
-    All samples come from one stream, ``SeedSequence([seed, 0])``, so the
-    result is bit-identical for a fixed integer ``seed``.
+    Hermitian, eigenvalues clipped at zero; ``bits=None`` gives the exact
+    zero without drawing (README, "Monte-Carlo SE"). Bit-identical for a
+    fixed integer ``seed``, the stream ``SeedSequence([seed, 0])``. Raises
+    ``TypeError`` for another seed and ``ValueError`` for a non-positive
+    ``num_samples``; a quantized run warns below 1e4 samples.
     """
     if num_samples < 1:
         raise ValueError(f"num_samples={num_samples} must be >= 1")

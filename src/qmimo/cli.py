@@ -270,7 +270,7 @@ def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
                                 num_channels, seed)["ES"]
 
 
-def run_sweep(config: ExperimentConfig, output_dir, progress=print) -> int:
+def run_sweep(config: ExperimentConfig, output_dir) -> int:
     """Execute all sweep points, streaming results to disk per point.
 
     A scheme ``"ES"`` in ``config.schemes`` adds the exhaustive-oracle row.
@@ -287,8 +287,7 @@ def run_sweep(config: ExperimentConfig, output_dir, progress=print) -> int:
     schemes = tuple(s for s in config.schemes if s != "ES")
     status = 0
     for i, (axes, cfg) in enumerate(points):
-        if progress:
-            progress(f"[{i + 1}/{len(points)}] " + " ".join(f"{k}={v:g}" for k, v in axes.items()))
+        print(f"[{i + 1}/{len(points)}] " + " ".join(f"{k}={v:g}" for k, v in axes.items()))
         try:
             result = evaluation.run_experiment(
                 cfg, schemes, config.num_channels, config.seed

@@ -2,9 +2,6 @@
 distortion covariance, receiver power and energy efficiency, and seeded
 per-channel scheme evaluation.
 
-Receiver power is accounted with the constants ``P_LNA`` and ``P_RF`` per
-chain and ``FOM_KAPPA * F_S * 2^b`` per ADC (two ADCs per chain).
-
 Schemes
 -------
 ``WF``
@@ -82,10 +79,9 @@ def se_simulated(H: np.ndarray, F: np.ndarray, U: np.ndarray,
                  num_samples: int = 10**5, seed: int = 0) -> float:
     """SE evaluated with the Monte-Carlo (full-matrix) distortion covariance.
 
-    Builds ``C_e = C_eta_sim + sigma_n^2 G^2`` (a full Nr x Nr matrix, with
-    ``g`` the length-Nr diagonal of ``G``) and evaluates the rate bound
-    with the given beamformers; captures the cross-chain distortion
-    correlation that the diagonal approximation drops.
+    The rate bound at ``C_e = qd_cov_simulated(...) + sigma_n^2 G^2``, which
+    keeps the cross-chain distortion correlation that the diagonal
+    approximation drops.
     """
     nr = H.shape[0]
     g = bussgang.gain_diagonal(bits, nr)

@@ -1,20 +1,8 @@
-"""MSE-optimal (Lloyd-Max) scalar quantizers for Gaussian sources.
+"""MSE-optimal (Lloyd-Max) scalar quantizers for the standard normal input.
 
-Provides the Lloyd-Max design for a zero-mean Gaussian input, complex
-quantization by independent real/imaginary application, and the distortion
-factor (normalized quantization MSE) together with its two closed-form
-approximations.
-
-The design is one Newton solve of the Lloyd-Max fixed point. Every
-resolution the distortion table designs (1 to 12 bits) converges to a
-centroid residual of 1e-10; a solve that does not converge raises. The
-design needs numpy and the standard library only: the Gaussian CDF comes
-from ``math.erfc``, the quantile start from ``statistics.NormalDist`` and
-each Newton step is one tridiagonal solve.
-
-Every design is for the standard normal input. A caller with an input of
-standard deviation ``s`` quantizes ``x`` as ``s * q.quantize(x / s)``,
-which keeps the design optimal and scales its MSE by ``s**2``.
+The design, complex quantization of real and imaginary parts, and the
+distortion factor with its two closed-form approximations. README,
+"Quantizer design", gives the design's numerics and input scaling.
 """
 
 from __future__ import annotations
@@ -31,7 +19,7 @@ __all__ = [
     "DistortionTable",
     "lloyd_max_design",
     "gamma_approx",
-    "gaussian_quantizer_mse",
+    "quantizer_mse",
     "distortion_table",
 ]
 
@@ -59,15 +47,9 @@ _MAX_STEPS = 50
 class ScalarQuantizer:
     """A scalar quantizer given by its thresholds and codebook.
 
-    Attributes
-    ----------
-    bits : int
-        Resolution; the codebook has ``2**bits`` levels.
-    thresholds : np.ndarray
-        ``2**bits + 1`` decision levels, first ``-inf`` and last ``+inf``,
-        strictly increasing.
-    codebook : np.ndarray
-        ``2**bits`` output levels, strictly increasing.
+    ``thresholds`` holds ``2**bits + 1`` strictly increasing decision levels
+    from ``-inf`` to ``+inf`` and ``codebook`` the ``2**bits`` strictly
+    increasing output levels; anything else raises ``ValueError``.
     """
 
     bits: int
@@ -118,11 +100,7 @@ class ScalarQuantizer:
         return self.codebook.take(idx)
 
     def quantize(self, x):
-        """Quantize complex input(s): real and imaginary parts independently.
-
-        The interleaved real/imaginary parts of a complex input are
-        quantized in one contiguous call; the result has the input's shape.
-        """
+        """Quantize complex input(s): real and imaginary parts independently, same shape."""
         x = np.asarray(x)
         if np.iscomplexobj(x):
             parts = np.ascontiguousarray(x, dtype=complex).reshape(-1).view(float)
@@ -165,15 +143,14 @@ def _cells(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pdf, p
 
 
-def gaussian_quantizer_mse(thresholds: np.ndarray, codebook: np.ndarray) -> float:
-    """Exact MSE of a quantizer applied to a standard normal input.
+def quantizer_mse(q: ScalarQuantizer) -> float:
+    """Exact MSE of ``q`` on a standard normal input.
 
     Uses the per-cell identity
     ``int_a^b (x-c)^2 phi(x) dx = (1+c^2)(Phi(b)-Phi(a))
     - 2c(phi(a)-phi(b)) + a*phi(a) - b*phi(b)``.
     """
-    t = np.asarray(thresholds, dtype=float)
-    c = np.asarray(codebook, dtype=float)
+    t, c = q.thresholds, q.codebook
     pdf, p = _cells(t)
     xpdf = np.zeros_like(t)
     finite = np.isfinite(t)
@@ -182,28 +159,16 @@ def gaussian_quantizer_mse(thresholds: np.ndarray, codebook: np.ndarray) -> floa
     return float(np.sum(cells))
 
 
-def quantizer_mse(q: ScalarQuantizer) -> float:
-    """MSE of ``q`` on a standard normal input."""
-    return gaussian_quantizer_mse(q.thresholds, q.codebook)
-
-
 # ---------------------------------------------------------------------------
 # Lloyd-Max design
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
 def lloyd_max_design(bits: int) -> ScalarQuantizer:
-    """The MSE-optimal scalar quantizer for a standard normal input.
+    """The Lloyd-Max quantizer for a standard normal input, cached per ``bits``.
 
-    Solves the Lloyd-Max conditions (thresholds at codeword midpoints,
-    codewords at their cells' conditional means) as the fixed point
-    ``c = centroid(mid(c))`` by Newton's method from the Gaussian-quantile
-    codebook. The map has a tridiagonal Jacobian because each centroid
-    depends only on its two cell ends, so each step is one
-    :func:`_solve_tridiagonal`. The solve stops once every codeword
-    is within ``_TOL`` of its centroid and raises ``RuntimeError`` if it
-    has not after ``_MAX_STEPS`` steps. Each resolution is designed once
-    per process.
+    Raises ``ValueError`` for ``bits < 1`` and ``RuntimeError`` if the
+    Newton solve (README, "Quantizer design") does not converge.
     """
     if bits < 1:
         raise ValueError(f"bits must be >= 1, got {bits}")
@@ -244,9 +209,7 @@ def _solve_tridiagonal(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
     pivoting this needs A diagonally dominant. ``I - dm/dc`` of the
     Gaussian centroid map is: with ``a_j, b_j >= 0`` the derivatives of
     centroid j in its cell ends, row j is ``-a_j/2, 1 - (a_j + b_j)/2,
-    -b_j/2``, and ``a_j + b_j < 1`` for a log-concave density. The steps
-    are LAPACK ``gtsv``'s when no row interchange is needed, in Python
-    floats, which at these sizes cost less than numpy calls.
+    -b_j/2``, and ``a_j + b_j < 1`` for a log-concave density.
     """
     lo, d, up, x = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
     n = len(d)
@@ -284,10 +247,8 @@ def gamma_approx(bits: int, mode: str = "fitted") -> float:
 class DistortionTable:
     """Distortion factor gamma(b) of the Lloyd-Max quantizer.
 
-    Each resolution up to ``TABLE_MAX_BITS`` is designed on first use and
-    its exact gamma (closed-form MSE) is kept on the instance; beyond the
-    limit ``gamma`` falls back to the high-resolution approximation, where
-    the factor is < 1e-7 anyway.
+    Exact (``quantizer_mse``) up to ``TABLE_MAX_BITS``, each resolution
+    designed on first use and kept; beyond it the high-resolution law.
     """
 
     def __init__(self):

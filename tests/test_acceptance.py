@@ -33,7 +33,6 @@ from qmimo.beamforming import (
 )
 from qmimo.bitalloc import exhaustive_search, gpos_bfba
 from qmimo.bussgang import (
-    _simulate_quantized,
     effective_noise_cov,
     gain_diagonal,
     onebit_arcsine,
@@ -118,7 +117,7 @@ def test_criterion_03_one_bit_consistency():
     assert g_val <= 1e-3 and c_val <= 1e-3
 
 
-def test_criterion_04_bussgang_statistics():
+def test_criterion_04_bussgang_statistics(one_shot_stream):
     t0 = time.perf_counter()
     rng = np.random.default_rng(404)
     H = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(8)
@@ -129,7 +128,7 @@ def test_criterion_04_bussgang_statistics():
     n = 10**6
 
     # (a) distortion uncorrelated with the input
-    y, _, eta = _simulate_quantized(H, F, sn2, bits, n, seed=1404)
+    y, _, eta = one_shot_stream(H, F, sn2, bits, n, seed=1404)
     prod = eta[:, None, :] * y.conj()[None, :, :]
     mean = prod.mean(axis=2)
     se = np.sqrt(prod.real.var(axis=2, ddof=1) + prod.imag.var(axis=2, ddof=1)) / np.sqrt(n)
@@ -316,7 +315,7 @@ def test_criterion_10_power_and_ee():
     assert ee_gpos > ee_full
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, capsys):
     import json
 
     doc = {
@@ -327,8 +326,9 @@ def test_criterion_11_determinism(tmp_path):
     cfg_path = tmp_path / "acceptance.json"
     cfg_path.write_text(json.dumps(doc))
     config = parse_config(cfg_path)
-    run_sweep(config, output_dir=tmp_path / "a", progress=None)
-    run_sweep(config, output_dir=tmp_path / "b", progress=None)
+    run_sweep(config, output_dir=tmp_path / "a")
+    run_sweep(config, output_dir=tmp_path / "b")
+    capsys.readouterr()  # drop the per-point progress lines
     csv_a = (tmp_path / "a" / "results.csv").read_bytes()
     csv_b = (tmp_path / "b" / "results.csv").read_bytes()
     json_a = (tmp_path / "a" / "results.json").read_bytes()

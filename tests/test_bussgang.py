@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qmimo.bussgang import (
     _MC_BLOCK,
-    _simulate_quantized,
+    _quantized_blocks,
     effective_noise_cov,
     gain_diagonal,
     onebit_arcsine,
@@ -30,40 +30,6 @@ def random_instance(nr, nt, ns, seed, sigma_n2=0.1):
     F = (rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns)))
     F *= np.sqrt(1.0) / np.linalg.norm(F)
     return H, F, sigma_n2
-
-
-def one_shot_stream(H, F, sigma_n2, bits, n_samples, seed):
-    """The Monte-Carlo stream drawn and quantized in one piece: (y, z, eta).
-
-    The whole stream is drawn in the documented order (s.real, s.imag,
-    n.real, n.imag), ``H F s`` is the real planar product
-    ``[[Re HF, -Im HF], [Im HF, Re HF]] @ [Re s; Im s]``, and each chain's
-    real and imaginary parts are quantized separately.
-    """
-    nr, ns = H.shape[0], F.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    s = (rng.standard_normal((ns, n_samples))
-         + 1j * rng.standard_normal((ns, n_samples))) / np.sqrt(2.0)
-    n = (rng.standard_normal((nr, n_samples))
-         + 1j * rng.standard_normal((nr, n_samples))) * np.sqrt(sigma_n2 / 2.0)
-    hf = H @ F
-    planar = (np.block([[hf.real, -hf.imag], [hf.imag, hf.real]])
-              @ np.concatenate([s.real, s.imag]))
-    hfs = planar[:nr] + 1j * planar[nr:]
-    # the planar product is the complex one up to rounding: a few ulp of
-    # the largest entry
-    complex_hfs = hf @ s
-    np.testing.assert_allclose(hfs, complex_hfs, rtol=0,
-                               atol=8 * np.finfo(float).eps * np.abs(complex_hfs).max())
-    y = hfs + n
-    std = np.sqrt((np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2) / 2.0)
-    z = np.empty_like(y)
-    for i, b in enumerate(bits):
-        q = lloyd_max_design(b)
-        z[i] = std[i] * (q.quantize_real(y[i].real / std[i])
-                         + 1j * q.quantize_real(y[i].imag / std[i]))
-    eta = z - gain_diagonal(bits, nr)[:, None] * y
-    return y, z, eta
 
 
 def assert_gram_close(sim, eta):
@@ -173,11 +139,11 @@ class TestQdCovSimulated:
         sim = qd_cov_simulated(H, F, sn2, None, num_samples=10**4, seed=0)
         np.testing.assert_array_equal(sim, np.zeros((3, 3)))
 
-    def test_diag_within_three_standard_errors(self):
+    def test_diag_within_three_standard_errors(self, one_shot_stream):
         H, F, sn2 = random_instance(4, 4, 2, seed=11)
         bits = [1, 2, 3, 4]
         n = 10**6
-        _, _, eta = _simulate_quantized(H, F, sn2, bits, n, seed=43)
+        _, _, eta = one_shot_stream(H, F, sn2, bits, n, seed=43)
         per_sample = np.abs(eta) ** 2
         se = per_sample.std(axis=1, ddof=1) / np.sqrt(n)
         g = gain_diagonal(bits, len(bits))
@@ -219,7 +185,7 @@ class TestQdCovSimulated:
         np.testing.assert_allclose(sim, sim.conj().T)
         assert np.linalg.eigvalsh(sim).min() >= 0
 
-    def test_sample_stream_and_remainder_block(self):
+    def test_sample_stream_and_remainder_block(self, one_shot_stream):
         # the column blocks, the last one a 17-sample remainder, must
         # reproduce the one-shot reference stream; the second allocation
         # spans the quantizer's switch from counting thresholds to a
@@ -228,23 +194,23 @@ class TestQdCovSimulated:
         n_samples = 2 * _MC_BLOCK + 17
         cut = _COUNT_MAX_BITS
         for bits in ([1, 2, 3, 4], [1, cut, cut + 1, cut + 2]):
-            y, z, eta = one_shot_stream(H, F, sn2, bits, n_samples, seed=21)
+            stream = np.random.SeedSequence([21, 0])
+            *_, eta = one_shot_stream(H, F, sn2, bits, n_samples, stream)
 
             sim = qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=21)
             assert_gram_close(sim, eta)
 
-            stream = np.random.SeedSequence([21, 0])
-            for got, want in zip(_simulate_quantized(H, F, sn2, bits, n_samples, stream),
-                                 (y, z, eta)):
-                np.testing.assert_array_equal(got, want)
+            blocks = _quantized_blocks(H, F, sn2, bits, n_samples, stream)
+            np.testing.assert_array_equal(np.concatenate(list(blocks), axis=1),
+                                          np.concatenate([eta.real, eta.imag]))
 
     @pytest.mark.filterwarnings("ignore:num_samples=.* is small:RuntimeWarning")
     @pytest.mark.parametrize("n_samples", [_MC_BLOCK - 100, _MC_BLOCK, 3 * _MC_BLOCK])
-    def test_single_block_and_exact_multiple(self, n_samples):
+    def test_single_block_and_exact_multiple(self, n_samples, one_shot_stream):
         # one partial block, one full block, and whole blocks with no remainder
         H, F, sn2 = random_instance(3, 4, 2, seed=17)
         bits = [1, 3, 6]
-        *_, eta = one_shot_stream(H, F, sn2, bits, n_samples, seed=9)
+        *_, eta = one_shot_stream(H, F, sn2, bits, n_samples, np.random.SeedSequence([9, 0]))
         sim = qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=9)
         assert_gram_close(sim, eta)
 
@@ -283,13 +249,13 @@ class TestQdCovSimulated:
 
 
 class TestUncorrelatedness:
-    def test_distortion_uncorrelated_with_input(self):
+    def test_distortion_uncorrelated_with_input(self, one_shot_stream):
         # every entry of the sample cross-covariance E[eta y^H] sits within
         # four standard errors of zero
         H, F, sn2 = random_instance(4, 4, 2, seed=12)
         bits = [1, 2, 3, 2]
         n = 5 * 10**5
-        y, _, eta = _simulate_quantized(H, F, sn2, bits, n, seed=41)
+        y, _, eta = one_shot_stream(H, F, sn2, bits, n, seed=41)
         prod = eta[:, None, :] * y.conj()[None, :, :]  # (nr, nr, n)
         mean = prod.mean(axis=2)
         se = np.sqrt(prod.real.var(axis=2, ddof=1) + prod.imag.var(axis=2, ddof=1)) / np.sqrt(n)

@@ -253,7 +253,7 @@ class TestSweepAxes:
 class TestRunSweep:
     def test_single_point_csv(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        status = run_sweep(cfg, output_dir=tmp_path / "out", progress=None)
+        status = run_sweep(cfg, output_dir=tmp_path / "out")
         assert status == 0
         with open(tmp_path / "out" / "results.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -263,8 +263,8 @@ class TestRunSweep:
 
     def test_rerun_identical_files(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, snr_db=[0, 20]))
-        run_sweep(cfg, output_dir=tmp_path / "a", progress=None)
-        run_sweep(cfg, output_dir=tmp_path / "b", progress=None)
+        run_sweep(cfg, output_dir=tmp_path / "a")
+        run_sweep(cfg, output_dir=tmp_path / "b")
         for name in ("results.csv", "results.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -273,7 +273,7 @@ class TestRunSweep:
         base = PointConfig(nt=8, nr=8, ns=2, b=2, b_max=8)
         config = ExperimentConfig(base=base, axes={"snr_db": (10.0,), "b": (2,)},
                                   schemes=("ES",), num_channels=2)
-        assert run_sweep(config, output_dir=tmp_path, progress=None) == 1
+        assert run_sweep(config, output_dir=tmp_path) == 1
         assert "size guard" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
@@ -291,7 +291,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(cli.evaluation, "run_experiment", failing)
         cfg = parse_config(write_config(tmp_path, snr_db=[0, 10, 20]))
-        status = run_sweep(cfg, output_dir=tmp_path / "out", progress=None)
+        status = run_sweep(cfg, output_dir=tmp_path / "out")
         assert status == 1
         with open(tmp_path / "out" / "results.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -308,7 +308,7 @@ class TestWriteResults:
 
     def test_json_round_trip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        run_sweep(cfg, output_dir=tmp_path / "out", progress=None)
+        run_sweep(cfg, output_dir=tmp_path / "out")
         doc = json.loads((tmp_path / "out" / "results.json").read_text())
         point = doc["points"][0]
         se = point["schemes"]["WF"]["se_apx_per_channel"]
@@ -320,7 +320,7 @@ class TestWriteResults:
 
     def test_csv_floats_round_trip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        run_sweep(cfg, output_dir=tmp_path / "out", progress=None)
+        run_sweep(cfg, output_dir=tmp_path / "out")
         doc = json.loads((tmp_path / "out" / "results.json").read_text())
         with open(tmp_path / "out" / "results.csv") as fh:
             row = next(csv.DictReader(fh))
@@ -333,7 +333,7 @@ class TestWriteResults:
 
     def test_sim_se_off_is_null_and_empty(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        run_sweep(cfg, output_dir=tmp_path / "out", progress=None)
+        run_sweep(cfg, output_dir=tmp_path / "out")
         doc, row = self.read_outputs(tmp_path / "out")
         point = doc["points"][0]
         assert list(point) == ["axes", "seed", "num_channels", "config", "schemes"]
@@ -351,7 +351,7 @@ class TestWriteResults:
         monkeypatch.setattr(cli.evaluation.beamforming, "waterfilling_baseline", failing)
         cfg = parse_config(write_config(tmp_path, sim_se=True))
         with pytest.warns(RuntimeWarning, match="failed on channel"):
-            assert run_sweep(cfg, output_dir=tmp_path / "out", progress=None) == 0
+            assert run_sweep(cfg, output_dir=tmp_path / "out") == 0
         doc, row = self.read_outputs(tmp_path / "out")
         wf = doc["points"][0]["schemes"]["WF"]
         assert list(wf) == JSON_SCHEME_KEYS

@@ -1,9 +1,14 @@
 """Power/EE arithmetic, simulated-covariance SE, and the experiment harness."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
 from qmimo.beamforming import altmin_beamforming, waterfilling_baseline, waterfilling_power
+from qmimo.bitalloc import exhaustive_search, gpos_bfba
+from qmimo.bussgang import qd_cov_simulated
 from qmimo.channel import SVParams, saleh_valenzuela
 from qmimo.evaluation import (
     F_S,
@@ -110,6 +115,23 @@ class TestPointConfig:
         with pytest.raises(ValueError, match="budget"):
             cfg.validate(["GPOS"])
         cfg.validate(["WF"])  # fine without bit allocation
+
+    @pytest.mark.parametrize("function, keyword, field", [
+        (altmin_beamforming, "eps", "eps"),
+        (altmin_beamforming, "max_iter", "max_iter"),
+        (gpos_bfba, "eps", "eps"),
+        (gpos_bfba, "max_iter", "max_iter"),
+        (gpos_bfba, "i2", "i2"),
+        (gpos_bfba, "scoring_max_iter", "scoring_max_iter"),
+        (exhaustive_search, "eps", "eps"),
+        (exhaustive_search, "max_iter", "max_iter"),
+        (se_simulated, "num_samples", "num_qd_samples"),
+        (qd_cov_simulated, "num_samples", "num_qd_samples"),
+    ], ids=lambda v: getattr(v, "__name__", v))
+    def test_library_default_matches_field_default(self, function, keyword, field):
+        # the library repeats these config defaults as keyword defaults
+        fields = {f.name: f.default for f in dataclasses.fields(PointConfig)}
+        assert inspect.signature(function).parameters[keyword].default == fields[field]
 
 
 DESK = dict(nt=8, nr=8, ns=2, sv=SVParams())

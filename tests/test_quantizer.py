@@ -20,7 +20,6 @@ from qmimo.quantizer import (
     _COUNT_MAX_BITS,
     distortion_table,
     gamma_approx,
-    gaussian_quantizer_mse,
     lloyd_max_design,
     quantizer_mse,
 )
@@ -411,4 +410,4 @@ class TestScalarQuantizerValidation:
         rng = np.random.default_rng(5)
         x = rng.standard_normal(10**6)
         mc = np.mean((q.quantize_real(x) - x) ** 2)
-        assert gaussian_quantizer_mse(q.thresholds, q.codebook) == pytest.approx(mc, rel=5e-3)
+        assert quantizer_mse(q) == pytest.approx(mc, rel=5e-3)

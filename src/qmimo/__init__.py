@@ -29,6 +29,7 @@ from .bitalloc import exhaustive_search, gpos_bfba, greedy_init
 from .bussgang import (
     effective_noise_cov,
     gain_diagonal,
+    noise_weights,
     onebit_arcsine,
     qd_cov_approx,
     qd_cov_simulated,

@@ -14,18 +14,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bussgang import effective_noise_cov, gain_diagonal
+from .bussgang import effective_noise_cov, gain_diagonal, noise_weights
 
 __all__ = [
     "Beamformers",
     "AltMinReport",
+    "Link",
     "spectral_efficiency",
     "waterfilling_power",
     "waterfilling_baseline",
+    "receive_updates",
     "update_combiner",
     "update_weight",
     "update_precoder",
@@ -34,10 +36,10 @@ __all__ = [
 ]
 
 _RIDGE = 1e-12
-_EPS = np.finfo(float).eps
+_EPS = float(np.finfo(float).eps)
 # the precoder bisection's certified bracket: a grid of 2**-0.5 steps below
 # the initial upper end, and a cap on the Newton steps from its root side
-_GRID = 2.0 ** (-0.5 * np.arange(121))
+_GRID = (2.0 ** (-0.5 * np.arange(121))).tolist()
 _NEWTON_STEPS = 8
 
 
@@ -61,11 +63,33 @@ class AltMinReport:
     converged: bool
 
 
+class Link(NamedTuple):
+    """H (Nr x n), its gains g and the eigenvalue cutoff's dimension nt (H's columns,
+    or Nt for a reduced ``H V_r``), with the products every precoder update reuses.
+
+    Build it with ``Link.of(H, g, nt)`` only, once per solve: that keeps the
+    cached products consistent with H and g.
+    """
+
+    H: np.ndarray
+    g: np.ndarray
+    nt: int
+    Hh: np.ndarray   # H^H
+    Hhg: np.ndarray  # H^H diag(g)
+    omg: np.ndarray  # 1 - g
+
+    @classmethod
+    def of(cls, H: np.ndarray, g: np.ndarray, nt: Optional[int] = None) -> Link:
+        Hh = H.conj().T
+        return cls(H, g, H.shape[1] if nt is None else nt, Hh, Hh * g, 1.0 - g)
+
+
 def _logdet_hermitian(A: np.ndarray) -> float:
     sign, ld = np.linalg.slogdet(A)
-    if sign.real <= 0 or not np.isfinite(ld):
+    ld = float(ld)
+    if sign.real <= 0 or not math.isfinite(ld):
         raise np.linalg.LinAlgError("matrix is not positive definite")
-    return float(ld)
+    return ld
 
 
 def spectral_efficiency(H: np.ndarray, F: np.ndarray, U: np.ndarray,
@@ -144,19 +168,32 @@ def _waterfilling_precoder(sv: np.ndarray, Vh: np.ndarray, pt: float,
     return Vh[:ns].conj().T * np.sqrt(p)[None, :]
 
 
-def update_combiner(GHF: np.ndarray, ce: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F from ``GHF = G H F`` and ``ce``.
+def receive_updates(GHF: np.ndarray, ce: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(W, U)``: the weight and MMSE combiner at the same F, from ``GHF = G H F`` and ``ce``.
+
+    Forms ``C_e^{-1} G H F`` once and passes it to both updates.
+    """
+    CiGHF = GHF / ce[:, None]
+    W = update_weight(GHF, CiGHF)
+    return W, update_combiner(CiGHF, W)
+
+
+def update_combiner(CiGHF: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F from ``CiGHF = C_e^{-1} G H F``.
 
     By Woodbury this is ``C_e^{-1} G H F W^{-1}`` with the weight
-    ``W = update_weight(GHF, ce)`` at the same F, so one Ns x Ns solve
+    ``W = update_weight(GHF, CiGHF)`` at the same F, so one Ns x Ns solve
     replaces the Nr x Nr one; ``W >= I`` is always positive definite.
     """
-    return np.linalg.solve(W, (GHF / ce[:, None]).conj().T).conj().T
+    return np.linalg.solve(W, CiGHF.conj().T).conj().T
 
 
-def update_weight(GHF: np.ndarray, ce: np.ndarray) -> np.ndarray:
-    """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F from ``GHF = G H F`` and ``ce``."""
-    W = np.eye(GHF.shape[1]) + GHF.conj().T @ (GHF / ce[:, None])
+def update_weight(GHF: np.ndarray, CiGHF: np.ndarray) -> np.ndarray:
+    """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F.
+
+    From ``GHF = G H F`` and ``CiGHF = C_e^{-1} G H F``.
+    """
+    W = np.eye(GHF.shape[1]) + GHF.conj().T @ CiGHF
     return 0.5 * (W + W.conj().T)
 
 
@@ -171,8 +208,7 @@ def mse_matrix(H: np.ndarray, F: np.ndarray, U: np.ndarray, g: np.ndarray,
     return 0.5 * (E + E.conj().T)
 
 
-def update_precoder(H: np.ndarray, g: np.ndarray, U: np.ndarray,
-                    W: np.ndarray, pt: float, nt: Optional[int] = None) -> np.ndarray:
+def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float) -> np.ndarray:
     """Power-constrained precoder update of the weighted-MSE objective.
 
     ``F(mu) = (J + mu I)^{-1} T W`` with ``T = H^H G U``, ``d = diag(U W U^H)``
@@ -180,36 +216,47 @@ def update_precoder(H: np.ndarray, g: np.ndarray, U: np.ndarray,
     the distortion's dependence on F: the WMMSE transmit step of Shi,
     Razaviyayn, Luo & He, "An iteratively weighted MMSE approach to
     distributed sum-utility maximization for a MIMO interfering broadcast
-    channel", IEEE TSP 2011. README, "Beamforming", gives mu. ``nt``
-    (default: H's columns) sets the eigenvalue cutoff; ``pt <= 0`` raises.
+    channel", IEEE TSP 2011. README, "Beamforming", gives mu. H and g come
+    from ``link``; ``pt <= 0`` raises.
     """
-    return _precoder_and_multiplier(H, g, U, W, pt, nt)[0]
+    return _precoder_and_multiplier(link, U, W, pt)[0]
 
 
-def _precoder_and_multiplier(H: np.ndarray, g: np.ndarray, U: np.ndarray,
-                             W: np.ndarray, pt: float,
-                             nt: Optional[int] = None) -> tuple[np.ndarray, float]:
+def _precoder_and_multiplier(link: Link, U: np.ndarray, W: np.ndarray,
+                             pt: float) -> tuple[np.ndarray, float]:
     """:func:`update_precoder` plus its multiplier mu (0 on the minimum-norm branch)."""
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
-    Hh = H.conj().T
-    T = (Hh * g) @ U
+    T = link.Hhg @ U
     rhs = T @ W
     d = np.einsum("ij,ij->i", U @ W, U.conj()).real
-    J = rhs @ T.conj().T + (Hh * (d * (1.0 - g) * g)) @ H
+    J = rhs @ T.conj().T + (link.Hh * (d * link.omg * link.g)) @ link.H
     J = 0.5 * (J + J.conj().T)
     lam, Q = np.linalg.eigh(J)
     c = Q.conj().T @ rhs
-    c2 = np.sum(np.abs(c) ** 2, axis=1)
+    c2 = (np.abs(c) ** 2).sum(axis=1)
     # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
     # eigh sorts lam, so max|lam| is at one end (a channel of rank 0 has none)
-    top = max(-lam[0], lam[-1]) if lam.size else 0.0
-    keep = np.abs(lam) > _EPS * (H.shape[1] if nt is None else nt) * top
-    if np.sum(c2[keep] / lam[keep] ** 2) <= pt * (1.0 + 1e-9):
+    lams = lam.tolist()
+    cut = _EPS * link.nt * max(-lams[0], lams[-1]) if lams else 0.0
+    if _minimum_norm_fits(lams, c2.tolist(), cut, pt * (1.0 + 1e-9)):
+        keep = np.abs(lam) > cut
         return Q[:, keep] @ (c[keep] / lam[keep, None]), 0.0
-    hi = float(np.linalg.norm(rhs)) / math.sqrt(pt)
+    # ||T W||_F, summed as np.linalg.norm sums it
+    x = rhs.ravel()
+    hi = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / math.sqrt(pt)
     mu = _bisect_multiplier(lam, c2, pt, hi)
     return Q @ (c / (lam + mu)[:, None]), mu
+
+
+def _minimum_norm_fits(lams: list[float], c2s: list[float], cut: float, limit: float) -> bool:
+    """Whether ``np.sum(c2[keep] / lam[keep]**2) <= limit`` with ``keep = |lam| > cut``.
+
+    The terms are formed in Python floats, as numpy forms them, and numpy
+    sums them, so the branch is the one the array expression picks.
+    """
+    terms = [c / (l * l) for l, c in zip(lams, c2s) if abs(l) > cut]
+    return float(np.array(terms).sum()) <= limit
 
 
 def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float) -> float:
@@ -247,27 +294,32 @@ def _certified_bracket(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float,
     """``(a, b)`` with ``P(mu) > pt + tol`` on ``(floor, a]`` and ``P(mu) < pt - tol`` on ``[b, inf)``.
 
     P strictly decreases for ``mu > floor = max(0, -lam[0])``. The largest
-    point of the grid ``hi * 2**(-k/2)`` with ``P > pt`` lies left of the
-    root, and Newton steps on the concave ``P**-0.5`` (More & Sorensen,
-    "Computing a trust region step", SIAM J. Sci. Stat. Comput. 1983) climb
-    from there to the root mu*. With ``w = tol / |P'(mu*)|`` the band
-    ``|P - pt| <= tol`` is about ``mu* +- w``, so ``a = mu* - 1.01 w`` and
-    ``b = mu* + 1.01 w``. Both ends are accepted only if P, evaluated there,
-    clears the band by a relative ``1e-12``, far above the rounding error of
-    a sum of positive terms; by monotonicity every midpoint beyond them then
-    takes the same side as its own evaluation would. Otherwise ``(-1, inf)``.
-    The Newton steps and the check run in Python floats, which at the sizes
-    of a precoder cost less than numpy calls.
+    point of the grid ``hi * 2**(-k/2)`` above floor with ``P > pt`` lies
+    left of the root; bisection on k finds it. Newton steps on the concave
+    ``P**-0.5`` (More & Sorensen, "Computing a trust region step", SIAM J.
+    Sci. Stat. Comput. 1983) climb from there to the root mu*. With
+    ``w = tol / |P'(mu*)|`` the band ``|P - pt| <= tol`` is about
+    ``mu* +- w``, so ``a = mu* - 1.01 w`` and ``b = mu* + 1.01 w``. Both
+    ends are accepted only if P, evaluated there, clears the band by a
+    relative ``1e-12``, far above the rounding error of a sum of positive
+    terms; by monotonicity every midpoint beyond them then takes the same
+    side as its own evaluation would. Otherwise ``(-1, inf)``. The search,
+    the Newton steps and the check run in Python floats, which at the sizes
+    of a precoder cost no more than numpy calls.
     """
-    grid = hi * _GRID
-    if floor > 0.0:
-        grid = grid[grid > floor]
-    inv = 1.0 / (lam + grid[:, None])
-    left = np.flatnonzero((inv * inv) @ c2 > pt)
-    if not left.size:
-        return -1.0, math.inf
     terms = list(zip(lam.tolist(), c2.tolist()))
-    mu = float(grid[left[0]])
+    # the first k whose grid point is at or below floor or has P > pt
+    left, right = -1, len(_GRID)
+    while right - left > 1:
+        k = (left + right) // 2
+        mu = hi * _GRID[k]
+        if mu <= floor or _power(terms, mu) > pt:
+            right = k
+        else:
+            left = k
+    if right == len(_GRID) or not hi * _GRID[right] > floor:
+        return -1.0, math.inf
+    mu = hi * _GRID[right]
     w = 0.0
     for _ in range(_NEWTON_STEPS):
         p, s3 = _power_and_slope(terms, mu)
@@ -289,6 +341,20 @@ def _certified_bracket(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float,
             and _power_and_slope(terms, b)[0] < (pt - tol) * (1.0 - 1e-12)):
         return a, b
     return -1.0, math.inf
+
+
+def _power(terms: list[tuple[float, float]], mu: float) -> float:
+    """``P(mu)`` over ``terms = [(lam_i, c2_i)]``, for ``mu > -min lam``.
+
+    The grid search reads only its side of pt, so it skips the slope that
+    :func:`_power_and_slope` sums, which at r = 40 made the search slower
+    than a numpy scan of the grid.
+    """
+    p = 0.0
+    for l, c in terms:
+        x = l + mu
+        p += c / (x * x)
+    return p
 
 
 def _power_and_slope(terms: list[tuple[float, float]], mu: float) -> tuple[float, float]:
@@ -324,18 +390,19 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     Vr = Vh[s > s.max() * max(nr, nt) * _EPS].conj().T
     Hr = H @ Vr
     F = Vr.conj().T @ F0
+    # per-solve products, each formed in the order an iteration would form it
+    link = Link.of(Hr, g, nt)
+    g_col, (dist, noise) = g[:, None], noise_weights(g, sigma_n2)
     trace: list[float] = []
     converged = False
     while True:
         HF = Hr @ F
-        ce = effective_noise_cov(g, HF, sigma_n2)
-        GHF = g[:, None] * HF
-        W = update_weight(GHF, ce)
-        U = update_combiner(GHF, ce, W)
+        ce = effective_noise_cov(HF, dist, noise)
+        W, U = receive_updates(g_col * HF, ce)
         if converged or len(trace) >= max_iter:
             break
         trace.append(_logdet_hermitian(W))
-        F = update_precoder(Hr, g, U, W, pt, nt=nt)
+        F = update_precoder(link, U, W, pt)
         converged = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps
     se = spectral_efficiency(Hr, F, U, g, ce)
     report = AltMinReport(

@@ -20,6 +20,7 @@ from .quantizer import distortion_table, lloyd_max_design
 __all__ = [
     "gain_diagonal",
     "qd_cov_approx",
+    "noise_weights",
     "effective_noise_cov",
     "qd_cov_simulated",
     "onebit_arcsine",
@@ -72,16 +73,24 @@ def qd_cov_approx(g: np.ndarray, C_y: np.ndarray) -> QdCovApprox:
     return QdCovApprox(C_q=C_q, C_eta=C_eta, C_z=C_z)
 
 
-def effective_noise_cov(g: np.ndarray, HF: np.ndarray, sigma_n2: float) -> np.ndarray:
+def noise_weights(g: np.ndarray, sigma_n2: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(g (1 - g), sigma_n^2 g)``: the weights of :func:`effective_noise_cov`.
+
+    They depend on the gains alone, so a solve at fixed g forms them once.
+    """
+    return g * (1.0 - g), sigma_n2 * g
+
+
+def effective_noise_cov(HF: np.ndarray, dist: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """Diagonal of the approximate covariance of the effective noise G n + eta.
 
-    ``g`` is the length-Nr gain vector and ``HF`` the product ``H F``.
-    Returns the length-Nr vector ``ce = g (1 - g) diag(H F F^H H^H) +
-    sigma_n^2 g``, the diagonal of ``C_e``, which is increasingly accurate
-    with higher ADC resolution.
+    Returns the length-Nr vector ``ce = dist * diag(H F F^H H^H) + noise``
+    from ``HF = H F`` and ``dist, noise = noise_weights(g, sigma_n2)``, that
+    is ``g (1 - g) diag(H F F^H H^H) + sigma_n^2 g``: the diagonal of
+    ``C_e``, which is increasingly accurate with higher ADC resolution.
     """
-    d = np.real(np.einsum("ij,ij->i", HF, HF.conj()))
-    return g * (1.0 - g) * d + sigma_n2 * g
+    d = np.einsum("ij,ij->i", HF, HF.conj()).real
+    return dist * d + noise
 
 
 def _clip_psd(C: np.ndarray) -> np.ndarray:

@@ -252,12 +252,13 @@ def _dump_quantizers(config: ExperimentConfig, out_dir: Path) -> None:
         q = lloyd_max_design(b)
         doc[str(b)] = {
             "bits": b,
-            "thresholds": q.thresholds.tolist(),
+            # the 2**b - 1 finite decision levels; the outer cells are open-ended
+            "thresholds": q.thresholds[1:-1].tolist(),
             "codebook": q.codebook.tolist(),
             "gamma": table.gamma(b),
         }
     with open(out_dir / "quantizers.json", "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, allow_nan=False)
 
 
 def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,

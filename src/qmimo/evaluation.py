@@ -225,7 +225,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
         bf = beamforming.waterfilling_baseline(H, cfg.pt, cfg.sigma_n2, cfg.ns)
         bits = uniform_bits if scheme == "WF" else None  # None: all gains 1
         g = bussgang.gain_diagonal(bits, nr)
-        ce = bussgang.effective_noise_cov(g, H @ bf.F, cfg.sigma_n2)
+        ce = bussgang.effective_noise_cov(H @ bf.F, *bussgang.noise_weights(g, cfg.sigma_n2))
         se = beamforming.spectral_efficiency(H, bf.F, bf.U, g, ce)
         iters = 0
     elif scheme == "AltMinBF":

@@ -10,19 +10,20 @@ from hypothesis import strategies as st
 
 from qmimo import beamforming
 from qmimo.beamforming import (
+    Link,
     _bisect_multiplier,
     _certified_bracket,
+    _minimum_norm_fits,
     _precoder_and_multiplier,
     altmin_beamforming,
     mse_matrix,
+    receive_updates,
     spectral_efficiency,
-    update_combiner,
     update_precoder,
-    update_weight,
     waterfilling_baseline,
     waterfilling_power,
 )
-from qmimo.bussgang import effective_noise_cov, gain_diagonal
+from qmimo.bussgang import effective_noise_cov, gain_diagonal, noise_weights
 from qmimo.channel import SVParams, saleh_valenzuela
 
 
@@ -32,7 +33,7 @@ def random_instance(nr, nt, ns, seed, sigma_n2=0.05, pt=1.0, bits_val=2):
     F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
     F *= np.sqrt(pt) / np.linalg.norm(F)
     g = gain_diagonal([bits_val] * nr, nr)
-    ce = effective_noise_cov(g, H @ F, sigma_n2)
+    ce = effective_noise_cov(H @ F, *noise_weights(g, sigma_n2))
     return H, F, g, ce, sigma_n2, pt
 
 
@@ -117,6 +118,159 @@ def dense_se(H, F, U, G, C_e):
     return max((np.linalg.slogdet(A + T @ T.conj().T)[1] - ld_noise) / np.log(2.0), 0.0)
 
 
+# The AltMin iteration before its per-solve products were hoisted and the
+# bracket's 121-point grid scan became a bisection on the grid, frozen as the
+# bit-identity reference of the current one.
+FROZEN_GRID = 2.0 ** (-0.5 * np.arange(121))
+
+
+def frozen_noise_cov(g, HF, sigma_n2):
+    d = np.real(np.einsum("ij,ij->i", HF, HF.conj()))
+    return g * (1.0 - g) * d + sigma_n2 * g
+
+
+def frozen_weight(GHF, ce):
+    W = np.eye(GHF.shape[1]) + GHF.conj().T @ (GHF / ce[:, None])
+    return 0.5 * (W + W.conj().T)
+
+
+def frozen_combiner(GHF, ce, W):
+    return np.linalg.solve(W, (GHF / ce[:, None]).conj().T).conj().T
+
+
+def frozen_precoder(H, g, U, W, pt, nt=None):
+    """(F, mu) of the precoder update."""
+    Hh = H.conj().T
+    T = (Hh * g) @ U
+    rhs = T @ W
+    d = np.einsum("ij,ij->i", U @ W, U.conj()).real
+    J = rhs @ T.conj().T + (Hh * (d * (1.0 - g) * g)) @ H
+    J = 0.5 * (J + J.conj().T)
+    lam, Q = np.linalg.eigh(J)
+    c = Q.conj().T @ rhs
+    c2 = np.sum(np.abs(c) ** 2, axis=1)
+    top = max(-lam[0], lam[-1]) if lam.size else 0.0
+    keep = np.abs(lam) > np.finfo(float).eps * (H.shape[1] if nt is None else nt) * top
+    if np.sum(c2[keep] / lam[keep] ** 2) <= pt * (1.0 + 1e-9):
+        return Q[:, keep] @ (c[keep] / lam[keep, None]), 0.0
+    hi = float(np.linalg.norm(rhs)) / math.sqrt(pt)
+    mu = frozen_bisection(lam, c2, pt, hi)
+    return Q @ (c / (lam + mu)[:, None]), mu
+
+
+def frozen_bisection(lam, c2, pt, hi):
+    tol = 1e-8 * pt
+    floor = max(0.0, -float(lam[0]))
+    a, b = frozen_bracket(lam, c2, pt, hi, tol, floor)
+    lo = 0.0
+    for _ in range(200):
+        mu = 0.5 * (lo + hi)
+        if floor < mu <= a:
+            lo = mu
+            continue
+        if mu >= b:
+            hi = mu
+            continue
+        power = float(c2 @ (lam + mu) ** -2)
+        if abs(power - pt) <= tol:
+            break
+        if power > pt:
+            lo = mu
+        else:
+            hi = mu
+    return mu
+
+
+def frozen_bracket(lam, c2, pt, hi, tol, floor):
+    grid = hi * FROZEN_GRID
+    if floor > 0.0:
+        grid = grid[grid > floor]
+    inv = 1.0 / (lam + grid[:, None])
+    left = np.flatnonzero((inv * inv) @ c2 > pt)
+    if not left.size:
+        return -1.0, math.inf
+    terms = list(zip(lam.tolist(), c2.tolist()))
+    mu = float(grid[left[0]])
+    w = 0.0
+    for _ in range(8):
+        p, s3 = frozen_power_and_slope(terms, mu)
+        if not s3 > 0.0:
+            return -1.0, math.inf
+        w = tol / (2.0 * s3)
+        step = p / s3 * (math.sqrt(p / pt) - 1.0)
+        mu += step
+        if not mu > floor:
+            return -1.0, math.inf
+        if step * step <= 1e-3 * w * (mu - floor):
+            break
+    a, b = mu - 1.01 * w, mu + 1.01 * w
+    if not floor < a < b < math.inf:
+        return -1.0, math.inf
+    if (frozen_power_and_slope(terms, a)[0] > (pt + tol) * (1.0 + 1e-12)
+            and frozen_power_and_slope(terms, b)[0] < (pt - tol) * (1.0 - 1e-12)):
+        return a, b
+    return -1.0, math.inf
+
+
+def frozen_power_and_slope(terms, mu):
+    p = s3 = 0.0
+    for l, c in terms:
+        x = 1.0 / (l + mu)
+        t = c * x * x
+        p += t
+        s3 += t * x
+    return p, s3
+
+
+def frozen_iteration(H, g, F, sigma_n2, pt, nt=None):
+    """(ce, W, U, F_next, mu) of one iteration at F."""
+    HF = H @ F
+    ce = frozen_noise_cov(g, HF, sigma_n2)
+    GHF = g[:, None] * HF
+    W = frozen_weight(GHF, ce)
+    U = frozen_combiner(GHF, ce, W)
+    return (ce, W, U) + frozen_precoder(H, g, U, W, pt, nt)
+
+
+def frozen_altmin(H, bits, pt, sigma_n2, ns, eps=1e-4, max_iter=500):
+    """(F, U, W, objective trace) of an AltMin solve."""
+    nr, nt = H.shape
+    g = gain_diagonal(bits, nr)
+    _, s, Vh = np.linalg.svd(H, full_matrices=False)
+    F0 = beamforming._waterfilling_precoder(s, Vh, pt, sigma_n2, ns)
+    Vr = Vh[s > s.max() * max(nr, nt) * np.finfo(float).eps].conj().T
+    Hr = H @ Vr
+    F = Vr.conj().T @ F0
+    trace = []
+    converged = False
+    while True:
+        HF = Hr @ F
+        ce = frozen_noise_cov(g, HF, sigma_n2)
+        GHF = g[:, None] * HF
+        W = frozen_weight(GHF, ce)
+        U = frozen_combiner(GHF, ce, W)
+        if converged or len(trace) >= max_iter:
+            break
+        trace.append(float(np.linalg.slogdet(W)[1]))
+        F = frozen_precoder(Hr, g, U, W, pt, nt)[0]
+        converged = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps
+    return (Vr @ F if trace else F0), U, W, np.asarray(trace)
+
+
+def one_iteration(H, g, F, sigma_n2, pt, nt=None):
+    """(ce, W, U, F_next, mu) of one iteration at F, formed as ``altmin_beamforming`` forms them."""
+    HF = H @ F
+    ce = effective_noise_cov(HF, *noise_weights(g, sigma_n2))
+    W, U = receive_updates(g[:, None] * HF, ce)
+    return (ce, W, U) + _precoder_and_multiplier(Link.of(H, g, nt), U, W, pt)
+
+
+def assert_same_iteration(new, frozen):
+    for name, x, y in zip(("ce", "W", "U", "F"), new[:4], frozen[:4]):
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    assert new[4] == frozen[4]
+
+
 @st.composite
 def precoder_instances(draw):
     """(H, g, U, W, pt, F, sigma_n2): U, W paired updates at F; Nt = 2 Nr makes J singular."""
@@ -132,10 +286,9 @@ def precoder_instances(draw):
     F *= np.sqrt(pt) / np.linalg.norm(F)
     g = gain_diagonal(bits, len(bits))
     sigma_n2 = pt / 10.0 ** (snr_db / 10.0)
-    ce = effective_noise_cov(g, H @ F, sigma_n2)
-    GHF = g[:, None] * (H @ F)
-    W = update_weight(GHF, ce)
-    return H, g, update_combiner(GHF, ce, W), W, pt, F, sigma_n2
+    ce = effective_noise_cov(H @ F, *noise_weights(g, sigma_n2))
+    W, U = receive_updates(g[:, None] * (H @ F), ce)
+    return H, g, U, W, pt, F, sigma_n2
 
 
 @st.composite
@@ -155,10 +308,9 @@ def secular_instances(draw):
     F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
     F *= np.sqrt(pt) / np.linalg.norm(F)
     g = gain_diagonal(bits, nr)
-    ce = effective_noise_cov(g, H @ F, pt / 10.0 ** (snr_db / 10.0))
+    ce = effective_noise_cov(H @ F, *noise_weights(g, pt / 10.0 ** (snr_db / 10.0)))
     GHF = g[:, None] * (H @ F)
-    W = update_weight(GHF, ce)
-    U = update_combiner(GHF, ce, W)
+    W, U = receive_updates(GHF, ce)
     G = np.diag(g)
     UWU = U @ W @ U.conj().T
     J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(nr) - G)) @ G @ H
@@ -194,9 +346,9 @@ class TestSpectralEfficiency:
     def test_zero_precoder(self):
         H, F, g, _, sn2, _ = random_instance(4, 4, 2, seed=0)
         F0 = np.zeros_like(F)
-        ce = effective_noise_cov(g, H @ F0, sn2)
+        ce = effective_noise_cov(H @ F0, *noise_weights(g, sn2))
         GHF = g[:, None] * (H @ F0)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         with pytest.warns(RuntimeWarning):  # zero combiner makes the noise term singular
             assert spectral_efficiency(H, F0, U, g, np.diag(ce)) == 0.0
 
@@ -208,7 +360,7 @@ class TestSpectralEfficiency:
         g = np.ones(1)
         ce = sn2 * np.ones(1)
         GHF = g[:, None] * (h @ F)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         expected = np.log2(1 + np.abs(h[0, 0]) ** 2 * pt / sn2)
         assert spectral_efficiency(h, F, U, g, np.diag(ce)) == pytest.approx(expected, abs=1e-12)
 
@@ -217,7 +369,7 @@ class TestSpectralEfficiency:
         # with the MMSE combiner the rate equals the combiner-free form
         H, F, g, ce, _, _ = random_instance(5, 6, 3, seed=seed)
         GHF = g[:, None] * (H @ F)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         r = spectral_efficiency(H, F, U, g, np.diag(ce))
         M = np.eye(5) + np.linalg.solve(np.diag(ce), GHF @ GHF.conj().T)
         expected = np.linalg.slogdet(M)[1] / np.log(2)
@@ -235,7 +387,7 @@ class TestSpectralEfficiency:
         # must not send the noise term down the ridge path
         H, F, g, ce, _, _ = random_instance(5, 6, 3, seed=7)
         GHF = g[:, None] * (H @ F)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         U[:, 1] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -252,9 +404,9 @@ class TestSpectralEfficiency:
         nr, sn2 = 5, 0.05
         g = gain_diagonal([2] * nr, nr)
         F = waterfilling_baseline(H, 1.0, sn2, 3).F
-        ce = effective_noise_cov(g, H @ F, sn2)
+        ce = effective_noise_cov(H @ F, *noise_weights(g, sn2))
         GHF = g[:, None] * (H @ F)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         u0, u1 = U[:, 0], U[:, 1]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -272,7 +424,7 @@ class TestSpectralEfficiency:
             bf, _ = altmin_beamforming(H, bits, pt, sn2, ns)
         else:
             bf = waterfilling_baseline(H, pt, sn2, ns)
-        ce = effective_noise_cov(g, H @ bf.F, sn2)
+        ce = effective_noise_cov(H @ bf.F, *noise_weights(g, sn2))
         assert (spectral_efficiency(H, bf.F, bf.U, g, ce)
                 == spectral_efficiency(H, bf.F, bf.U, g, np.diag(ce)))
 
@@ -325,14 +477,14 @@ class TestCombiner:
         sn2 = 1e9
         ce = sn2 * np.ones(4)
         GHF = g[:, None] * (H @ F)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         np.testing.assert_allclose(U, H @ F / sn2, rtol=1e-6)
 
     @pytest.mark.parametrize("seed", [8, 9])
     def test_woodbury_form(self, seed):
         H, F, g, ce, _, _ = random_instance(5, 4, 3, seed=seed)
         GHF = g[:, None] * (H @ F)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         Ci_L = np.linalg.solve(np.diag(ce), GHF)
         inner = np.linalg.solve(np.eye(3) + GHF.conj().T @ Ci_L, GHF.conj().T @ Ci_L)
         U_wood = Ci_L - Ci_L @ inner
@@ -341,16 +493,14 @@ class TestCombiner:
     def test_zero_precoder(self):
         H, F, g, _, sn2, _ = random_instance(3, 3, 2, seed=10)
         F0 = np.zeros_like(F)
-        ce = effective_noise_cov(g, H @ F0, sn2)
+        ce = effective_noise_cov(H @ F0, *noise_weights(g, sn2))
         GHF = g[:, None] * (H @ F0)
-        np.testing.assert_array_equal(update_combiner(GHF, ce, update_weight(GHF, ce)),
+        np.testing.assert_array_equal(receive_updates(GHF, ce)[1],
                                       np.zeros((3, 2)))
 
     def test_one_stream_space_solve(self, monkeypatch):
         # the combiner solves against the Ns x Ns weight, never an Nr x Nr system
         H, F, g, ce, _, _ = random_instance(6, 5, 2, seed=27)
-        GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
         shapes = []
         solve = np.linalg.solve
 
@@ -359,7 +509,7 @@ class TestCombiner:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        update_combiner(GHF, ce, W)
+        receive_updates(g[:, None] * (H @ F), ce)
         assert shapes == [(2, 2)]
 
 
@@ -367,15 +517,14 @@ class TestWeight:
     def test_zero_precoder_gives_identity(self):
         H, F, g, _, sn2, _ = random_instance(3, 3, 2, seed=11)
         F0 = np.zeros_like(F)
-        ce = effective_noise_cov(g, H @ F0, sn2)
-        np.testing.assert_allclose(update_weight(g[:, None] * (H @ F0), ce), np.eye(2))
+        ce = effective_noise_cov(H @ F0, *noise_weights(g, sn2))
+        np.testing.assert_allclose(receive_updates(g[:, None] * (H @ F0), ce)[0], np.eye(2))
 
     @pytest.mark.parametrize("seed", [12, 13])
     def test_logdet_w_equals_rate(self, seed):
         H, F, g, ce, _, _ = random_instance(4, 5, 2, seed=seed)
         GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
-        U = update_combiner(GHF, ce, W)
+        W, U = receive_updates(GHF, ce)
         r = spectral_efficiency(H, F, U, g, np.diag(ce))
         assert abs(np.linalg.slogdet(W)[1] / np.log(2) - r) < 1e-9
 
@@ -383,15 +532,13 @@ class TestWeight:
     def test_w_is_inverse_mse_at_mmse_combiner(self, seed):
         H, F, g, ce, _, _ = random_instance(4, 4, 3, seed=seed)
         GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
-        U = update_combiner(GHF, ce, W)
+        W, U = receive_updates(GHF, ce)
         E = mse_matrix(H, F, U, g, ce)
         np.testing.assert_allclose(W @ E, np.eye(3), atol=1e-9)
 
     def test_w_minus_identity_psd(self):
         H, F, g, ce, _, _ = random_instance(4, 4, 2, seed=16)
-        GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
+        W = receive_updates(g[:, None] * (H @ F), ce)[0]
         assert np.linalg.eigvalsh(W - np.eye(2)).min() > -1e-12
 
 
@@ -405,7 +552,7 @@ class TestMseMatrix:
     def test_mmse_closed_form(self):
         H, F, g, ce, _, _ = random_instance(4, 5, 3, seed=18)
         GHF = g[:, None] * (H @ F)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         E = mse_matrix(H, F, U, g, ce)
         A = GHF @ GHF.conj().T + np.diag(ce)
         E_closed = np.eye(3) - GHF.conj().T @ np.linalg.solve(A, GHF)
@@ -414,7 +561,7 @@ class TestMseMatrix:
     def test_trace_bounded_at_mmse(self):
         H, F, g, ce, _, _ = random_instance(4, 4, 3, seed=19)
         GHF = g[:, None] * (H @ F)
-        U = update_combiner(GHF, ce, update_weight(GHF, ce))
+        U = receive_updates(GHF, ce)[1]
         assert np.trace(mse_matrix(H, F, U, g, ce)).real <= 3 + 1e-12
 
 
@@ -425,9 +572,8 @@ class TestPrecoder:
         g = np.ones(4)
         ce = sn2 * np.ones(4)
         GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
-        U = update_combiner(GHF, ce, W)
-        F_new = update_precoder(H, g, U, W, pt)
+        W, U = receive_updates(GHF, ce)
+        F_new = update_precoder(Link.of(H, g), U, W, pt)
         UWU = U @ W @ U.conj().T
         J = H.conj().T @ UWU @ H
         rhs = H.conj().T @ U @ W
@@ -442,16 +588,14 @@ class TestPrecoder:
     def test_power_feasible(self, seed):
         H, F, g, ce, _, pt = random_instance(4, 6, 3, seed=seed, sigma_n2=1e-4)
         GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
-        U = update_combiner(GHF, ce, W)
-        F_new = update_precoder(H, g, U, W, pt)
+        W, U = receive_updates(GHF, ce)
+        F_new = update_precoder(Link.of(H, g), U, W, pt)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
     def test_power_monotone_in_multiplier(self):
         H, F, g, ce, _, pt = random_instance(4, 4, 2, seed=24)
         GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
-        U = update_combiner(GHF, ce, W)
+        W, U = receive_updates(GHF, ce)
         UWU = U @ W @ U.conj().T
         G = np.diag(g)
         J = H.conj().T @ (G @ UWU + np.diag(np.real(np.diag(UWU))) @ (np.eye(4) - G)) @ G @ H
@@ -466,9 +610,8 @@ class TestPrecoder:
         # Nt > Nr makes J singular; the minimum-norm solution is used
         H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=25)
         GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
-        U = update_combiner(GHF, ce, W)
-        F_new = update_precoder(H, g, U, W, pt)
+        W, U = receive_updates(GHF, ce)
+        F_new = update_precoder(Link.of(H, g), U, W, pt)
         assert np.all(np.isfinite(F_new))
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
@@ -477,9 +620,8 @@ class TestPrecoder:
         instances = []
         for sn2 in (1e-4, 1.0):  # minimum-norm branch, then bisection
             H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=26, sigma_n2=sn2)
-            GHF = g[:, None] * (H @ F)
-            W = update_weight(GHF, ce)
-            instances.append((H, g, update_combiner(GHF, ce, W), W, pt))
+            W, U = receive_updates(g[:, None] * (H @ F), ce)
+            instances.append((Link.of(H, g), U, W, pt))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("linear solve in the precoder update")
@@ -489,16 +631,27 @@ class TestPrecoder:
         mus = [_precoder_and_multiplier(*inst)[1] for inst in instances]
         assert mus[0] == 0.0 and mus[1] > 0
 
+    @pytest.mark.parametrize("n", [3, 9, 40, 200])
+    def test_minimum_norm_test_at_its_limit(self, n):
+        # at and one ulp either side of the limit, the test agrees with numpy's array form
+        rng = np.random.default_rng(n)
+        lam, c2 = np.sort(rng.uniform(-1.0, 2.0, n)), rng.uniform(0.0, 1.0, n)
+        keep = np.abs(lam) > 0.25
+        total = np.sum(c2[keep] / lam[keep] ** 2)
+        for limit in (total, np.nextafter(total, 0.0), np.nextafter(total, np.inf)):
+            fits = _minimum_norm_fits(lam.tolist(), c2.tolist(), 0.25, float(limit))
+            assert fits == (total <= limit)
+
     @settings(max_examples=300, deadline=None)
     @given(precoder_instances())
     def test_matches_solve_reference(self, instance):
         H, g, U, W, pt = instance[:5]
-        F_new, mu_new = _precoder_and_multiplier(H, g, U, W, pt)
+        F_new, mu_new = _precoder_and_multiplier(Link.of(H, g), U, W, pt)
         F_ref, mu_ref = reference_precoder(H, np.diag(g), U, W, pt)
         assert (mu_new == 0.0) == (mu_ref == 0.0)
         assert np.linalg.norm(F_new - F_ref) <= 1e-9 * np.linalg.norm(F_ref)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-8)
-        np.testing.assert_array_equal(update_precoder(H, g, U, W, pt), F_new)
+        np.testing.assert_array_equal(update_precoder(Link.of(H, g), U, W, pt), F_new)
 
 
 class TestReducedPrecoder:
@@ -518,10 +671,9 @@ class TestReducedPrecoder:
     @staticmethod
     def paired_updates(H, F, g, sigma_n2):
         HF = H @ F
-        ce = effective_noise_cov(g, HF, sigma_n2)
-        GHF = g[:, None] * HF
-        W = update_weight(GHF, ce)
-        return update_combiner(GHF, ce, W), W
+        ce = effective_noise_cov(HF, *noise_weights(g, sigma_n2))
+        W, U = receive_updates(g[:, None] * HF, ce)
+        return U, W
 
     @pytest.mark.parametrize("quantized", [True, False])
     @pytest.mark.parametrize("sn2, minimum_norm", [(1e-4, True), (1.0, False)])
@@ -531,9 +683,9 @@ class TestReducedPrecoder:
         g = g if quantized else np.ones(3)
         U, W = self.paired_updates(H, F, g, sn2)
         Vr = range_basis(H)
-        F_full, mu = _precoder_and_multiplier(H, g, U, W, pt)
+        F_full, mu = _precoder_and_multiplier(Link.of(H, g), U, W, pt)
         assert (mu == 0.0) == minimum_norm
-        np.testing.assert_allclose(Vr @ update_precoder(H @ Vr, g, U, W, pt, 6), F_full,
+        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 6), U, W, pt), F_full,
                                    rtol=1e-10)
 
     @pytest.mark.parametrize("bits", [[1, 2, 3, 4] * 2, None])
@@ -545,8 +697,8 @@ class TestReducedPrecoder:
         U, W = self.paired_updates(H, waterfilling_baseline(H, 1.0, sn2, 3).F, g, sn2)
         Vr = range_basis(H)
         assert Vr.shape[1] == 4
-        np.testing.assert_allclose(Vr @ update_precoder(H @ Vr, g, U, W, 1.0, 16),
-                                   update_precoder(H, g, U, W, 1.0), rtol=1e-10)
+        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 16), U, W, 1.0),
+                                   update_precoder(Link.of(H, g), U, W, 1.0), rtol=1e-10)
 
     @pytest.mark.parametrize("bits", [[2, 2], None])
     def test_cutoff_keeps_the_full_dimension(self, bits):
@@ -555,14 +707,14 @@ class TestReducedPrecoder:
         U, W = self.paired_updates(H, F, g, 1e-2)
         Vr = range_basis(H)
         assert Vr.shape[1] == 2
-        F_full, mu = _precoder_and_multiplier(H, g, U, W, 1.0)
+        F_full, mu = _precoder_and_multiplier(Link.of(H, g), U, W, 1.0)
         assert mu == 0.0
-        np.testing.assert_allclose(Vr @ update_precoder(H @ Vr, g, U, W, 1.0, 64), F_full,
+        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 64), U, W, 1.0), F_full,
                                    rtol=1e-10)
         if bits is not None:
             # the reduced dimension's cutoff keeps the weak eigenvalue and
             # lands on another branch
-            assert _precoder_and_multiplier(H @ Vr, g, U, W, 1.0)[1] > 0
+            assert _precoder_and_multiplier(Link.of(H @ Vr, g), U, W, 1.0)[1] > 0
 
 
 class TestBisectionReplay:
@@ -574,8 +726,7 @@ class TestBisectionReplay:
     def test_bracket_certified_around_multiplier(self, monkeypatch):
         H, F, g, ce, _, pt = random_instance(4, 8, 2, seed=27, sigma_n2=1.0)
         GHF = g[:, None] * (H @ F)
-        W = update_weight(GHF, ce)
-        U = update_combiner(GHF, ce, W)
+        W, U = receive_updates(GHF, ce)
         seen = []
 
         def spy(*args):
@@ -583,7 +734,7 @@ class TestBisectionReplay:
             return seen[-1]
 
         monkeypatch.setattr(beamforming, "_certified_bracket", spy)
-        mu = _precoder_and_multiplier(H, g, U, W, pt)[1]
+        mu = _precoder_and_multiplier(Link.of(H, g), U, W, pt)[1]
         (a, b), = seen
         assert 0 < a < mu < b < math.inf
 
@@ -598,6 +749,16 @@ class TestBisectionReplay:
             assert _certified_bracket(lam, c2, pt, hi, 1e-8 * pt, 0.0) == (-1.0, math.inf)
             assert _bisect_multiplier(lam, c2, pt, hi) == reference_bisection(lam, c2, pt, hi)
 
+    @settings(max_examples=300, deadline=None)
+    @given(secular_instances())
+    def test_bracket_fires_where_the_grid_scan_did(self, instance):
+        # a bracket that stopped firing would leave mu as it is and quietly
+        # fall back to evaluating P at every midpoint
+        lam, c2, pt, hi = instance
+        args = (lam, c2, pt, hi, 1e-8 * pt, max(0.0, -float(lam[0])))
+        if frozen_bracket(*args)[1] < math.inf:
+            assert _certified_bracket(*args)[1] < math.inf
+
     def test_root_below_grid(self):
         # the root sits near 1e-22, below the grid's floor hi * 2**-60
         lam, c2, pt = np.array([1e-25, 1e3]), np.array([1e-44, 1.0]), 1.0
@@ -608,12 +769,44 @@ class TestBisectionReplay:
         assert 0 < mu < 1e-21
 
 
+class TestIterationIdentity:
+    """One AltMin iteration, and whole solves, against the frozen reference, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(precoder_instances())
+    def test_precoder_instances(self, instance):
+        H, g, _, _, pt, F, sigma_n2 = instance
+        assert_same_iteration(one_iteration(H, g, F, sigma_n2, pt),
+                              frozen_iteration(H, g, F, sigma_n2, pt))
+
+    @pytest.mark.parametrize("n, ns", [(16, 4), (64, 8)])
+    @pytest.mark.parametrize("bits, pt, minimum_norm", [("mixed", 1.0, False), (None, 10.0, True)])
+    def test_saleh_valenzuela_channel(self, n, ns, bits, pt, minimum_norm):
+        # on H V_r from the water-filling start; the 64x64 channel has rank 50
+        H = saleh_valenzuela(n, n, seed=n)
+        g = gain_diagonal([1, 2, 3, 4] * (n // 4) if bits else None, n)
+        Vr = range_basis(H)
+        F = Vr.conj().T @ waterfilling_baseline(H, 1.0, 0.01, ns).F
+        new = one_iteration(H @ Vr, g, F, 0.01, pt, n)
+        assert (new[4] == 0.0) == minimum_norm
+        assert_same_iteration(new, frozen_iteration(H @ Vr, g, F, 0.01, pt, n))
+
+    @pytest.mark.parametrize("nt, nr, ns, bits", [(8, 4, 2, [1, 3, 2, 1]), (16, 16, 4, [2] * 16),
+                                                  (64, 64, 8, [3] * 64)])
+    def test_solve(self, nt, nr, ns, bits):
+        H = saleh_valenzuela(nt, nr, seed=nt + 1)
+        bf, rep = altmin_beamforming(H, bits, 1.0, 0.01, ns)
+        F, U, W, trace = frozen_altmin(H, bits, 1.0, 0.01, ns)
+        for x, y in ((bf.F, F), (bf.U, U), (bf.W, W), (rep.objective_trace, trace)):
+            np.testing.assert_array_equal(x, y)
+
+
 class TestVectorDiagonals:
     @settings(max_examples=200, deadline=None)
     @given(precoder_instances())
     def test_match_dense_forms(self, instance):
         H, g, U, W, pt, F, sigma_n2 = instance
-        ce = effective_noise_cov(g, H @ F, sigma_n2)
+        ce = effective_noise_cov(H @ F, *noise_weights(g, sigma_n2))
         G, C_e = np.diag(g), np.diag(ce)
         np.testing.assert_allclose(C_e, dense_noise_cov(G, H, F, sigma_n2), rtol=1e-12)
         np.testing.assert_allclose(U, dense_combiner(H, F, G, C_e), rtol=1e-12)
@@ -688,7 +881,7 @@ class TestAltMin:
             bits = [1] * 8
             g = gain_diagonal(bits, len(bits))
             wf = waterfilling_baseline(H, 1.0, sn2, 2)
-            ce = effective_noise_cov(g, H @ wf.F, sn2)
+            ce = effective_noise_cov(H @ wf.F, *noise_weights(g, sn2))
             se_wf = spectral_efficiency(H, wf.F, wf.U, g, np.diag(ce))
             _, rep = altmin_beamforming(H, bits, 1.0, sn2, 2)
             wins += rep.final_se > se_wf
@@ -699,8 +892,7 @@ class TestAltMin:
         for seed in range(10):
             H, F, g, ce, _, _ = random_instance(5, 4, 3, seed=600 + seed)
             GHF = g[:, None] * (H @ F)
-            W = update_weight(GHF, ce)
-            U = update_combiner(GHF, ce, W)
+            W, U = receive_updates(GHF, ce)
             E = mse_matrix(H, F, U, g, ce)
             assert abs(np.trace(W @ E).real - 3) < 1e-9
             r = spectral_efficiency(H, F, U, g, np.diag(ce))
@@ -722,8 +914,9 @@ class TestAltMin:
         bits, sn2 = [1, 3, 2, 1], 0.01
         bf, _ = altmin_beamforming(H, bits, 1.0, sn2, 2)
         g = gain_diagonal(bits, len(bits))
-        ce = effective_noise_cov(g, H @ bf.F, sn2)
-        np.testing.assert_allclose(bf.W, update_weight(g[:, None] * (H @ bf.F), ce), rtol=1e-12)
+        ce = effective_noise_cov(H @ bf.F, *noise_weights(g, sn2))
+        np.testing.assert_allclose(bf.W, receive_updates(g[:, None] * (H @ bf.F), ce)[0],
+                                   rtol=1e-12)
 
     def test_final_power_feasible(self):
         H = saleh_valenzuela(6, 6, seed=71)

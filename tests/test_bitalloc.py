@@ -17,7 +17,7 @@ from qmimo.bitalloc import (
     se_ceiling,
 )
 from qmimo.beamforming import altmin_beamforming, spectral_efficiency
-from qmimo.bussgang import effective_noise_cov, gain_diagonal
+from qmimo.bussgang import effective_noise_cov, gain_diagonal, noise_weights
 from qmimo.channel import saleh_valenzuela
 
 
@@ -232,7 +232,8 @@ class TestSeCeiling:
         U = rng.standard_normal((nr, ns)) + 1j * rng.standard_normal((nr, ns))
         sigma_n2 = pt / 10 ** (snr_db / 10)
         g = gain_diagonal(bits, nr)
-        se = spectral_efficiency(H, F, U, g, effective_noise_cov(g, H @ F, sigma_n2))
+        ce = effective_noise_cov(H @ F, *noise_weights(g, sigma_n2))
+        se = spectral_efficiency(H, F, U, g, ce)
         assert se <= se_ceiling(H, bits, pt, sigma_n2, ns) + 1e-9
 
     @settings(max_examples=40, deadline=None)

@@ -13,6 +13,7 @@ from qmimo.bussgang import (
     _quantized_blocks,
     effective_noise_cov,
     gain_diagonal,
+    noise_weights,
     onebit_arcsine,
     optimal_onebit_beta,
     qd_cov_approx,
@@ -103,7 +104,8 @@ class TestEffectiveNoiseCov:
     def test_full_resolution_reduces_to_awgn(self):
         H, F, sn2 = random_instance(4, 4, 2, seed=1)
         np.testing.assert_allclose(
-            effective_noise_cov(np.ones(4), H @ F, sn2), sn2 * np.ones(4), atol=1e-15
+            effective_noise_cov(H @ F, *noise_weights(np.ones(4), sn2)), sn2 * np.ones(4),
+            atol=1e-15,
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -114,7 +116,7 @@ class TestEffectiveNoiseCov:
         g = gain_diagonal(bits, len(bits))
         Gm = np.eye(4) - np.diag(g)
         C_y = (H @ F) @ (H @ F).conj().T + sn2 * np.eye(4)
-        direct = np.diag(effective_noise_cov(g, H @ F, sn2))
+        direct = np.diag(effective_noise_cov(H @ F, *noise_weights(g, sn2)))
         via_cy = Gm @ np.diag(np.diag(C_y)) @ (np.eye(4) - Gm) + sn2 * (np.eye(4) - Gm) @ (np.eye(4) - Gm)
         np.testing.assert_allclose(direct, via_cy, atol=1e-12)
 
@@ -122,13 +124,14 @@ class TestEffectiveNoiseCov:
         H, F, sn2 = random_instance(3, 3, 2, seed=9)
         g = gain_diagonal([1, 1, 1], 3)
         C_y = (H @ F) @ (H @ F).conj().T + sn2 * np.eye(3)
-        lhs = effective_noise_cov(g, H @ F, sn2)
+        lhs = effective_noise_cov(H @ F, *noise_weights(g, sn2))
         rhs = qd_cov_approx(g, C_y).C_eta + sn2 * g * g
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_hermitian_psd(self):
         H, F, sn2 = random_instance(5, 5, 3, seed=3)
-        C_e = np.diag(effective_noise_cov(gain_diagonal([1, 2, 3, 4, 5], 5), H @ F, sn2))
+        g = gain_diagonal([1, 2, 3, 4, 5], 5)
+        C_e = np.diag(effective_noise_cov(H @ F, *noise_weights(g, sn2)))
         np.testing.assert_allclose(C_e, C_e.conj().T)
         assert np.linalg.eigvalsh(C_e).min() > 0
 

@@ -36,6 +36,12 @@ SWEEPABLE = {
     "max_iter": [10, 20], "I2": [1, 2], "scoring_max_iter": [5, 6], "num_qd_samples": [10, 20],
 }
 
+
+def reject_constant(constant):
+    """``json.loads`` hook: strict JSON has no NaN or Infinity."""
+    raise ValueError(f"non-standard JSON constant {constant}")
+
+
 def write_config(tmp_path, **overrides):
     doc = {
         "Nt": 4, "Nr": 4, "Ns": 2, "snr_db": 10.0, "b": 1,
@@ -363,13 +369,10 @@ class TestWriteResults:
         assert wf["failures"] == cfg.num_channels == 2
 
     def test_one_channel_run_is_strict_json(self, tmp_path):
-        def strict(constant):
-            raise ValueError(f"non-standard JSON constant {constant}")
-
         out = tmp_path / "out"
         assert main(["run", str(write_config(tmp_path)), "--output-dir", str(out),
                      "--channels", "1"]) == 0
-        doc = json.loads((out / "results.json").read_text(), parse_constant=strict)
+        doc = json.loads((out / "results.json").read_text(), parse_constant=reject_constant)
         wf = doc["points"][0]["schemes"]["WF"]
         assert wf["stderr_se_apx"] is None
         assert wf["mean_se_apx"] == wf["se_apx_per_channel"][0]
@@ -414,11 +417,15 @@ class TestMain:
         out = tmp_path / "out"
         assert main(["run", str(path), "--output-dir", str(out),
                      "--channels", "1", "--dump-quantizers"]) == 0
-        doc = json.loads((out / "quantizers.json").read_text())
+        doc = json.loads((out / "quantizers.json").read_text(),
+                         parse_constant=reject_constant)
         assert set(doc) == {"1", "2"}
         assert set(doc["1"]) == {"bits", "thresholds", "codebook", "gamma"}
         assert doc["1"]["codebook"] == pytest.approx([-0.7978845608, 0.7978845608])
         assert doc["1"]["gamma"] == pytest.approx(1 - 2 / np.pi)
+        # the 2**b - 1 finite decision levels; the outer cells are open-ended
+        assert doc["1"]["thresholds"] == [0.0]
+        assert doc["2"]["thresholds"] == pytest.approx([-0.9815988, 0.0, 0.9815988], abs=1e-7)
 
     def test_oracle_guard(self, tmp_path, capsys):
         path = write_config(tmp_path, Nt=32, Nr=32, Ns=2, b_max=8)

@@ -64,12 +64,7 @@ class AltMinReport:
 
 
 class Link(NamedTuple):
-    """H (Nr x n), its gains g and the eigenvalue cutoff's dimension nt (H's columns,
-    or Nt for a reduced ``H V_r``), with the products every precoder update reuses.
-
-    Build it with ``Link.of(H, g, nt)`` only, once per solve: that keeps the
-    cached products consistent with H and g.
-    """
+    """H, gains g and cutoff dimension nt, with ``Link.of``'s products (README, "Beamforming")."""
 
     H: np.ndarray
     g: np.ndarray
@@ -79,9 +74,9 @@ class Link(NamedTuple):
     omg: np.ndarray  # 1 - g
 
     @classmethod
-    def of(cls, H: np.ndarray, g: np.ndarray, nt: Optional[int] = None) -> Link:
+    def of(cls, H: np.ndarray, g: np.ndarray, nt: int) -> Link:
         Hh = H.conj().T
-        return cls(H, g, H.shape[1] if nt is None else nt, Hh, Hh * g, 1.0 - g)
+        return cls(H, g, nt, Hh, Hh * g, 1.0 - g)
 
 
 def _logdet_hermitian(A: np.ndarray) -> float:
@@ -169,30 +164,19 @@ def _waterfilling_precoder(sv: np.ndarray, Vh: np.ndarray, pt: float,
 
 
 def receive_updates(GHF: np.ndarray, ce: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(W, U)``: the weight and MMSE combiner at the same F, from ``GHF = G H F`` and ``ce``.
-
-    Forms ``C_e^{-1} G H F`` once and passes it to both updates.
-    """
+    """``(W, U)``: the weight and MMSE combiner at the same F, from ``GHF = G H F`` and ``ce``."""
     CiGHF = GHF / ce[:, None]
     W = update_weight(GHF, CiGHF)
     return W, update_combiner(CiGHF, W)
 
 
 def update_combiner(CiGHF: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """MMSE combiner U = (G H F F^H H^H G + C_e)^{-1} G H F from ``CiGHF = C_e^{-1} G H F``.
-
-    By Woodbury this is ``C_e^{-1} G H F W^{-1}`` with the weight
-    ``W = update_weight(GHF, CiGHF)`` at the same F, so one Ns x Ns solve
-    replaces the Nr x Nr one; ``W >= I`` is always positive definite.
-    """
+    """MMSE combiner, by Woodbury ``C_e^{-1} G H F W^{-1}``, from ``CiGHF`` and W at the same F."""
     return np.linalg.solve(W, CiGHF.conj().T).conj().T
 
 
 def update_weight(GHF: np.ndarray, CiGHF: np.ndarray) -> np.ndarray:
-    """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F.
-
-    From ``GHF = G H F`` and ``CiGHF = C_e^{-1} G H F``.
-    """
+    """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F from ``GHF`` and ``CiGHF``."""
     W = np.eye(GHF.shape[1]) + GHF.conj().T @ CiGHF
     return 0.5 * (W + W.conj().T)
 
@@ -235,41 +219,39 @@ def _precoder_and_multiplier(link: Link, U: np.ndarray, W: np.ndarray,
     lam, Q = np.linalg.eigh(J)
     c = Q.conj().T @ rhs
     c2 = (np.abs(c) ** 2).sum(axis=1)
+    terms = list(zip(lam.tolist(), c2.tolist()))
     # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
     # eigh sorts lam, so max|lam| is at one end (a channel of rank 0 has none)
-    lams = lam.tolist()
-    cut = _EPS * link.nt * max(-lams[0], lams[-1]) if lams else 0.0
-    if _minimum_norm_fits(lams, c2.tolist(), cut, pt * (1.0 + 1e-9)):
+    cut = _EPS * link.nt * max(-terms[0][0], terms[-1][0]) if terms else 0.0
+    if _minimum_norm_fits(terms, cut, pt * (1.0 + 1e-9)):
         keep = np.abs(lam) > cut
         return Q[:, keep] @ (c[keep] / lam[keep, None]), 0.0
     # ||T W||_F, summed as np.linalg.norm sums it
     x = rhs.ravel()
     hi = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / math.sqrt(pt)
-    mu = _bisect_multiplier(lam, c2, pt, hi)
+    mu = _bisect_multiplier(lam, c2, terms, pt, hi)
     return Q @ (c / (lam + mu)[:, None]), mu
 
 
-def _minimum_norm_fits(lams: list[float], c2s: list[float], cut: float, limit: float) -> bool:
-    """Whether ``np.sum(c2[keep] / lam[keep]**2) <= limit`` with ``keep = |lam| > cut``.
-
-    The terms are formed in Python floats, as numpy forms them, and numpy
-    sums them, so the branch is the one the array expression picks.
-    """
-    terms = [c / (l * l) for l, c in zip(lams, c2s) if abs(l) > cut]
-    return float(np.array(terms).sum()) <= limit
+def _minimum_norm_fits(terms: list[tuple[float, float]], cut: float, limit: float) -> bool:
+    """Whether ``np.sum(c2[keep] / lam[keep]**2) <= limit``, ``keep = |lam| > cut`` (README)."""
+    x = [c / (l * l) for l, c in terms if abs(l) > cut]
+    return float(np.array(x).sum()) <= limit
 
 
-def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float) -> float:
+def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, terms: list[tuple[float, float]],
+                       pt: float, hi: float) -> float:
     """The midpoint at which bisection on ``[0, hi]`` finds ``|P(mu) - pt| <= 1e-8 pt``.
 
-    ``P(mu) = c2 @ (lam + mu)**-2``. Bisection, not Newton, picks mu: SE is
-    pinned at rtol 1e-9, and another root-finder would settle elsewhere
-    inside the 1e-8 power tolerance. Midpoints outside the bracket of
+    ``P(mu) = c2 @ (lam + mu)**-2``; ``terms`` holds ``(lam_i, c2_i)`` as
+    Python floats. Bisection, not Newton, picks mu: SE is pinned at rtol
+    1e-9, and another root-finder would settle elsewhere inside the 1e-8
+    power tolerance. Midpoints outside the bracket of
     :func:`_certified_bracket` take their side without evaluating P.
     """
     tol = 1e-8 * pt
-    floor = max(0.0, -float(lam[0]))
-    a, b = _certified_bracket(lam, c2, pt, hi, tol, floor)
+    floor = max(0.0, -terms[0][0])
+    a, b = _certified_bracket(terms, pt, hi, tol, floor)
     lo = 0.0
     for _ in range(200):
         mu = 0.5 * (lo + hi)
@@ -289,11 +271,11 @@ def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float) ->
     return mu
 
 
-def _certified_bracket(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float,
+def _certified_bracket(terms: list[tuple[float, float]], pt: float, hi: float,
                        tol: float, floor: float) -> tuple[float, float]:
     """``(a, b)`` with ``P(mu) > pt + tol`` on ``(floor, a]`` and ``P(mu) < pt - tol`` on ``[b, inf)``.
 
-    P strictly decreases for ``mu > floor = max(0, -lam[0])``. The largest
+    P over ``terms`` strictly decreases for ``mu > floor = max(0, -lam[0])``. The largest
     point of the grid ``hi * 2**(-k/2)`` above floor with ``P > pt`` lies
     left of the root; bisection on k finds it. Newton steps on the concave
     ``P**-0.5`` (More & Sorensen, "Computing a trust region step", SIAM J.
@@ -307,7 +289,6 @@ def _certified_bracket(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float,
     the Newton steps and the check run in Python floats, which at the sizes
     of a precoder cost no more than numpy calls.
     """
-    terms = list(zip(lam.tolist(), c2.tolist()))
     # the first k whose grid point is at or below floor or has P > pt
     left, right = -1, len(_GRID)
     while right - left > 1:
@@ -344,12 +325,7 @@ def _certified_bracket(lam: np.ndarray, c2: np.ndarray, pt: float, hi: float,
 
 
 def _power(terms: list[tuple[float, float]], mu: float) -> float:
-    """``P(mu)`` over ``terms = [(lam_i, c2_i)]``, for ``mu > -min lam``.
-
-    The grid search reads only its side of pt, so it skips the slope that
-    :func:`_power_and_slope` sums, which at r = 40 made the search slower
-    than a numpy scan of the grid.
-    """
+    """``P(mu)`` over ``terms = [(lam_i, c2_i)]``, for ``mu > -min lam``, without the slope."""
     p = 0.0
     for l, c in terms:
         x = l + mu

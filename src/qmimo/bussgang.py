@@ -74,20 +74,14 @@ def qd_cov_approx(g: np.ndarray, C_y: np.ndarray) -> QdCovApprox:
 
 
 def noise_weights(g: np.ndarray, sigma_n2: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(g (1 - g), sigma_n^2 g)``: the weights of :func:`effective_noise_cov`.
-
-    They depend on the gains alone, so a solve at fixed g forms them once.
-    """
+    """``(g (1 - g), sigma_n^2 g)``: the weights of :func:`effective_noise_cov`."""
     return g * (1.0 - g), sigma_n2 * g
 
 
 def effective_noise_cov(HF: np.ndarray, dist: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Diagonal of the approximate covariance of the effective noise G n + eta.
+    """Diagonal ``dist * diag(H F F^H H^H) + noise`` of the approximate C_e, from ``HF = H F``.
 
-    Returns the length-Nr vector ``ce = dist * diag(H F F^H H^H) + noise``
-    from ``HF = H F`` and ``dist, noise = noise_weights(g, sigma_n2)``, that
-    is ``g (1 - g) diag(H F F^H H^H) + sigma_n^2 g``: the diagonal of
-    ``C_e``, which is increasingly accurate with higher ADC resolution.
+    ``dist, noise = noise_weights(g, sigma_n2)``; the approximation improves with ADC resolution.
     """
     d = np.einsum("ij,ij->i", HF, HF.conj()).real
     return dist * d + noise
@@ -161,7 +155,9 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     """
     if num_samples < 1:
         raise ValueError(f"num_samples={num_samples} must be >= 1")
-    stream = np.random.SeedSequence([_as_seed_int(seed), 0])
+    if not isinstance(seed, (int, np.integer)):
+        raise TypeError(f"seed must be an integer, got {type(seed)!r}")
+    stream = np.random.SeedSequence([int(seed), 0])
     nr = H.shape[0]
     if bits is None:
         return np.zeros((nr, nr), dtype=complex)
@@ -180,12 +176,6 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     gram.real = R[:nr, :nr] + R[nr:, nr:]
     gram.imag = R[nr:, :nr] - R[:nr, nr:]
     return _clip_psd(gram / num_samples)
-
-
-def _as_seed_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    raise TypeError(f"seed must be an integer, got {type(seed)!r}")
 
 
 def optimal_onebit_beta(sigma_y2: float) -> float:

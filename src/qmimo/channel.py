@@ -45,11 +45,8 @@ def ula_steering(num_antennas: int, phi) -> np.ndarray:
     ``(num_antennas, len(phi))`` for a vector of azimuth angles; the
     squared norm per vector equals ``num_antennas``.
     """
-    phi = np.asarray(phi, dtype=float)
     n = np.arange(num_antennas)
-    if phi.ndim == 0:
-        return np.exp(1j * np.pi * n * np.sin(phi))
-    return np.exp(1j * np.pi * np.outer(n, np.sin(phi)))
+    return np.exp(1j * np.pi * np.multiply.outer(n, np.sin(np.asarray(phi, dtype=float))))
 
 
 def saleh_valenzuela(nt: int, nr: int, params: SVParams | None = None,

@@ -111,11 +111,7 @@ def _schemes(value) -> tuple[str, ...]:
     if not isinstance(value, list):
         raise ValueError(f"expected a list of scheme names, got {value!r}")
     names = tuple(map(_string, value))
-    bad = [s for s in names if s not in evaluation.SCHEMES]
-    if bad:
-        raise ValueError(f"unknown schemes {bad}; valid schemes are {list(evaluation.SCHEMES)}")
-    if len(set(names)) != len(names):
-        raise ValueError(f"repeated scheme name in {list(names)}")
+    evaluation._check_schemes(names)
     return names
 
 

@@ -41,6 +41,16 @@ __all__ = [
 
 SCHEMES = ("WF", "AltMinBF", "GPOS", "FullPrecision")
 
+
+def _check_schemes(schemes: Sequence[str]) -> None:
+    """Raise ``ValueError`` for a name outside ``SCHEMES`` or a repeated name."""
+    unknown = [s for s in schemes if s not in SCHEMES]
+    if unknown:
+        raise ValueError(f"unknown schemes {unknown}; valid schemes are {list(SCHEMES)}")
+    if len(set(schemes)) != len(schemes):
+        raise ValueError(f"duplicate scheme name in {list(schemes)}")
+
+
 #: Per-chain resolution used to account power for the full-precision scheme.
 FULL_PRECISION_BITS = 12
 
@@ -264,11 +274,7 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     and the channel is dropped from that scheme's aggregates; any other
     exception propagates. Without schemes no channel is drawn.
     """
-    unknown = [s for s in schemes if s not in SCHEMES]
-    if unknown:
-        raise ValueError(f"unknown scheme {unknown[0]!r}; expected one of {SCHEMES}")
-    if len(set(schemes)) != len(schemes):
-        raise ValueError(f"duplicate scheme name in {list(schemes)}")
+    _check_schemes(schemes)
     config.validate(schemes)
     return ExperimentResult(config=config, seed=seed, num_channels=num_channels,
                             outcomes=_ensemble(config, schemes, num_channels, seed))

@@ -65,6 +65,11 @@ def reference_precoder(H, G, U, W, pt):
     return F, mu
 
 
+def secular_terms(lam, c2):
+    """The ``(lam_i, c2_i)`` list that ``_precoder_and_multiplier`` hands the scalar tests."""
+    return list(zip(lam.tolist(), c2.tolist()))
+
+
 def reference_bisection(lam, c2, pt, hi):
     """The precoder's multiplier bisection with a power evaluation at every
     midpoint, kept as the test oracle for the certified replay."""
@@ -262,7 +267,8 @@ def one_iteration(H, g, F, sigma_n2, pt, nt=None):
     HF = H @ F
     ce = effective_noise_cov(HF, *noise_weights(g, sigma_n2))
     W, U = receive_updates(g[:, None] * HF, ce)
-    return (ce, W, U) + _precoder_and_multiplier(Link.of(H, g, nt), U, W, pt)
+    return (ce, W, U) + _precoder_and_multiplier(Link.of(H, g, H.shape[1] if nt is None else nt),
+                                                 U, W, pt)
 
 
 def assert_same_iteration(new, frozen):
@@ -573,7 +579,7 @@ class TestPrecoder:
         ce = sn2 * np.ones(4)
         GHF = g[:, None] * (H @ F)
         W, U = receive_updates(GHF, ce)
-        F_new = update_precoder(Link.of(H, g), U, W, pt)
+        F_new = update_precoder(Link.of(H, g, 4), U, W, pt)
         UWU = U @ W @ U.conj().T
         J = H.conj().T @ UWU @ H
         rhs = H.conj().T @ U @ W
@@ -589,7 +595,7 @@ class TestPrecoder:
         H, F, g, ce, _, pt = random_instance(4, 6, 3, seed=seed, sigma_n2=1e-4)
         GHF = g[:, None] * (H @ F)
         W, U = receive_updates(GHF, ce)
-        F_new = update_precoder(Link.of(H, g), U, W, pt)
+        F_new = update_precoder(Link.of(H, g, 6), U, W, pt)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
     def test_power_monotone_in_multiplier(self):
@@ -611,7 +617,7 @@ class TestPrecoder:
         H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=25)
         GHF = g[:, None] * (H @ F)
         W, U = receive_updates(GHF, ce)
-        F_new = update_precoder(Link.of(H, g), U, W, pt)
+        F_new = update_precoder(Link.of(H, g, 6), U, W, pt)
         assert np.all(np.isfinite(F_new))
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
@@ -621,7 +627,7 @@ class TestPrecoder:
         for sn2 in (1e-4, 1.0):  # minimum-norm branch, then bisection
             H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=26, sigma_n2=sn2)
             W, U = receive_updates(g[:, None] * (H @ F), ce)
-            instances.append((Link.of(H, g), U, W, pt))
+            instances.append((Link.of(H, g, 6), U, W, pt))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("linear solve in the precoder update")
@@ -639,19 +645,19 @@ class TestPrecoder:
         keep = np.abs(lam) > 0.25
         total = np.sum(c2[keep] / lam[keep] ** 2)
         for limit in (total, np.nextafter(total, 0.0), np.nextafter(total, np.inf)):
-            fits = _minimum_norm_fits(lam.tolist(), c2.tolist(), 0.25, float(limit))
+            fits = _minimum_norm_fits(secular_terms(lam, c2), 0.25, float(limit))
             assert fits == (total <= limit)
 
     @settings(max_examples=300, deadline=None)
     @given(precoder_instances())
     def test_matches_solve_reference(self, instance):
         H, g, U, W, pt = instance[:5]
-        F_new, mu_new = _precoder_and_multiplier(Link.of(H, g), U, W, pt)
+        F_new, mu_new = _precoder_and_multiplier(Link.of(H, g, H.shape[1]), U, W, pt)
         F_ref, mu_ref = reference_precoder(H, np.diag(g), U, W, pt)
         assert (mu_new == 0.0) == (mu_ref == 0.0)
         assert np.linalg.norm(F_new - F_ref) <= 1e-9 * np.linalg.norm(F_ref)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-8)
-        np.testing.assert_array_equal(update_precoder(Link.of(H, g), U, W, pt), F_new)
+        np.testing.assert_array_equal(update_precoder(Link.of(H, g, H.shape[1]), U, W, pt), F_new)
 
 
 class TestReducedPrecoder:
@@ -683,7 +689,7 @@ class TestReducedPrecoder:
         g = g if quantized else np.ones(3)
         U, W = self.paired_updates(H, F, g, sn2)
         Vr = range_basis(H)
-        F_full, mu = _precoder_and_multiplier(Link.of(H, g), U, W, pt)
+        F_full, mu = _precoder_and_multiplier(Link.of(H, g, 6), U, W, pt)
         assert (mu == 0.0) == minimum_norm
         np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 6), U, W, pt), F_full,
                                    rtol=1e-10)
@@ -698,7 +704,7 @@ class TestReducedPrecoder:
         Vr = range_basis(H)
         assert Vr.shape[1] == 4
         np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 16), U, W, 1.0),
-                                   update_precoder(Link.of(H, g), U, W, 1.0), rtol=1e-10)
+                                   update_precoder(Link.of(H, g, 16), U, W, 1.0), rtol=1e-10)
 
     @pytest.mark.parametrize("bits", [[2, 2], None])
     def test_cutoff_keeps_the_full_dimension(self, bits):
@@ -707,21 +713,23 @@ class TestReducedPrecoder:
         U, W = self.paired_updates(H, F, g, 1e-2)
         Vr = range_basis(H)
         assert Vr.shape[1] == 2
-        F_full, mu = _precoder_and_multiplier(Link.of(H, g), U, W, 1.0)
+        F_full, mu = _precoder_and_multiplier(Link.of(H, g, 64), U, W, 1.0)
         assert mu == 0.0
         np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 64), U, W, 1.0), F_full,
                                    rtol=1e-10)
         if bits is not None:
             # the reduced dimension's cutoff keeps the weak eigenvalue and
             # lands on another branch
-            assert _precoder_and_multiplier(Link.of(H @ Vr, g), U, W, 1.0)[1] > 0
+            assert _precoder_and_multiplier(Link.of(H @ Vr, g, 2), U, W, 1.0)[1] > 0
 
 
 class TestBisectionReplay:
     @settings(max_examples=300, deadline=None)
     @given(secular_instances())
     def test_same_multiplier_as_bisection(self, instance):
-        assert _bisect_multiplier(*instance) == reference_bisection(*instance)
+        lam, c2, pt, hi = instance
+        assert (_bisect_multiplier(lam, c2, secular_terms(lam, c2), pt, hi)
+                == reference_bisection(*instance))
 
     def test_bracket_certified_around_multiplier(self, monkeypatch):
         H, F, g, ce, _, pt = random_instance(4, 8, 2, seed=27, sigma_n2=1.0)
@@ -734,7 +742,7 @@ class TestBisectionReplay:
             return seen[-1]
 
         monkeypatch.setattr(beamforming, "_certified_bracket", spy)
-        mu = _precoder_and_multiplier(Link.of(H, g), U, W, pt)[1]
+        mu = _precoder_and_multiplier(Link.of(H, g, 8), U, W, pt)[1]
         (a, b), = seen
         assert 0 < a < mu < b < math.inf
 
@@ -746,8 +754,9 @@ class TestBisectionReplay:
             c2 = rng.uniform(0.0, 1.0, 6)
             pt = 0.5 * float(c2 @ lam ** -2)
             hi = math.sqrt(c2.sum() / pt)
-            assert _certified_bracket(lam, c2, pt, hi, 1e-8 * pt, 0.0) == (-1.0, math.inf)
-            assert _bisect_multiplier(lam, c2, pt, hi) == reference_bisection(lam, c2, pt, hi)
+            terms = secular_terms(lam, c2)
+            assert _certified_bracket(terms, pt, hi, 1e-8 * pt, 0.0) == (-1.0, math.inf)
+            assert _bisect_multiplier(lam, c2, terms, pt, hi) == reference_bisection(lam, c2, pt, hi)
 
     @settings(max_examples=300, deadline=None)
     @given(secular_instances())
@@ -757,14 +766,15 @@ class TestBisectionReplay:
         lam, c2, pt, hi = instance
         args = (lam, c2, pt, hi, 1e-8 * pt, max(0.0, -float(lam[0])))
         if frozen_bracket(*args)[1] < math.inf:
-            assert _certified_bracket(*args)[1] < math.inf
+            assert _certified_bracket(secular_terms(lam, c2), *args[2:])[1] < math.inf
 
     def test_root_below_grid(self):
         # the root sits near 1e-22, below the grid's floor hi * 2**-60
         lam, c2, pt = np.array([1e-25, 1e3]), np.array([1e-44, 1.0]), 1.0
         hi = math.sqrt(c2.sum() / pt)
-        assert _certified_bracket(lam, c2, pt, hi, 1e-8 * pt, 0.0) == (-1.0, math.inf)
-        mu = _bisect_multiplier(lam, c2, pt, hi)
+        terms = secular_terms(lam, c2)
+        assert _certified_bracket(terms, pt, hi, 1e-8 * pt, 0.0) == (-1.0, math.inf)
+        mu = _bisect_multiplier(lam, c2, terms, pt, hi)
         assert mu == reference_bisection(lam, c2, pt, hi)
         assert 0 < mu < 1e-21
 

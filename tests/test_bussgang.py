@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qmimo.bussgang import (
     _MC_BLOCK,
+    _clip_psd,
     _quantized_blocks,
     effective_noise_cov,
     gain_diagonal,
@@ -223,6 +224,13 @@ class TestQdCovSimulated:
         with pytest.raises(ValueError, match="num_samples"):
             qd_cov_simulated(H, F, sn2, [1, 1], num_samples=n_samples, seed=0)
 
+    @pytest.mark.parametrize("seed", [1.0, None, np.random.SeedSequence(0)],
+                             ids=["float", "None", "SeedSequence"])
+    def test_rejects_a_non_integer_seed(self, seed):
+        H, F, sn2 = random_instance(2, 2, 1, seed=7)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            qd_cov_simulated(H, F, sn2, [1, 1], num_samples=10**4, seed=seed)
+
     @settings(max_examples=25, deadline=None)
     @given(nr=st.integers(1, 5), ns=st.integers(1, 3), seed=st.integers(0, 2**16),
            data=st.data())
@@ -249,6 +257,24 @@ class TestQdCovSimulated:
         finally:
             tracemalloc.stop()
         assert peak < 66e6, f"peak {peak / 1e6:.1f} MB"
+
+
+class TestClipPsd:
+    def test_indefinite_input_loses_its_negative_eigenvalues(self):
+        rng = np.random.default_rng(3)
+        V = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        w = np.array([-0.5, -1e-3, 0.2, 2.0])
+        out = _clip_psd((V * w) @ V.conj().T)
+        np.testing.assert_allclose(out, out.conj().T, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(np.linalg.eigvalsh(out), [0.0, 0.0, 0.2, 2.0], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out, (V * np.clip(w, 0.0, None)) @ V.conj().T, rtol=0, atol=1e-14)
+
+    def test_psd_input_comes_back_unchanged(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        C = A @ A.conj().T
+        C = 0.5 * (C + C.conj().T)  # exactly Hermitian, so hermitizing again changes no bit
+        np.testing.assert_array_equal(_clip_psd(C), C)
 
 
 class TestUncorrelatedness:

@@ -21,6 +21,13 @@ class TestSteering:
         a = ula_steering(4, [0.1, 0.2, 0.3])
         assert a.shape == (4, 3)
 
+    @pytest.mark.parametrize("n", [4, 33, 64])
+    def test_scalar_angle_is_its_column_of_the_vector_form(self, n):
+        phi = np.random.default_rng(n).uniform(0.0, 2.0 * np.pi, 200)
+        A = ula_steering(n, phi)
+        for k, p in enumerate(phi.tolist()):
+            np.testing.assert_array_equal(ula_steering(n, p), A[:, k])
+
 
 class TestSalehValenzuela:
     def test_deterministic(self):

@@ -192,23 +192,18 @@ def mse_matrix(H: np.ndarray, F: np.ndarray, U: np.ndarray, g: np.ndarray,
     return 0.5 * (E + E.conj().T)
 
 
-def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float) -> np.ndarray:
-    """Power-constrained precoder update of the weighted-MSE objective.
+def update_precoder(link: Link, U: np.ndarray, W: np.ndarray,
+                    pt: float) -> tuple[np.ndarray, float]:
+    """Power-constrained precoder update of the weighted-MSE objective, as ``(F, mu)``.
 
     ``F(mu) = (J + mu I)^{-1} T W`` with ``T = H^H G U``, ``d = diag(U W U^H)``
     and ``J = T W T^H + H^H diag(d (1 - g) g) H``, whose last term carries
     the distortion's dependence on F: the WMMSE transmit step of Shi,
     Razaviyayn, Luo & He, "An iteratively weighted MMSE approach to
     distributed sum-utility maximization for a MIMO interfering broadcast
-    channel", IEEE TSP 2011. README, "Beamforming", gives mu. H and g come
-    from ``link``; ``pt <= 0`` raises.
+    channel", IEEE TSP 2011. README, "Beamforming", gives mu, which is 0 on
+    the minimum-norm branch. H and g come from ``link``; ``pt <= 0`` raises.
     """
-    return _precoder_and_multiplier(link, U, W, pt)[0]
-
-
-def _precoder_and_multiplier(link: Link, U: np.ndarray, W: np.ndarray,
-                             pt: float) -> tuple[np.ndarray, float]:
-    """:func:`update_precoder` plus its multiplier mu (0 on the minimum-norm branch)."""
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
     T = link.Hhg @ U
@@ -378,7 +373,7 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
         if converged or len(trace) >= max_iter:
             break
         trace.append(_logdet_hermitian(W))
-        F = update_precoder(link, U, W, pt)
+        F = update_precoder(link, U, W, pt)[0]
         converged = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps
     se = spectral_efficiency(Hr, F, U, g, ce)
     report = AltMinReport(

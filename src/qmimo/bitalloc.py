@@ -127,11 +127,9 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     visited = {incumbent}
     best_se, _ = _best(H, [incumbent], pt, sigma_n2, ns, eps, scoring_max_iter)
     se_trace = [best_se]
-    iterations = 0
-    for iterations in range(1, i2 + 1):
+    for _ in range(i2):
         neighbors = neighbor_set(incumbent, visited)
         if not neighbors:
-            iterations -= 1
             break
         visited.update(neighbors)
         scored += neighbors
@@ -146,7 +144,7 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
         allocation=incumbent,
         beamformers=beamformers,
         se=report.final_se,
-        iterations=iterations,
+        iterations=len(se_trace) - 1,
         se_trace=np.asarray(se_trace),
         scored_allocations=tuple(scored),
     )

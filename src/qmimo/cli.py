@@ -241,7 +241,9 @@ def write_results(records: list[tuple], format: str, path) -> None:
         raise ValueError(f"unknown results format {format!r}")
 
 
-def _dump_quantizers(config: ExperimentConfig, out_dir: Path) -> None:
+def _dump_quantizers(config: ExperimentConfig) -> None:
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     table = distortion_table()
     doc = {}
     for b in sorted({cfg.b for _, cfg in config.points()}):
@@ -263,19 +265,18 @@ def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
 
     Channel failures are recorded as in ``run_experiment``; an invalid point fails as a whole.
     """
-    return evaluation._ensemble(dataclasses.replace(cfg, sim_se=False), ("ES",),
-                                num_channels, seed)["ES"]
+    return evaluation._ensemble(cfg, ("ES",), num_channels, seed)["ES"]
 
 
-def run_sweep(config: ExperimentConfig, output_dir) -> int:
-    """Execute all sweep points, streaming results to disk per point.
+def run_sweep(config: ExperimentConfig) -> int:
+    """Execute all sweep points, streaming results to ``config.output_dir`` per point.
 
     A scheme ``"ES"`` in ``config.schemes`` adds the exhaustive-oracle row.
     The CSV is rewritten and flushed after each point so an interrupted
     run keeps every completed point. Returns a process exit status (0 on
     success, 1 if any point raised; its traceback goes to stderr).
     """
-    out_dir = Path(output_dir)
+    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     json_path = out_dir / "results.json"
@@ -325,12 +326,13 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(args.config)
-        if args.channels is not None:
-            config = dataclasses.replace(config, num_channels=args.channels)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        if args.oracle:
-            config = dataclasses.replace(config, schemes=(*config.schemes, "ES"))
+        config = dataclasses.replace(
+            config,
+            output_dir=args.output_dir or config.output_dir,
+            num_channels=config.num_channels if args.channels is None else args.channels,
+            seed=config.seed if args.seed is None else args.seed,
+            schemes=config.schemes + ("ES",) * args.oracle,
+        )
         config.validate()
         if not config.schemes:
             raise ConfigError("'schemes' is empty: name at least one scheme or pass --oracle")
@@ -338,12 +340,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.output_dir if args.output_dir else config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.dump_quantizers:
-        _dump_quantizers(config, out_dir)
     try:
-        return run_sweep(config, output_dir=out_dir)
+        if args.dump_quantizers:
+            _dump_quantizers(config)
+        return run_sweep(config)
     except Exception:
         print(f"run error:\n{traceback.format_exc()}", end="", file=sys.stderr)
         return 1

@@ -269,7 +269,9 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
 
     Channel realization c uses a seed derived from (seed, 0, c) so the
     ensemble is shared by every scheme and sweep point; the simulated
-    distortion covariance of scheme s on channel c uses (seed, 1, c, s).
+    distortion covariance of scheme s on channel c uses (seed, 1, c, k),
+    with k the index of s in ``(*SCHEMES, "ES")``, so a scheme's stream
+    does not depend on which other schemes run or in what order.
     Per-channel numerical scheme failures (``CHANNEL_ERRORS``) are recorded
     and the channel is dropped from that scheme's aggregates; any other
     exception propagates. Without schemes no channel is drawn.
@@ -282,15 +284,16 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
 
 def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
               seed: int) -> dict[str, SchemeOutcome]:
-    """The channel loop of ``run_experiment``, unchecked; ``schemes`` may name ``"ES"``."""
+    """The channel loop of ``run_experiment``, unchecked; an ``"ES"`` outcome has no ``se_sim``."""
     rows: dict[str, list] = {s: [] for s in schemes}
     failures = dict.fromkeys(schemes, 0)
     for c in range(num_channels if schemes else 0):
         H = channel.saleh_valenzuela(config.nt, config.nr, config.sv,
                                      seed=derive_seed(seed, 0, c))
-        for s_idx, scheme in enumerate(schemes):
+        for scheme in schemes:
             try:
-                row = _run_scheme(scheme, H, config, derive_seed(seed, 1, c, s_idx))
+                row = _run_scheme(scheme, H, config,
+                                  derive_seed(seed, 1, c, (*SCHEMES, "ES").index(scheme)))
             except CHANNEL_ERRORS as exc:
                 # numerical failure: record, drop channel from aggregates
                 warnings.warn(
@@ -301,4 +304,5 @@ def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
                 failures[scheme] += 1
                 continue
             rows[scheme].append(row)
-    return {s: SchemeOutcome.from_rows(rows[s], failures[s], config.sim_se) for s in schemes}
+    return {s: SchemeOutcome.from_rows(rows[s], failures[s], config.sim_se and s != "ES")
+            for s in schemes}

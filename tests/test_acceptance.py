@@ -17,6 +17,7 @@ the module docstrings and README):
   here, so no implementation can reach the stated margin.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -324,8 +325,8 @@ def test_criterion_11_determinism(tmp_path, capsys):
     cfg_path = tmp_path / "acceptance.json"
     cfg_path.write_text(json.dumps(doc))
     config = parse_config(cfg_path)
-    run_sweep(config, output_dir=tmp_path / "a")
-    run_sweep(config, output_dir=tmp_path / "b")
+    run_sweep(dataclasses.replace(config, output_dir=str(tmp_path / "a")))
+    run_sweep(dataclasses.replace(config, output_dir=str(tmp_path / "b")))
     capsys.readouterr()  # drop the per-point progress lines
     csv_a = (tmp_path / "a" / "results.csv").read_bytes()
     csv_b = (tmp_path / "b" / "results.csv").read_bytes()

@@ -14,7 +14,6 @@ from qmimo.beamforming import (
     _bisect_multiplier,
     _certified_bracket,
     _minimum_norm_fits,
-    _precoder_and_multiplier,
     altmin_beamforming,
     mse_matrix,
     receive_updates,
@@ -66,7 +65,7 @@ def reference_precoder(H, G, U, W, pt):
 
 
 def secular_terms(lam, c2):
-    """The ``(lam_i, c2_i)`` list that ``_precoder_and_multiplier`` hands the scalar tests."""
+    """The ``(lam_i, c2_i)`` list that ``update_precoder`` hands the scalar tests."""
     return list(zip(lam.tolist(), c2.tolist()))
 
 
@@ -267,8 +266,8 @@ def one_iteration(H, g, F, sigma_n2, pt, nt=None):
     HF = H @ F
     ce = effective_noise_cov(HF, *noise_weights(g, sigma_n2))
     W, U = receive_updates(g[:, None] * HF, ce)
-    return (ce, W, U) + _precoder_and_multiplier(Link.of(H, g, H.shape[1] if nt is None else nt),
-                                                 U, W, pt)
+    return (ce, W, U) + update_precoder(Link.of(H, g, H.shape[1] if nt is None else nt),
+                                        U, W, pt)
 
 
 def assert_same_iteration(new, frozen):
@@ -579,7 +578,7 @@ class TestPrecoder:
         ce = sn2 * np.ones(4)
         GHF = g[:, None] * (H @ F)
         W, U = receive_updates(GHF, ce)
-        F_new = update_precoder(Link.of(H, g, 4), U, W, pt)
+        F_new = update_precoder(Link.of(H, g, 4), U, W, pt)[0]
         UWU = U @ W @ U.conj().T
         J = H.conj().T @ UWU @ H
         rhs = H.conj().T @ U @ W
@@ -595,7 +594,7 @@ class TestPrecoder:
         H, F, g, ce, _, pt = random_instance(4, 6, 3, seed=seed, sigma_n2=1e-4)
         GHF = g[:, None] * (H @ F)
         W, U = receive_updates(GHF, ce)
-        F_new = update_precoder(Link.of(H, g, 6), U, W, pt)
+        F_new = update_precoder(Link.of(H, g, 6), U, W, pt)[0]
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
     def test_power_monotone_in_multiplier(self):
@@ -617,7 +616,7 @@ class TestPrecoder:
         H, F, g, ce, _, pt = random_instance(3, 6, 2, seed=25)
         GHF = g[:, None] * (H @ F)
         W, U = receive_updates(GHF, ce)
-        F_new = update_precoder(Link.of(H, g, 6), U, W, pt)
+        F_new = update_precoder(Link.of(H, g, 6), U, W, pt)[0]
         assert np.all(np.isfinite(F_new))
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
 
@@ -634,7 +633,7 @@ class TestPrecoder:
 
         monkeypatch.setattr(np.linalg, "solve", forbidden)
         monkeypatch.setattr(np.linalg, "lstsq", forbidden)
-        mus = [_precoder_and_multiplier(*inst)[1] for inst in instances]
+        mus = [update_precoder(*inst)[1] for inst in instances]
         assert mus[0] == 0.0 and mus[1] > 0
 
     @pytest.mark.parametrize("n", [3, 9, 40, 200])
@@ -652,12 +651,12 @@ class TestPrecoder:
     @given(precoder_instances())
     def test_matches_solve_reference(self, instance):
         H, g, U, W, pt = instance[:5]
-        F_new, mu_new = _precoder_and_multiplier(Link.of(H, g, H.shape[1]), U, W, pt)
+        F_new, mu_new = update_precoder(Link.of(H, g, H.shape[1]), U, W, pt)
         F_ref, mu_ref = reference_precoder(H, np.diag(g), U, W, pt)
         assert (mu_new == 0.0) == (mu_ref == 0.0)
         assert np.linalg.norm(F_new - F_ref) <= 1e-9 * np.linalg.norm(F_ref)
         assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-8)
-        np.testing.assert_array_equal(update_precoder(Link.of(H, g, H.shape[1]), U, W, pt), F_new)
+        np.testing.assert_array_equal(update_precoder(Link.of(H, g, H.shape[1]), U, W, pt)[0], F_new)
 
 
 class TestReducedPrecoder:
@@ -689,9 +688,9 @@ class TestReducedPrecoder:
         g = g if quantized else np.ones(3)
         U, W = self.paired_updates(H, F, g, sn2)
         Vr = range_basis(H)
-        F_full, mu = _precoder_and_multiplier(Link.of(H, g, 6), U, W, pt)
+        F_full, mu = update_precoder(Link.of(H, g, 6), U, W, pt)
         assert (mu == 0.0) == minimum_norm
-        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 6), U, W, pt), F_full,
+        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 6), U, W, pt)[0], F_full,
                                    rtol=1e-10)
 
     @pytest.mark.parametrize("bits", [[1, 2, 3, 4] * 2, None])
@@ -703,8 +702,8 @@ class TestReducedPrecoder:
         U, W = self.paired_updates(H, waterfilling_baseline(H, 1.0, sn2, 3).F, g, sn2)
         Vr = range_basis(H)
         assert Vr.shape[1] == 4
-        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 16), U, W, 1.0),
-                                   update_precoder(Link.of(H, g, 16), U, W, 1.0), rtol=1e-10)
+        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 16), U, W, 1.0)[0],
+                                   update_precoder(Link.of(H, g, 16), U, W, 1.0)[0], rtol=1e-10)
 
     @pytest.mark.parametrize("bits", [[2, 2], None])
     def test_cutoff_keeps_the_full_dimension(self, bits):
@@ -713,14 +712,14 @@ class TestReducedPrecoder:
         U, W = self.paired_updates(H, F, g, 1e-2)
         Vr = range_basis(H)
         assert Vr.shape[1] == 2
-        F_full, mu = _precoder_and_multiplier(Link.of(H, g, 64), U, W, 1.0)
+        F_full, mu = update_precoder(Link.of(H, g, 64), U, W, 1.0)
         assert mu == 0.0
-        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 64), U, W, 1.0), F_full,
+        np.testing.assert_allclose(Vr @ update_precoder(Link.of(H @ Vr, g, 64), U, W, 1.0)[0], F_full,
                                    rtol=1e-10)
         if bits is not None:
             # the reduced dimension's cutoff keeps the weak eigenvalue and
             # lands on another branch
-            assert _precoder_and_multiplier(Link.of(H @ Vr, g, 2), U, W, 1.0)[1] > 0
+            assert update_precoder(Link.of(H @ Vr, g, 2), U, W, 1.0)[1] > 0
 
 
 class TestBisectionReplay:
@@ -742,7 +741,7 @@ class TestBisectionReplay:
             return seen[-1]
 
         monkeypatch.setattr(beamforming, "_certified_bracket", spy)
-        mu = _precoder_and_multiplier(Link.of(H, g, 8), U, W, pt)[1]
+        mu = update_precoder(Link.of(H, g, 8), U, W, pt)[1]
         (a, b), = seen
         assert 0 < a < mu < b < math.inf
 

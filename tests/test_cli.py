@@ -259,7 +259,7 @@ class TestSweepAxes:
 class TestRunSweep:
     def test_single_point_csv(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        status = run_sweep(cfg, output_dir=tmp_path / "out")
+        status = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "out")))
         assert status == 0
         with open(tmp_path / "out" / "results.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -269,8 +269,8 @@ class TestRunSweep:
 
     def test_rerun_identical_files(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, snr_db=[0, 20]))
-        run_sweep(cfg, output_dir=tmp_path / "a")
-        run_sweep(cfg, output_dir=tmp_path / "b")
+        run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "a")))
+        run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "b")))
         for name in ("results.csv", "results.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -279,7 +279,7 @@ class TestRunSweep:
         base = PointConfig(nt=8, nr=8, ns=2, b=2, b_max=8)
         config = ExperimentConfig(base=base, axes={"snr_db": (10.0,), "b": (2,)},
                                   schemes=("ES",), num_channels=2)
-        assert run_sweep(config, output_dir=tmp_path) == 1
+        assert run_sweep(dataclasses.replace(config, output_dir=str(tmp_path))) == 1
         assert "size guard" in capsys.readouterr().err
         assert not (tmp_path / "results.csv").exists()
 
@@ -297,7 +297,7 @@ class TestRunSweep:
 
         monkeypatch.setattr(cli.evaluation, "run_experiment", failing)
         cfg = parse_config(write_config(tmp_path, snr_db=[0, 10, 20]))
-        status = run_sweep(cfg, output_dir=tmp_path / "out")
+        status = run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "out")))
         assert status == 1
         with open(tmp_path / "out" / "results.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -314,7 +314,7 @@ class TestWriteResults:
 
     def test_json_round_trip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        run_sweep(cfg, output_dir=tmp_path / "out")
+        run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "out")))
         doc = json.loads((tmp_path / "out" / "results.json").read_text())
         point = doc["points"][0]
         se = point["schemes"]["WF"]["se_apx_per_channel"]
@@ -326,7 +326,7 @@ class TestWriteResults:
 
     def test_csv_floats_round_trip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        run_sweep(cfg, output_dir=tmp_path / "out")
+        run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "out")))
         doc = json.loads((tmp_path / "out" / "results.json").read_text())
         with open(tmp_path / "out" / "results.csv") as fh:
             row = next(csv.DictReader(fh))
@@ -339,7 +339,7 @@ class TestWriteResults:
 
     def test_sim_se_off_is_null_and_empty(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        run_sweep(cfg, output_dir=tmp_path / "out")
+        run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "out")))
         doc, row = self.read_outputs(tmp_path / "out")
         point = doc["points"][0]
         assert list(point) == ["axes", "seed", "num_channels", "config", "schemes"]
@@ -357,7 +357,7 @@ class TestWriteResults:
         monkeypatch.setattr(cli.evaluation.beamforming, "waterfilling_baseline", failing)
         cfg = parse_config(write_config(tmp_path, sim_se=True))
         with pytest.warns(RuntimeWarning, match="failed on channel"):
-            assert run_sweep(cfg, output_dir=tmp_path / "out") == 0
+            assert run_sweep(dataclasses.replace(cfg, output_dir=str(tmp_path / "out"))) == 0
         doc, row = self.read_outputs(tmp_path / "out")
         wf = doc["points"][0]["schemes"]["WF"]
         assert list(wf) == JSON_SCHEME_KEYS
@@ -427,6 +427,18 @@ class TestMain:
         assert doc["1"]["thresholds"] == [0.0]
         assert doc["2"]["thresholds"] == pytest.approx([-0.9815988, 0.0, 0.9815988], abs=1e-7)
 
+    def test_dump_quantizers_failure_is_run_error(self, tmp_path, monkeypatch, capsys):
+        def unwritable(*args):
+            raise OSError("synthetic: read-only file system")
+
+        monkeypatch.setattr(cli, "_dump_quantizers", unwritable)
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path)), "--output-dir", str(out),
+                     "--dump-quantizers"]) == 1
+        err = capsys.readouterr().err
+        assert "run error:" in err
+        assert "OSError: synthetic" in err
+
     def test_oracle_guard(self, tmp_path, capsys):
         path = write_config(tmp_path, Nt=32, Nr=32, Ns=2, b_max=8)
         assert main(["run", str(path), "--oracle"]) == 2
@@ -442,6 +454,19 @@ class TestMain:
         with open(out / "results.csv") as fh:
             schemes = {row["scheme"] for row in csv.DictReader(fh)}
         assert schemes == {"GPOS", "ES"}
+
+    def test_oracle_row_has_no_simulated_se(self, tmp_path):
+        path = write_config(tmp_path, Nt=4, Nr=3, Ns=2, b=2, b_max=3, schemes=["GPOS"],
+                            sim_se=True, num_qd_samples=10**4)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out), "--oracle"]) == 0
+        schemes = json.loads((out / "results.json").read_text())["points"][0]["schemes"]
+        assert schemes["ES"]["se_sim_per_channel"] is None
+        assert len(schemes["GPOS"]["se_sim_per_channel"]) == 2
+        with open(out / "results.csv") as fh:
+            rows = {row["scheme"]: row for row in csv.DictReader(fh)}
+        assert rows["ES"]["mean_se_sim"] == rows["ES"]["stderr_se_sim"] == ""
+        assert rows["GPOS"]["mean_se_sim"] != "" and rows["GPOS"]["stderr_se_sim"] != ""
 
     def test_empty_schemes_without_oracle(self, tmp_path, capsys):
         path = write_config(tmp_path, schemes=[])

@@ -163,6 +163,16 @@ class TestRunExperiment:
             np.testing.assert_array_equal(r1.outcomes[scheme].se_sim, r2.outcomes[scheme].se_sim)
             np.testing.assert_array_equal(r1.outcomes[scheme].ee, r2.outcomes[scheme].ee)
 
+    def test_simulated_se_independent_of_scheme_order(self):
+        # a scheme's Monte-Carlo stream is keyed by the scheme, not by its place in the list
+        cfg = PointConfig(**DESK, snr_db=20.0, b=1, sim_se=True, num_qd_samples=10**4)
+        runs = [run_experiment(cfg, schemes, num_channels=3, seed=7).outcomes
+                for schemes in (["WF", "AltMinBF"], ["AltMinBF", "WF"],
+                                ["FullPrecision", "AltMinBF", "WF"])]
+        for scheme in ("WF", "AltMinBF"):
+            for other in runs[1:]:
+                np.testing.assert_array_equal(other[scheme].se_sim, runs[0][scheme].se_sim)
+
     def test_altmin_beats_wf_one_bit_high_snr(self):
         cfg = PointConfig(**DESK, snr_db=30.0, b=1)
         res = run_experiment(cfg, ["WF", "AltMinBF"], num_channels=20, seed=3)

@@ -10,6 +10,7 @@ Regenerate the file (only when a result change is intended and explained)
 with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def run_config(doc: dict, tmp_dir: Path) -> list[dict]:
     """Run one config through ``run_sweep`` and keep the pinned fields."""
     cfg_path = tmp_dir / "config.json"
     cfg_path.write_text(json.dumps(doc))
-    status = run_sweep(parse_config(cfg_path), output_dir=tmp_dir / "out")
+    status = run_sweep(dataclasses.replace(parse_config(cfg_path), output_dir=str(tmp_dir / "out")))
     assert status == 0
     points = json.loads((tmp_dir / "out" / "results.json").read_text())["points"]
     return [

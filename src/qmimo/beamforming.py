@@ -61,6 +61,7 @@ class AltMinReport:
     objective_trace: np.ndarray  # natural-log det W per iteration
     final_se: float              # bits/s/Hz
     converged: bool
+    iterate: tuple[np.ndarray, float]  # last F on range(H^H) and its multiplier
 
 
 class Link(NamedTuple):
@@ -192,8 +193,8 @@ def mse_matrix(H: np.ndarray, F: np.ndarray, U: np.ndarray, g: np.ndarray,
     return 0.5 * (E + E.conj().T)
 
 
-def update_precoder(link: Link, U: np.ndarray, W: np.ndarray,
-                    pt: float) -> tuple[np.ndarray, float]:
+def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
+                    mu: float = 0.0) -> tuple[np.ndarray, float]:
     """Power-constrained precoder update of the weighted-MSE objective, as ``(F, mu)``.
 
     ``F(mu) = (J + mu I)^{-1} T W`` with ``T = H^H G U``, ``d = diag(U W U^H)``
@@ -203,6 +204,8 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray,
     distributed sum-utility maximization for a MIMO interfering broadcast
     channel", IEEE TSP 2011. README, "Beamforming", gives mu, which is 0 on
     the minimum-norm branch. H and g come from ``link``; ``pt <= 0`` raises.
+    ``mu``, the previous update's multiplier, starts the multiplier search
+    and changes no float of the result.
     """
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
@@ -224,7 +227,7 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray,
     # ||T W||_F, summed as np.linalg.norm sums it
     x = rhs.ravel()
     hi = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / math.sqrt(pt)
-    mu = _bisect_multiplier(lam, c2, terms, pt, hi)
+    mu = _bisect_multiplier(lam, c2, terms, pt, hi, mu)
     return Q @ (c / (lam + mu)[:, None]), mu
 
 
@@ -235,18 +238,19 @@ def _minimum_norm_fits(terms: list[tuple[float, float]], cut: float, limit: floa
 
 
 def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, terms: list[tuple[float, float]],
-                       pt: float, hi: float) -> float:
+                       pt: float, hi: float, start: float = 0.0) -> float:
     """The midpoint at which bisection on ``[0, hi]`` finds ``|P(mu) - pt| <= 1e-8 pt``.
 
     ``P(mu) = c2 @ (lam + mu)**-2``; ``terms`` holds ``(lam_i, c2_i)`` as
     Python floats. Bisection, not Newton, picks mu: SE is pinned at rtol
     1e-9, and another root-finder would settle elsewhere inside the 1e-8
     power tolerance. Midpoints outside the bracket of
-    :func:`_certified_bracket` take their side without evaluating P.
+    :func:`_certified_bracket`, whose Newton steps begin at ``start`` if it
+    lies above the floor, take their side without evaluating P.
     """
     tol = 1e-8 * pt
     floor = max(0.0, -terms[0][0])
-    a, b = _certified_bracket(terms, pt, hi, tol, floor)
+    a, b = _certified_bracket(terms, pt, hi, tol, floor, start)
     lo = 0.0
     for _ in range(200):
         mu = 0.5 * (lo + hi)
@@ -267,23 +271,30 @@ def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, terms: list[tuple[float,
 
 
 def _certified_bracket(terms: list[tuple[float, float]], pt: float, hi: float,
-                       tol: float, floor: float) -> tuple[float, float]:
+                       tol: float, floor: float, start: float = 0.0) -> tuple[float, float]:
     """``(a, b)`` with ``P(mu) > pt + tol`` on ``(floor, a]`` and ``P(mu) < pt - tol`` on ``[b, inf)``.
 
-    P over ``terms`` strictly decreases for ``mu > floor = max(0, -lam[0])``. The largest
-    point of the grid ``hi * 2**(-k/2)`` above floor with ``P > pt`` lies
-    left of the root; bisection on k finds it. Newton steps on the concave
-    ``P**-0.5`` (More & Sorensen, "Computing a trust region step", SIAM J.
-    Sci. Stat. Comput. 1983) climb from there to the root mu*. With
+    P over ``terms`` strictly decreases for ``mu > floor = max(0, -lam[0])``.
+    Newton steps on the concave ``P**-0.5`` (More & Sorensen, "Computing a
+    trust region step", SIAM J. Sci. Stat. Comput. 1983) climb to the root
+    mu*, first from ``start`` (the previous precoder update's multiplier)
+    if it lies above floor. If that start yields no bracket, they climb
+    from the largest point of the grid ``hi * 2**(-k/2)`` above floor with
+    ``P > pt``, which lies left of the root; bisection on k finds it. With
     ``w = tol / |P'(mu*)|`` the band ``|P - pt| <= tol`` is about
     ``mu* +- w``, so ``a = mu* - 1.01 w`` and ``b = mu* + 1.01 w``. Both
     ends are accepted only if P, evaluated there, clears the band by a
     relative ``1e-12``, far above the rounding error of a sum of positive
     terms; by monotonicity every midpoint beyond them then takes the same
-    side as its own evaluation would. Otherwise ``(-1, inf)``. The search,
-    the Newton steps and the check run in Python floats, which at the sizes
-    of a precoder cost no more than numpy calls.
+    side as its own evaluation would, whichever start found them.
+    Otherwise ``(-1, inf)``. The search, the Newton steps and the check run
+    in Python floats, which at the sizes of a precoder cost no more than
+    numpy calls.
     """
+    if start > floor:
+        bracket = _newton_bracket(terms, pt, tol, floor, start)
+        if bracket[1] < math.inf:
+            return bracket
     # the first k whose grid point is at or below floor or has P > pt
     left, right = -1, len(_GRID)
     while right - left > 1:
@@ -295,19 +306,25 @@ def _certified_bracket(terms: list[tuple[float, float]], pt: float, hi: float,
             left = k
     if right == len(_GRID) or not hi * _GRID[right] > floor:
         return -1.0, math.inf
-    mu = hi * _GRID[right]
+    return _newton_bracket(terms, pt, tol, floor, hi * _GRID[right])
+
+
+def _newton_bracket(terms: list[tuple[float, float]], pt: float, tol: float, floor: float,
+                    mu: float) -> tuple[float, float]:
+    """:func:`_certified_bracket`'s Newton steps from ``mu > floor`` and its end checks."""
     w = 0.0
     for _ in range(_NEWTON_STEPS):
         p, s3 = _power_and_slope(terms, mu)
         if not s3 > 0.0:
             return -1.0, math.inf
         w = tol / (2.0 * s3)
-        # Newton on P**-0.5 = pt**-0.5, with P' = -2 s3
+        # Newton on P**-0.5 = pt**-0.5, with P' = -2 s3; a step from the
+        # right of the root lands left of it, one from the left stays left
         step = p / s3 * (math.sqrt(p / pt) - 1.0)
         mu += step
         if not mu > floor:
             return -1.0, math.inf
-        # the next Newton step is at most about step**2 / (mu - floor)
+        # from the left, the next Newton step is at most about step**2 / (mu - floor)
         if step * step <= 1e-3 * w * (mu - floor):
             break
     a, b = mu - 1.01 * w, mu + 1.01 * w
@@ -340,8 +357,8 @@ def _power_and_slope(terms: list[tuple[float, float]], mu: float) -> tuple[float
 
 
 def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
-                       sigma_n2: float, ns: int, eps: float = 1e-4,
-                       max_iter: int = 500) -> tuple[Beamformers, AltMinReport]:
+                       sigma_n2: float, ns: int, eps: float = 1e-4, max_iter: int = 500,
+                       start: Optional[AltMinReport] = None) -> tuple[Beamformers, AltMinReport]:
     """Alternating WMMSE beamforming for fixed per-chain ADC resolutions.
 
     From the water-filling precoder F0, cycles weight, combiner and
@@ -353,6 +370,12 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     antennas?", IEEE TSP 2023; README, "Beamforming"). Returns the
     beamformers, U and W taken at the final F, and a report with the
     objective trace and the SE in bits/s/Hz.
+
+    ``start``, the report of a solve of the same H, bits, pt, sigma_n2, ns
+    and eps, resumes that solve from its last iterate if it ran at most
+    ``max_iter`` iterations, and is ignored otherwise. A resumed solve
+    returns the floats of a solve from F0, and its report counts every
+    iteration from F0.
     """
     nr, nt = H.shape
     g = gain_diagonal(bits, nr)
@@ -365,7 +388,10 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     link = Link.of(Hr, g, nt)
     g_col, (dist, noise) = g[:, None], noise_weights(g, sigma_n2)
     trace: list[float] = []
-    converged = False
+    converged, mu = False, 0.0
+    if start is not None and start.iterations <= max_iter:
+        F, mu = start.iterate
+        trace, converged = start.objective_trace.tolist(), start.converged
     while True:
         HF = Hr @ F
         ce = effective_noise_cov(HF, dist, noise)
@@ -373,7 +399,7 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
         if converged or len(trace) >= max_iter:
             break
         trace.append(_logdet_hermitian(W))
-        F = update_precoder(link, U, W, pt)[0]
+        F, mu = update_precoder(link, U, W, pt, mu)
         converged = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps
     se = spectral_efficiency(Hr, F, U, g, ce)
     report = AltMinReport(
@@ -381,5 +407,6 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
         objective_trace=np.asarray(trace),
         final_se=se,
         converged=converged,
+        iterate=(F, mu),
     )
     return Beamformers(F=Vr @ F if trace else F0, U=U, W=W), report

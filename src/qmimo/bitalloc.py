@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import product
 import numpy as np
 
-from .beamforming import Beamformers, altmin_beamforming
+from .beamforming import AltMinReport, Beamformers, altmin_beamforming
 from .bussgang import gain_diagonal
 
 __all__ = [
@@ -92,11 +92,19 @@ def _rank(pair: tuple[float, tuple[int, ...]]) -> tuple[float, tuple[int, ...]]:
 def _best(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
           ns: int, eps: float, max_iter: int) -> tuple[float, tuple[int, ...]]:
     """Solve each allocation in order; ``(se, bits)`` of the highest SE, ties to the smallest bits."""
-    scored = []
+    return _best_solve(H, allocations, pt, sigma_n2, ns, eps, max_iter)[:2]
+
+
+def _best_solve(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
+                ns: int, eps: float,
+                max_iter: int) -> tuple[float, tuple[int, ...], AltMinReport]:
+    """:func:`_best`'s ``(se, bits)`` and the AltMin report of that solve."""
+    best = None
     for bits in allocations:
         _, rep = altmin_beamforming(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter)
-        scored.append((rep.final_se, bits))
-    return min(scored, key=_rank)
+        scored = (rep.final_se, bits, rep)
+        best = scored if best is None else min(best, scored, key=_rank)
+    return best
 
 
 @dataclass(frozen=True)
@@ -119,13 +127,15 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     alternating-minimization solve, moves to the best one if it strictly
     improves the incumbent, and stops after ``i2`` iterations or when the
     neighborhood is exhausted. The returned beamformers come from a
-    full-convergence solve at the incumbent. Ties between equal-SE
-    neighbors break toward the lexicographically smallest allocation.
+    full-convergence solve at the incumbent, which continues the
+    incumbent's scoring solve unless that one ran more than ``max_iter``
+    iterations. Ties between equal-SE neighbors break toward the
+    lexicographically smallest allocation.
     """
     incumbent = greedy_init(H.shape[0], b_max, budget)
     scored = [incumbent]
     visited = {incumbent}
-    best_se, _ = _best(H, [incumbent], pt, sigma_n2, ns, eps, scoring_max_iter)
+    best_se, _, kept = _best_solve(H, [incumbent], pt, sigma_n2, ns, eps, scoring_max_iter)
     se_trace = [best_se]
     for _ in range(i2):
         neighbors = neighbor_set(incumbent, visited)
@@ -133,12 +143,12 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
             break
         visited.update(neighbors)
         scored += neighbors
-        se, bits = _best(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter)
+        se, bits, rep = _best_solve(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter)
         if se > best_se:
-            best_se, incumbent = se, bits
+            best_se, incumbent, kept = se, bits, rep
         se_trace.append(best_se)
     beamformers, report = altmin_beamforming(
-        H, incumbent, pt, sigma_n2, ns, eps=eps, max_iter=max_iter
+        H, incumbent, pt, sigma_n2, ns, eps=eps, max_iter=max_iter, start=kept
     )
     return GposResult(
         allocation=incumbent,

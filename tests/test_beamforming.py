@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmimo import beamforming
@@ -722,13 +722,23 @@ class TestReducedPrecoder:
             assert update_precoder(Link.of(H @ Vr, g, 2), U, W, 1.0)[1] > 0
 
 
+# a secular instance whose root is 0.01: the first Newton step from any start
+# far right of it falls below the floor 0 (from 2**10 times the root, to -505)
+BELOW_FLOOR = (np.array([1e-3, 1e3]), np.array([1e-6, 1.0]), 0.008265462789917657,
+               10.999340073361331)
+
+
 class TestBisectionReplay:
     @settings(max_examples=300, deadline=None)
-    @given(secular_instances())
-    def test_same_multiplier_as_bisection(self, instance):
+    @given(secular_instances(), st.none() | st.floats(-60.0, 60.0))
+    @example(instance=BELOW_FLOOR, log2_ratio=10.0)
+    def test_same_multiplier_as_bisection(self, instance, log2_ratio):
+        # the warm start lies at root * 2**log2_ratio: left of the root, right
+        # of it or far from it; None is the cold start 0
         lam, c2, pt, hi = instance
-        assert (_bisect_multiplier(lam, c2, secular_terms(lam, c2), pt, hi)
-                == reference_bisection(*instance))
+        root = reference_bisection(*instance)
+        start = 0.0 if log2_ratio is None else root * 2.0 ** log2_ratio
+        assert _bisect_multiplier(lam, c2, secular_terms(lam, c2), pt, hi, start) == root
 
     def test_bracket_certified_around_multiplier(self, monkeypatch):
         H, F, g, ce, _, pt = random_instance(4, 8, 2, seed=27, sigma_n2=1.0)
@@ -755,7 +765,11 @@ class TestBisectionReplay:
             hi = math.sqrt(c2.sum() / pt)
             terms = secular_terms(lam, c2)
             assert _certified_bracket(terms, pt, hi, 1e-8 * pt, 0.0) == (-1.0, math.inf)
-            assert _bisect_multiplier(lam, c2, terms, pt, hi) == reference_bisection(lam, c2, pt, hi)
+            mu = reference_bisection(lam, c2, pt, hi)
+            assert _bisect_multiplier(lam, c2, terms, pt, hi) == mu
+            # a warm start at the root takes no Newton step either
+            assert _certified_bracket(terms, pt, hi, 1e-8 * pt, 0.0, mu) == (-1.0, math.inf)
+            assert _bisect_multiplier(lam, c2, terms, pt, hi, mu) == mu
 
     @settings(max_examples=300, deadline=None)
     @given(secular_instances())

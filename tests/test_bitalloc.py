@@ -158,6 +158,54 @@ class TestGpos:
         assert a.se == b.se
 
 
+class TestFinalSolveContinuation:
+    """GPOS's final solve continues the incumbent's scoring solve: the floats of a solve from F0."""
+
+    @pytest.mark.parametrize("i2, scoring_max_iter, max_iter, kinds", [
+        # scoring solves that converged before their cap, and ones it stopped
+        (15, 30, 500, {"converged", "capped"}),
+        # scoring solves longer than the final cap, from which the final solve
+        # starts afresh, and shorter ones
+        (15, 40, 20, {"converged", "longer"}),
+        # no sweep: the greedy allocation's own scoring solve continues
+        (0, 30, 500, {"converged", "capped"}),
+    ])
+    def test_matches_a_solve_from_f0(self, monkeypatch, i2, scoring_max_iter, max_iter, kinds):
+        solve = bitalloc.altmin_beamforming
+        finals = []
+
+        def recorded(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            if kwargs.get("start") is not None:
+                finals.append((kwargs["start"], result[1]))
+            return result
+
+        monkeypatch.setattr(bitalloc, "altmin_beamforming", recorded)
+        seen = set()
+        for snr_db in (0, 10, 20, 30):
+            kw = dict(pt=1.0, sigma_n2=10 ** (-snr_db / 10), ns=2, b_max=3, budget=8)
+            for seed in range(8000, 8010):
+                H = saleh_valenzuela(8, 4, seed=seed)
+                finals.clear()
+                res = gpos_bfba(H, i2=i2, scoring_max_iter=scoring_max_iter, max_iter=max_iter,
+                                **kw)
+                (kept, rep), = finals
+                if i2 == 0:
+                    assert res.allocation == greedy_init(4, 3, 8)
+                seen.add("longer" if kept.iterations > max_iter
+                         else "converged" if kept.converged else "capped")
+                bf, fresh = altmin_beamforming(H, res.allocation, kw["pt"], kw["sigma_n2"],
+                                               kw["ns"], max_iter=max_iter)
+                where = f"{snr_db} dB, seed {seed}"
+                assert res.se == rep.final_se == fresh.final_se, where
+                assert (rep.iterations, rep.converged) == (fresh.iterations, fresh.converged), where
+                np.testing.assert_array_equal(rep.objective_trace, fresh.objective_trace)
+                for x, y in ((res.beamformers.F, bf.F), (res.beamformers.U, bf.U),
+                             (res.beamformers.W, bf.W)):
+                    np.testing.assert_array_equal(x, y, err_msg=where)
+        assert seen == kinds
+
+
 class TestExhaustive:
     def test_single_candidate_all_ones(self):
         H, kw = small_problem(6)
@@ -278,7 +326,7 @@ class TestTieBreak:
 
     @pytest.fixture
     def multiset_scores(self, monkeypatch):
-        def fake_altmin(H, bits, pt, sigma_n2, ns, eps, max_iter):
+        def fake_altmin(H, bits, pt, sigma_n2, ns, eps, max_iter, start=None):
             return None, SimpleNamespace(final_se=self.SCORE.get(tuple(sorted(bits)), 1.0))
 
         monkeypatch.setattr(bitalloc, "altmin_beamforming", fake_altmin)

@@ -9,7 +9,7 @@ are compared byte for byte. Exits 0 if all agree and 1 otherwise, naming
 each output that differs; a run that fails with both trees counts as a
 difference in its status, since it compares nothing.
 
-The configs are the two golden configs of ``tests/test_golden.py``, two
+The configs are the two golden configs of ``tests/test_golden.py``, three
 sweeps defined here, and point 0 of each workload in
 ``perfbench/workloads.py`` at seed 0; both files are read, never edited.
 Standard library only: nothing of qmimo is imported into this process.
@@ -68,6 +68,13 @@ def cases() -> dict[str, tuple[dict, list[str]]]:
     out["streams-16x16"] = (
         {"Nt": 16, "Nr": 16, "Ns": [2, 4], "snr_db": 20, "b": [1, 3], "b_max": 4,
          "schemes": ["GPOS", "AltMinBF"], "num_channels": 1},
+        run_args(),
+    )
+    # GPOS final solves that start afresh (scoring_max_iter > max_iter) and that
+    # continue the greedy allocation's scoring solve (I2 = 0)
+    out["gpos-continuation-8x4"] = (
+        {"Nt": 8, "Nr": 4, "Ns": 2, "snr_db": [0, 20], "b": 2, "b_max": 3, "I2": [0, 15],
+         "max_iter": [20, 500], "scoring_max_iter": 40, "schemes": ["GPOS"], "num_channels": 3},
         run_args(),
     )
     for w in _workloads().values():

@@ -84,9 +84,9 @@ def neighbor_set(bits: tuple[int, ...], tabu: set[tuple[int, ...]]) -> list[tupl
     return out
 
 
-def _rank(pair: tuple[float, tuple[int, ...]]) -> tuple[float, tuple[int, ...]]:
-    """Sort key of an ``(se, bits)`` pair: highest SE first, ties to the smallest bits."""
-    return -pair[0], pair[1]
+def _rank(scored: tuple) -> tuple[float, tuple[int, ...]]:
+    """Sort key of an ``(se, bits, ...)`` tuple: highest SE first, ties to the smallest bits."""
+    return -scored[0], scored[1]
 
 
 def _best(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
@@ -115,6 +115,7 @@ class GposResult:
     iterations: int
     se_trace: np.ndarray          # incumbent (scoring) SE per search iteration
     scored_allocations: tuple[tuple[int, ...], ...]
+    final_report: AltMinReport    # of the full-convergence solve at the allocation
 
 
 def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
@@ -157,6 +158,7 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
         iterations=len(se_trace) - 1,
         se_trace=np.asarray(se_trace),
         scored_allocations=tuple(scored),
+        final_report=report,
     )
 
 

@@ -210,6 +210,7 @@ def _json_record(axes: dict, result: evaluation.ExperimentResult) -> dict:
             "ee_per_channel": out.ee.tolist(),
             "allocations": [list(a) for a in out.allocations],
             "failures": out.failures,
+            "altmin_unconverged": out.altmin_unconverged,
         }
         for scheme, out in result.outcomes.items()
     }

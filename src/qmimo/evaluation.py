@@ -174,20 +174,27 @@ class SchemeOutcome:
     iterations: np.ndarray
     allocations: list[tuple[int, ...]]
     failures: int
+    altmin_unconverged: Optional[int]  # AltMin solves stopped by max_iter; None for ES
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple], failures: int, sim_se: bool) -> SchemeOutcome:
-        """Outcome from the per-channel ``(se_apx, se_sim, bits, iterations)`` rows."""
-        se, sims, bits, iters = zip(*rows) if rows else ((),) * 4
+    def from_rows(cls, rows: Sequence[tuple], failures: int, sim_se: bool,
+                  oracle: bool) -> SchemeOutcome:
+        """Outcome from the per-channel ``(se_apx, se_sim, bits, iterations, capped)`` rows.
+
+        ``capped`` is 1 if the channel's reported AltMin solve stopped at
+        ``max_iter``. The oracle row has neither a simulated SE nor a capped count.
+        """
+        se, sims, bits, iters, capped = zip(*rows) if rows else ((),) * 5
         power = [total_power(b) for b in bits]
         return cls(
             se_apx=np.asarray(se, dtype=float),
-            se_sim=np.asarray(sims, dtype=float) if sim_se else None,
+            se_sim=np.asarray(sims, dtype=float) if sim_se and not oracle else None,
             ee=np.asarray([energy_efficiency(x, p) for x, p in zip(se, power)], dtype=float),
             power_w=np.asarray(power, dtype=float),
             iterations=np.asarray(iters, dtype=float),
             allocations=[tuple(b) for b in bits],
             failures=failures,
+            altmin_unconverged=None if oracle else sum(capped),
         )
 
     def summary(self) -> dict:
@@ -228,7 +235,7 @@ def derive_seed(master: int, *keys: int) -> int:
 
 
 def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
-    """Run one scheme on one channel; returns (se_apx, se_sim, bits, iters)."""
+    """Run one scheme on one channel; returns (se_apx, se_sim, bits, iters, capped)."""
     nr = cfg.nr
     uniform_bits = (cfg.b,) * nr
     if scheme in ("WF", "FullPrecision"):
@@ -237,21 +244,22 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
         g = bussgang.gain_diagonal(bits, nr)
         ce = bussgang.effective_noise_cov(H @ bf.F, *bussgang.noise_weights(g, cfg.sigma_n2))
         se = beamforming.spectral_efficiency(H, bf.F, bf.U, g, ce)
-        iters = 0
+        iters, converged = 0, True
     elif scheme == "AltMinBF":
         bf, rep = beamforming.altmin_beamforming(
             H, uniform_bits, cfg.pt, cfg.sigma_n2, cfg.ns,
             eps=cfg.eps, max_iter=cfg.max_iter,
         )
-        bits, se, iters = uniform_bits, rep.final_se, rep.iterations
+        bits, se, iters, converged = uniform_bits, rep.final_se, rep.iterations, rep.converged
     else:  # GPOS or ES; run_experiment rejects unknown names
         kw = dict(pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
                   budget=cfg.budget, eps=cfg.eps, max_iter=cfg.max_iter)
         if scheme == "ES":  # the oracle row: no beamformers, so no simulated SE
             bits, se = bitalloc.exhaustive_search(H, **kw)
-            return se, None, bits, 0
+            return se, None, bits, 0, None
         res = bitalloc.gpos_bfba(H, i2=cfg.i2, scoring_max_iter=cfg.scoring_max_iter, **kw)
         bf, bits, se, iters = res.beamformers, res.allocation, res.se, res.iterations
+        converged = res.final_report.converged
 
     se_sim = None
     if cfg.sim_se:
@@ -260,7 +268,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
             num_samples=cfg.num_qd_samples, seed=sim_seed,
         )
     power_bits = (FULL_PRECISION_BITS,) * nr if bits is None else bits
-    return se, se_sim, power_bits, iters
+    return se, se_sim, power_bits, iters, int(not converged)
 
 
 def run_experiment(config: PointConfig, schemes: Sequence[str],
@@ -284,7 +292,7 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
 
 def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
               seed: int) -> dict[str, SchemeOutcome]:
-    """The channel loop of ``run_experiment``, unchecked; an ``"ES"`` outcome has no ``se_sim``."""
+    """The channel loop of ``run_experiment``, unchecked; ``"ES"`` is the oracle row."""
     rows: dict[str, list] = {s: [] for s in schemes}
     failures = dict.fromkeys(schemes, 0)
     for c in range(num_channels if schemes else 0):
@@ -304,5 +312,5 @@ def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
                 failures[scheme] += 1
                 continue
             rows[scheme].append(row)
-    return {s: SchemeOutcome.from_rows(rows[s], failures[s], config.sim_se and s != "ES")
+    return {s: SchemeOutcome.from_rows(rows[s], failures[s], config.sim_se, s == "ES")
             for s in schemes}

@@ -24,7 +24,7 @@ from qmimo.evaluation import PointConfig
 JSON_SCHEME_KEYS = [
     "mean_se_apx", "stderr_se_apx", "mean_se_sim", "stderr_se_sim", "mean_ee",
     "total_power_w", "mean_iterations", "se_apx_per_channel", "se_sim_per_channel",
-    "ee_per_channel", "allocations", "failures",
+    "ee_per_channel", "allocations", "failures", "altmin_unconverged",
 ]
 # CSV columns after the one column per swept axis
 FIXED_HEADER = ("scheme,mean_se_apx,stderr_se_apx,mean_se_sim,stderr_se_sim,"
@@ -467,6 +467,20 @@ class TestMain:
             rows = {row["scheme"]: row for row in csv.DictReader(fh)}
         assert rows["ES"]["mean_se_sim"] == rows["ES"]["stderr_se_sim"] == ""
         assert rows["GPOS"]["mean_se_sim"] != "" and rows["GPOS"]["stderr_se_sim"] != ""
+
+    @pytest.mark.parametrize("max_iter, capped", [(2, 3), (500, 0)])
+    def test_capped_solves_counted_in_json_only(self, tmp_path, max_iter, capped):
+        # two iterations reach eps on none of these channels, 500 on all of them
+        path = write_config(tmp_path, Nt=8, Nr=4, Ns=2, b=2, b_max=3, max_iter=max_iter,
+                            schemes=["WF", "AltMinBF", "GPOS", "FullPrecision"],
+                            num_channels=3)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out), "--oracle"]) == 0
+        schemes = json.loads((out / "results.json").read_text())["points"][0]["schemes"]
+        assert {name: s["altmin_unconverged"] for name, s in schemes.items()} == {
+            "WF": 0, "AltMinBF": capped, "GPOS": capped, "FullPrecision": 0, "ES": None}
+        with open(out / "results.csv") as fh:
+            assert fh.readline().strip() == "snr_db,b," + FIXED_HEADER
 
     def test_empty_schemes_without_oracle(self, tmp_path, capsys):
         path = write_config(tmp_path, schemes=[])

@@ -638,12 +638,15 @@ class TestPrecoder:
 
     @pytest.mark.parametrize("n", [3, 9, 40, 200])
     def test_minimum_norm_test_at_its_limit(self, n):
-        # at and one ulp either side of the limit, the test agrees with numpy's array form
+        # at and one ulp either side of the limit, where numpy's sum decides, and
+        # far from it, where the Python-float sum does, the test agrees with
+        # numpy's array form
         rng = np.random.default_rng(n)
         lam, c2 = np.sort(rng.uniform(-1.0, 2.0, n)), rng.uniform(0.0, 1.0, n)
         keep = np.abs(lam) > 0.25
         total = np.sum(c2[keep] / lam[keep] ** 2)
-        for limit in (total, np.nextafter(total, 0.0), np.nextafter(total, np.inf)):
+        for limit in (total, np.nextafter(total, 0.0), np.nextafter(total, np.inf),
+                      0.5 * total, 2.0 * total):
             fits = _minimum_norm_fits(secular_terms(lam, c2), 0.25, float(limit))
             assert fits == (total <= limit)
 
@@ -770,6 +773,11 @@ class TestBisectionReplay:
             # a warm start at the root takes no Newton step either
             assert _certified_bracket(terms, pt, hi, 1e-8 * pt, 0.0, mu) == (-1.0, math.inf)
             assert _bisect_multiplier(lam, c2, terms, pt, hi, mu) == mu
+            # every midpoint is decided by its Python-float sum of P, and with a
+            # margin that leaves that sum no decision, by numpy's
+            with monkeypatch.context() as m:
+                m.setattr(beamforming, "_SUM_RTOL", 1.0)
+                assert _bisect_multiplier(lam, c2, terms, pt, hi) == mu
 
     @settings(max_examples=300, deadline=None)
     @given(secular_instances())

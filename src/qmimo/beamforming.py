@@ -41,9 +41,9 @@ _EPS = float(np.finfo(float).eps)
 # the initial upper end, and a cap on the Newton steps from its root side
 _GRID = (2.0 ** (-0.5 * np.arange(121))).tolist()
 _NEWTON_STEPS = 8
-# a sum of positive terms in Python floats and numpy's sum of the same terms
-# differ far less than this relative amount, so a comparison further from
-# its limit than that takes the same branch with either sum
+# a sum of positive terms in Python floats and numpy's sum of them, each
+# rounding in its own order, differ by far less than this relative amount, so
+# a comparison further from its limit than that takes the same branch with either
 _SUM_RTOL = 1e-12
 
 

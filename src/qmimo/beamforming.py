@@ -41,10 +41,6 @@ _EPS = float(np.finfo(float).eps)
 # the initial upper end, and a cap on the Newton steps from its root side
 _GRID = (2.0 ** (-0.5 * np.arange(121))).tolist()
 _NEWTON_STEPS = 8
-# a sum of positive terms in Python floats and numpy's sum of them, each
-# rounding in its own order, differ by far less than this relative amount, so
-# a comparison further from its limit than that takes the same branch with either
-_SUM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -238,14 +234,11 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
 def _minimum_norm_fits(terms: list[tuple[float, float]], cut: float, limit: float) -> bool:
     """Whether ``np.sum(c2[keep] / lam[keep]**2) <= limit``, ``keep = |lam| > cut`` (README)."""
     x = [c / (l * l) for l, c in terms if abs(l) > cut]
-    total = sum(x)
-    if abs(total - limit) > _SUM_RTOL * limit:
-        return total <= limit
     return float(np.array(x).sum()) <= limit
 
 
 def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, terms: list[tuple[float, float]],
-                       pt: float, hi: float, start: float = 0.0) -> float:
+                       pt: float, hi: float, start: float) -> float:
     """The midpoint at which bisection on ``[0, hi]`` finds ``|P(mu) - pt| <= 1e-8 pt``.
 
     ``P(mu) = c2 @ (lam + mu)**-2``; ``terms`` holds ``(lam_i, c2_i)`` as
@@ -253,10 +246,7 @@ def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, terms: list[tuple[float,
     1e-9, and another root-finder would settle elsewhere inside the 1e-8
     power tolerance. Midpoints outside the bracket of
     :func:`_certified_bracket`, whose Newton steps begin at ``start`` if it
-    lies above the floor, take their side without evaluating P. Inside it,
-    P summed in Python floats takes the decisions of the numpy sum unless it
-    lies within a relative ``_SUM_RTOL`` of an edge of the band, where the
-    numpy sum decides.
+    lies above the floor, take their side without evaluating P.
     """
     tol = 1e-8 * pt
     floor = max(0.0, -terms[0][0])
@@ -270,9 +260,7 @@ def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, terms: list[tuple[float,
         if mu >= b:
             hi = mu
             continue
-        power = _power_and_slope(terms, mu)[0] if mu > floor else math.nan
-        if not abs(abs(power - pt) - tol) > _SUM_RTOL * power:
-            power = float(c2 @ (lam + mu) ** -2)
+        power = float(c2 @ (lam + mu) ** -2)
         if abs(power - pt) <= tol:
             break
         if power > pt:
@@ -283,7 +271,7 @@ def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, terms: list[tuple[float,
 
 
 def _certified_bracket(terms: list[tuple[float, float]], pt: float, hi: float,
-                       tol: float, floor: float, start: float = 0.0) -> tuple[float, float]:
+                       tol: float, floor: float, start: float) -> tuple[float, float]:
     """``(a, b)`` with ``P(mu) > pt + tol`` on ``(floor, a]`` and ``P(mu) < pt - tol`` on ``[b, inf)``.
 
     P over ``terms`` strictly decreases for ``mu > floor = max(0, -lam[0])``.
@@ -296,7 +284,8 @@ def _certified_bracket(terms: list[tuple[float, float]], pt: float, hi: float,
     ``w = tol / |P'(mu*)|`` the band ``|P - pt| <= tol`` is about
     ``mu* +- w``, so ``a = mu* - 1.01 w`` and ``b = mu* + 1.01 w``. Both
     ends are accepted only if P, evaluated there, clears the band by a
-    relative ``_SUM_RTOL``; by monotonicity every midpoint beyond them then takes the same
+    relative ``1e-12``, far above the rounding error of a sum of positive
+    terms; by monotonicity every midpoint beyond them then takes the same
     side as its own evaluation would, whichever start found them.
     Otherwise ``(-1, inf)``. The search, the Newton steps and the check run
     in Python floats, which at the sizes of a precoder cost no more than
@@ -341,8 +330,8 @@ def _newton_bracket(terms: list[tuple[float, float]], pt: float, tol: float, flo
     a, b = mu - 1.01 * w, mu + 1.01 * w
     if not floor < a < b < math.inf:
         return -1.0, math.inf
-    if (_power_and_slope(terms, a)[0] > (pt + tol) * (1.0 + _SUM_RTOL)
-            and _power_and_slope(terms, b)[0] < (pt - tol) * (1.0 - _SUM_RTOL)):
+    if (_power_and_slope(terms, a)[0] > (pt + tol) * (1.0 + 1e-12)
+            and _power_and_slope(terms, b)[0] < (pt - tol) * (1.0 - 1e-12)):
         return a, b
     return -1.0, math.inf
 

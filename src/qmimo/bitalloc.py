@@ -6,13 +6,18 @@ greedy sweep produces the starting allocation; a pair-swap neighborhood
 search with a visited list improves it, scoring candidates by short
 alternating-minimization solves. An exhaustive oracle returns the optimum
 over every feasible allocation of a small instance. Both pick the best of
-a list of allocations through one scorer, ``_best``.
+a list of allocations through one scorer, ``_best``. Both take an optional
+``solved`` dict, allocation to the ``AltMinReport`` of its latest solve on
+the same H, from which each solve continues (``altmin_beamforming``'s
+``start``) and into which it stores its own report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from typing import Optional
+
 import numpy as np
 
 from .beamforming import AltMinReport, Beamformers, altmin_beamforming
@@ -90,18 +95,26 @@ def _rank(scored: tuple) -> tuple[float, tuple[int, ...]]:
 
 
 def _best(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
-          ns: int, eps: float, max_iter: int) -> tuple[float, tuple[int, ...]]:
+          ns: int, eps: float, max_iter: int,
+          solved: Optional[dict] = None) -> tuple[float, tuple[int, ...]]:
     """Solve each allocation in order; ``(se, bits)`` of the highest SE, ties to the smallest bits."""
-    return _best_solve(H, allocations, pt, sigma_n2, ns, eps, max_iter)[:2]
+    return _best_solve(H, allocations, pt, sigma_n2, ns, eps, max_iter, solved)[:2]
 
 
 def _best_solve(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
-                ns: int, eps: float,
-                max_iter: int) -> tuple[float, tuple[int, ...], AltMinReport]:
-    """:func:`_best`'s ``(se, bits)`` and the AltMin report of that solve."""
+                ns: int, eps: float, max_iter: int,
+                solved: Optional[dict] = None) -> tuple[float, tuple[int, ...], AltMinReport]:
+    """:func:`_best`'s ``(se, bits)`` and the AltMin report of that solve.
+
+    Each solve continues ``solved[bits]`` if present and stores its report there.
+    """
     best = None
     for bits in allocations:
-        _, rep = altmin_beamforming(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter)
+        start = None if solved is None else solved.get(bits)
+        _, rep = altmin_beamforming(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter,
+                                    start=start)
+        if solved is not None:
+            solved[bits] = rep
         scored = (rep.final_se, bits, rep)
         best = scored if best is None else min(best, scored, key=_rank)
     return best
@@ -120,7 +133,8 @@ class GposResult:
 
 def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
               b_max: int, budget: int, i2: int = 15, scoring_max_iter: int = 30,
-              eps: float = 1e-4, max_iter: int = 500) -> GposResult:
+              eps: float = 1e-4, max_iter: int = 500,
+              solved: Optional[dict] = None) -> GposResult:
     """Greedy pair-order search over bit allocations with joint beamforming.
 
     Each search iteration scores every unvisited swap neighbor of the
@@ -131,12 +145,14 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     full-convergence solve at the incumbent, which continues the
     incumbent's scoring solve unless that one ran more than ``max_iter``
     iterations. Ties between equal-SE neighbors break toward the
-    lexicographically smallest allocation.
+    lexicographically smallest allocation. ``solved`` (module docstring)
+    also receives the final solve's report.
     """
     incumbent = greedy_init(H.shape[0], b_max, budget)
     scored = [incumbent]
     visited = {incumbent}
-    best_se, _, kept = _best_solve(H, [incumbent], pt, sigma_n2, ns, eps, scoring_max_iter)
+    best_se, _, kept = _best_solve(H, [incumbent], pt, sigma_n2, ns, eps, scoring_max_iter,
+                                   solved)
     se_trace = [best_se]
     for _ in range(i2):
         neighbors = neighbor_set(incumbent, visited)
@@ -144,13 +160,16 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
             break
         visited.update(neighbors)
         scored += neighbors
-        se, bits, rep = _best_solve(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter)
+        se, bits, rep = _best_solve(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter,
+                                    solved)
         if se > best_se:
             best_se, incumbent, kept = se, bits, rep
         se_trace.append(best_se)
     beamformers, report = altmin_beamforming(
         H, incumbent, pt, sigma_n2, ns, eps=eps, max_iter=max_iter, start=kept
     )
+    if solved is not None:
+        solved[incumbent] = report
     return GposResult(
         allocation=incumbent,
         beamformers=beamformers,
@@ -210,13 +229,15 @@ def se_ceiling(H: np.ndarray, bits: tuple[int, ...], pt: float, sigma_n2: float,
 
 
 def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
-                      b_max: int, budget: int, eps: float = 1e-4,
-                      max_iter: int = 500) -> tuple[tuple[int, ...], float]:
+                      b_max: int, budget: int, eps: float = 1e-4, max_iter: int = 500,
+                      solved: Optional[dict] = None) -> tuple[tuple[int, ...], float]:
     """The best feasible allocation and its SE, ``(bits, se)``, from full solves.
 
     The result is that of solving every allocation, ties broken toward the
     lexicographically smallest; multisets whose :func:`se_ceiling` lies
-    below the incumbent are skipped (README, "CLI", ``--oracle``). Raises
+    below the incumbent are skipped (README, "CLI", ``--oracle``). Solves
+    continue the reports in ``solved`` (module docstring), which changes
+    no float of the result. Raises
     ``ValueError`` if the unconstrained search space b_max^Nr exceeds
     ``MAX_SEARCH_SPACE`` or the budget is infeasible.
     """
@@ -231,7 +252,7 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     for m in sorted(multisets, key=lambda m: (-ceiling[m], m)):
         if best is not None and ceiling[m] < best[0] * (1.0 - _PRUNE_RTOL):
             break
-        winner = _best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter)
+        winner = _best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter, solved)
         best = winner if best is None else min(best, winner, key=_rank)
     se, bits = best
     return bits, float(se)

@@ -73,6 +73,10 @@ class ExperimentConfig:
             raise ConfigError(f"num_channels={self.num_channels} must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed={self.seed} must be >= 0")
+        try:  # "ES" in the config and --oracle name ES twice
+            evaluation._check_schemes(self.schemes)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for axes, cfg in self.points():
             try:
                 cfg.validate(self.schemes)
@@ -209,7 +213,8 @@ def _json_record(axes: dict, result: evaluation.ExperimentResult) -> dict:
             "se_sim_per_channel": None if out.se_sim is None else out.se_sim.tolist(),
             "ee_per_channel": out.ee.tolist(),
             "allocations": [list(a) for a in out.allocations],
-            "failures": out.failures,
+            "failures": len(out.failed_channels),
+            "failed_channels": out.failed_channels,
             "altmin_unconverged": out.altmin_unconverged,
         }
         for scheme, out in result.outcomes.items()
@@ -260,19 +265,18 @@ def _dump_quantizers(config: ExperimentConfig) -> None:
         json.dump(doc, fh, indent=1, allow_nan=False)
 
 
-def _oracle_outcome(cfg: evaluation.PointConfig, seed: int,
-                    num_channels: int) -> evaluation.SchemeOutcome:
-    """Exhaustive-search scheme row over the same channel ensemble.
-
-    Channel failures are recorded as in ``run_experiment``; an invalid point fails as a whole.
-    """
-    return evaluation._ensemble(cfg, ("ES",), num_channels, seed)["ES"]
+def _oracle_outcome(cfg: evaluation.PointConfig, schemes: tuple[str, ...], num_channels: int,
+                    seed: int) -> evaluation.ExperimentResult:
+    """``run_experiment`` of a point with ES; kept only because ``perfbench/tracer.py``
+    binds this name, and to be deleted with that binding (ROADMAP item 6)."""
+    return evaluation.run_experiment(cfg, schemes, num_channels, seed)
 
 
 def run_sweep(config: ExperimentConfig) -> int:
     """Execute all sweep points, streaming results to ``config.output_dir`` per point.
 
-    A scheme ``"ES"`` in ``config.schemes`` adds the exhaustive-oracle row.
+    A scheme ``"ES"`` in ``config.schemes``, in any position, adds the
+    exhaustive-oracle row, which runs last on each channel and comes last.
     The CSV is rewritten and flushed after each point so an interrupted
     run keeps every completed point. Returns a process exit status (0 on
     success, 1 if any point raised; its traceback goes to stderr).
@@ -283,18 +287,13 @@ def run_sweep(config: ExperimentConfig) -> int:
     json_path = out_dir / "results.json"
     records: list[tuple] = []
     points = config.points()
-    schemes = tuple(s for s in config.schemes if s != "ES")
+    schemes = tuple(sorted(config.schemes, key="ES".__eq__))  # stable: ES moves last
+    run = _oracle_outcome if "ES" in schemes else evaluation.run_experiment
     status = 0
     for i, (axes, cfg) in enumerate(points):
         print(f"[{i + 1}/{len(points)}] " + " ".join(f"{k}={v:g}" for k, v in axes.items()))
         try:
-            result = evaluation.run_experiment(
-                cfg, schemes, config.num_channels, config.seed
-            )
-            if "ES" in config.schemes:
-                result.outcomes["ES"] = _oracle_outcome(
-                    cfg, config.seed, config.num_channels
-                )
+            result = run(cfg, schemes, config.num_channels, config.seed)
         except Exception:
             print(f"point {axes} failed:\n{traceback.format_exc()}", end="", file=sys.stderr)
             status = 1

@@ -13,7 +13,12 @@ Schemes
 ``FullPrecision``
     Unquantized water-filling link (power accounted at a 12-bit proxy).
 ``ES``
-    Exhaustive-search oracle row of ``qmimo run --oracle``; not in ``SCHEMES``.
+    Exhaustive-search oracle over bit allocations (``qmimo run --oracle``).
+
+Every scheme of a point runs on each channel in turn, so the ensemble is
+drawn once. On a point with ES, the channel's AltMinBF and GPOS solves are
+kept per allocation, and ES, which runs last, continues them
+(``bitalloc.exhaustive_search``'s ``solved``) to the same floats.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ __all__ = [
     "SCHEMES",
 ]
 
-SCHEMES = ("WF", "AltMinBF", "GPOS", "FullPrecision")
+SCHEMES = ("WF", "AltMinBF", "GPOS", "FullPrecision", "ES")
 
 
 def _check_schemes(schemes: Sequence[str]) -> None:
@@ -159,7 +164,7 @@ class PointConfig:
                 raise ValueError(f"{key}={value} must be >= {low}")
         if "GPOS" in schemes:
             bitalloc._check_feasible(self.nr, self.b_max, self.budget)
-        if "ES" in schemes:  # the exhaustive oracle row of ``qmimo run --oracle``
+        if "ES" in schemes:
             bitalloc._check_oracle(self.nr, self.b_max, self.budget)
 
 
@@ -173,11 +178,11 @@ class SchemeOutcome:
     power_w: np.ndarray
     iterations: np.ndarray
     allocations: list[tuple[int, ...]]
-    failures: int
+    failed_channels: list[int]         # channel indices, in order, left out of the arrays
     altmin_unconverged: Optional[int]  # AltMin solves stopped by max_iter; None for ES
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple], failures: int, sim_se: bool,
+    def from_rows(cls, rows: Sequence[tuple], failed_channels: list[int], sim_se: bool,
                   oracle: bool) -> SchemeOutcome:
         """Outcome from the per-channel ``(se_apx, se_sim, bits, iterations, capped)`` rows.
 
@@ -193,7 +198,7 @@ class SchemeOutcome:
             power_w=np.asarray(power, dtype=float),
             iterations=np.asarray(iters, dtype=float),
             allocations=[tuple(b) for b in bits],
-            failures=failures,
+            failed_channels=failed_channels,
             altmin_unconverged=None if oracle else sum(capped),
         )
 
@@ -234,8 +239,13 @@ def derive_seed(master: int, *keys: int) -> int:
     return int(np.random.SeedSequence([int(master), *map(int, keys)]).generate_state(1)[0])
 
 
-def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
-    """Run one scheme on one channel; returns (se_apx, se_sim, bits, iters, capped)."""
+def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int,
+                solved: Optional[dict]):
+    """Run one scheme on one channel; returns (se_apx, se_sim, bits, iters, capped).
+
+    ``solved`` is the channel's allocation -> ``AltMinReport`` dict that
+    AltMinBF and GPOS fill and ES continues, or None to keep nothing.
+    """
     nr = cfg.nr
     uniform_bits = (cfg.b,) * nr
     if scheme in ("WF", "FullPrecision"):
@@ -250,10 +260,12 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int):
             H, uniform_bits, cfg.pt, cfg.sigma_n2, cfg.ns,
             eps=cfg.eps, max_iter=cfg.max_iter,
         )
+        if solved is not None:
+            solved[uniform_bits] = rep
         bits, se, iters, converged = uniform_bits, rep.final_se, rep.iterations, rep.converged
     else:  # GPOS or ES; run_experiment rejects unknown names
         kw = dict(pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
-                  budget=cfg.budget, eps=cfg.eps, max_iter=cfg.max_iter)
+                  budget=cfg.budget, eps=cfg.eps, max_iter=cfg.max_iter, solved=solved)
         if scheme == "ES":  # the oracle row: no beamformers, so no simulated SE
             bits, se = bitalloc.exhaustive_search(H, **kw)
             return se, None, bits, 0, None
@@ -278,8 +290,10 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     Channel realization c uses a seed derived from (seed, 0, c) so the
     ensemble is shared by every scheme and sweep point; the simulated
     distortion covariance of scheme s on channel c uses (seed, 1, c, k),
-    with k the index of s in ``(*SCHEMES, "ES")``, so a scheme's stream
-    does not depend on which other schemes run or in what order.
+    with k the index of s in ``SCHEMES``, so a scheme's stream does not
+    depend on which other schemes run or in what order. Each channel is
+    drawn once and runs the schemes in the given order; ES continues the
+    solves of the schemes before it (module docstring), so list it last.
     Per-channel numerical scheme failures (``CHANNEL_ERRORS``) are recorded
     and the channel is dropped from that scheme's aggregates; any other
     exception propagates. Without schemes no channel is drawn.
@@ -292,16 +306,18 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
 
 def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
               seed: int) -> dict[str, SchemeOutcome]:
-    """The channel loop of ``run_experiment``, unchecked; ``"ES"`` is the oracle row."""
+    """The channel loop of ``run_experiment``, unchecked."""
     rows: dict[str, list] = {s: [] for s in schemes}
-    failures = dict.fromkeys(schemes, 0)
+    failed: dict[str, list[int]] = {s: [] for s in schemes}
     for c in range(num_channels if schemes else 0):
         H = channel.saleh_valenzuela(config.nt, config.nr, config.sv,
                                      seed=derive_seed(seed, 0, c))
+        # only ES reads the kept solves; a 64x64 GPOS channel would keep ~70 MB
+        solved = {} if "ES" in schemes else None
         for scheme in schemes:
             try:
                 row = _run_scheme(scheme, H, config,
-                                  derive_seed(seed, 1, c, (*SCHEMES, "ES").index(scheme)))
+                                  derive_seed(seed, 1, c, SCHEMES.index(scheme)), solved)
             except CHANNEL_ERRORS as exc:
                 # numerical failure: record, drop channel from aggregates
                 warnings.warn(
@@ -309,8 +325,8 @@ def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                failures[scheme] += 1
+                failed[scheme].append(c)
                 continue
             rows[scheme].append(row)
-    return {s: SchemeOutcome.from_rows(rows[s], failures[s], config.sim_se, s == "ES")
+    return {s: SchemeOutcome.from_rows(rows[s], failed[s], config.sim_se, s == "ES")
             for s in schemes}

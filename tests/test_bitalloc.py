@@ -206,6 +206,54 @@ class TestFinalSolveContinuation:
         assert seen == kinds
 
 
+class TestOracleContinuation:
+    """ES continues the channel's AltMinBF and GPOS solves: the result of solving afresh."""
+
+    @pytest.mark.parametrize("scoring_max_iter, max_iter, kinds", [
+        # scoring solves that converged before their cap, and ones it stopped
+        (30, 500, {"fresh", "converged", "capped"}),
+        # scoring solves longer than max_iter, whose starts ES ignores, and an
+        # AltMinBF solve that stopped at max_iter
+        (40, 20, {"fresh", "converged", "capped", "longer", "AltMinBF capped"}),
+    ])
+    def test_matches_a_search_from_f0(self, monkeypatch, scoring_max_iter, max_iter, kinds):
+        solve = bitalloc.altmin_beamforming
+        starts = []
+
+        def recorded(*args, **kwargs):
+            starts.append((args[1], kwargs.get("start")))
+            return solve(*args, **kwargs)
+
+        seen = set()
+        uniform = (2, 2, 2, 2)
+        for snr_db in (0, 10, 20, 30):
+            kw = dict(pt=1.0, sigma_n2=10 ** (-snr_db / 10), ns=2, b_max=3, budget=8,
+                      max_iter=max_iter)
+            for seed in range(8000, 8010):
+                H = saleh_valenzuela(8, 4, seed=seed)
+                where = f"{snr_db} dB, seed {seed}"
+                _, altmin = altmin_beamforming(H, uniform, kw["pt"], kw["sigma_n2"], kw["ns"],
+                                               max_iter=max_iter)
+                solved = {uniform: altmin}
+                res = gpos_bfba(H, scoring_max_iter=scoring_max_iter, solved=solved, **kw)
+                alone = gpos_bfba(H, scoring_max_iter=scoring_max_iter, **kw)
+                assert (res.allocation, res.se) == (alone.allocation, alone.se), where
+                kept = dict(solved)
+                monkeypatch.setattr(bitalloc, "altmin_beamforming", recorded)
+                starts.clear()
+                got = exhaustive_search(H, solved=solved, **kw)
+                monkeypatch.setattr(bitalloc, "altmin_beamforming", solve)
+                assert got == exhaustive_search(H, **kw), where
+                for bits, start in starts:
+                    # every allocation solved before ES continues, no other does
+                    assert start is kept.get(bits), (where, bits)
+                    seen.add("fresh" if start is None
+                             else "longer" if start.iterations > max_iter
+                             else "AltMinBF capped" if start is altmin and not start.converged
+                             else "converged" if start.converged else "capped")
+        assert seen == kinds
+
+
 class TestExhaustive:
     def test_single_candidate_all_ones(self):
         H, kw = small_problem(6)

@@ -24,7 +24,7 @@ from qmimo.evaluation import PointConfig
 JSON_SCHEME_KEYS = [
     "mean_se_apx", "stderr_se_apx", "mean_se_sim", "stderr_se_sim", "mean_ee",
     "total_power_w", "mean_iterations", "se_apx_per_channel", "se_sim_per_channel",
-    "ee_per_channel", "allocations", "failures", "altmin_unconverged",
+    "ee_per_channel", "allocations", "failures", "failed_channels", "altmin_unconverged",
 ]
 # CSV columns after the one column per swept axis
 FIXED_HEADER = ("scheme,mean_se_apx,stderr_se_apx,mean_se_sim,stderr_se_sim,"
@@ -367,6 +367,7 @@ class TestWriteResults:
         for key in ("se_apx_per_channel", "se_sim_per_channel", "ee_per_channel", "allocations"):
             assert wf[key] == [], key
         assert wf["failures"] == cfg.num_channels == 2
+        assert wf["failed_channels"] == [0, 1]
 
     def test_one_channel_run_is_strict_json(self, tmp_path):
         out = tmp_path / "out"
@@ -523,6 +524,7 @@ class TestMain:
         points = json.loads((out / "results.json").read_text())["points"]
         es = [p["schemes"]["ES"] for p in points]
         assert [e["failures"] for e in es] == [1, 0]
+        assert [e["failed_channels"] for e in es] == [[1], []]
         assert [len(e["allocations"]) for e in es] == [2, 3]
         assert len(es[0]["se_apx_per_channel"]) == 2
 
@@ -548,6 +550,46 @@ class TestMain:
         assert main(["run", str(self.oracle_only_config(tmp_path)),
                      "--output-dir", str(out), "--oracle"]) == 0
         assert draws["n"] == 6
+
+    def test_oracle_run_draws_each_channel_once(self, tmp_path, monkeypatch):
+        # ES runs in the channel pass of the other schemes: 2 points x 3 channels
+        draws = {"n": 0}
+        original = cli.channel.saleh_valenzuela
+
+        def counted(*args, **kwargs):
+            draws["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.channel, "saleh_valenzuela", counted)
+        path = write_config(tmp_path, Nt=8, Nr=3, Ns=2, b=2, b_max=3, snr_db=[0.0, 10.0],
+                            schemes=["WF", "AltMinBF", "GPOS"], num_channels=3)
+        assert main(["run", str(path), "--output-dir", str(tmp_path / "out"), "--oracle"]) == 0
+        assert draws["n"] == 6
+
+    @pytest.mark.parametrize("schemes", [["ES", "WF", "GPOS"], ["WF", "ES", "GPOS"],
+                                         ["WF", "GPOS", "ES"]])
+    def test_es_in_schemes_equals_oracle(self, tmp_path, schemes):
+        def run(name, config_schemes, *flags):
+            path = write_config(tmp_path / name, Nt=8, Nr=3, Ns=2, b=2, b_max=3,
+                                snr_db=[0.0, 20.0], schemes=config_schemes, num_channels=2)
+            assert main(["run", str(path), "--output-dir", str(tmp_path / name / "out"),
+                         *flags]) == 0
+            return [(tmp_path / name / "out" / f).read_bytes()
+                    for f in ("results.csv", "results.json")]
+
+        (tmp_path / "listed").mkdir()
+        (tmp_path / "flag").mkdir()
+        listed = run("listed", schemes)
+        assert listed == run("flag", ["WF", "GPOS"], "--oracle")
+        rows = list(csv.DictReader(listed[0].decode().splitlines()))
+        assert [r["scheme"] for r in rows] == ["WF", "GPOS", "ES"] * 2
+
+    def test_es_in_schemes_and_oracle_is_duplicate(self, tmp_path, capsys):
+        path = write_config(tmp_path, Nt=8, Nr=3, Ns=2, b=2, b_max=3, schemes=["ES"])
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--output-dir", str(out), "--oracle"]) == 2
+        assert "duplicate scheme name" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_error_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):

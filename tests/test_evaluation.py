@@ -185,7 +185,7 @@ class TestRunExperiment:
         assert len(out.allocations) == 2
         for alloc in out.allocations:
             assert sum(alloc) == 8
-        assert out.failures == 0
+        assert out.failed_channels == []
 
     def test_scheme_failure_recorded_and_skipped(self, monkeypatch):
         import qmimo.evaluation as ev
@@ -204,7 +204,7 @@ class TestRunExperiment:
         with pytest.warns(RuntimeWarning, match="failed on channel"):
             res = run_experiment(cfg, ["WF"], num_channels=3, seed=9)
         out = res.outcomes["WF"]
-        assert out.failures == 1
+        assert out.failed_channels == [1]
         assert out.se_apx.size == 2
 
     @pytest.mark.parametrize("error", [TypeError, ValueError])

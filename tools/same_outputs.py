@@ -9,7 +9,7 @@ are compared byte for byte. Exits 0 if all agree and 1 otherwise, naming
 each output that differs; a run that fails with both trees counts as a
 difference in its status, since it compares nothing.
 
-The configs are the two golden configs of ``tests/test_golden.py``, three
+The configs are the two golden configs of ``tests/test_golden.py``, four
 sweeps defined here, and point 0 of each workload in
 ``perfbench/workloads.py`` at seed 0; both files are read, never edited.
 Standard library only: nothing of qmimo is imported into this process.
@@ -76,6 +76,14 @@ def cases() -> dict[str, tuple[dict, list[str]]]:
         {"Nt": 8, "Nr": 4, "Ns": 2, "snr_db": [0, 20], "b": 2, "b_max": 3, "I2": [0, 15],
          "max_iter": [20, 500], "scoring_max_iter": 40, "schemes": ["GPOS"], "num_channels": 3},
         run_args(),
+    )
+    # ES continuing AltMinBF solves capped at max_iter, scoring solves longer
+    # than max_iter, and GPOS final solves
+    out["oracle-continuation-8x4"] = (
+        {"Nt": 8, "Nr": 4, "Ns": 2, "snr_db": [0, 10, 20, 30], "b": 2, "b_max": 3,
+         "I2": [0, 15], "max_iter": [20, 500], "scoring_max_iter": 40,
+         "schemes": ["WF", "AltMinBF", "GPOS"], "num_channels": 3},
+        run_args("--oracle"),
     )
     for w in _workloads().values():
         out[f"workload-{w.name}"] = (w.point_config(0), w.cli_args(CONFIG, OUT, w.chunk_seed(0, 0)))

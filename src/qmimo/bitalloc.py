@@ -235,9 +235,8 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
 
     The result is that of solving every allocation, ties broken toward the
     lexicographically smallest; multisets whose :func:`se_ceiling` lies
-    below the incumbent are skipped (README, "CLI", ``--oracle``). Solves
-    continue the reports in ``solved`` (module docstring), which changes
-    no float of the result. Raises
+    below the incumbent are skipped (README, "CLI", ``--oracle``).
+    Continuing ``solved`` (module docstring) changes no float. Raises
     ``ValueError`` if the unconstrained search space b_max^Nr exceeds
     ``MAX_SEARCH_SPACE`` or the budget is infeasible.
     """

@@ -267,8 +267,11 @@ def _dump_quantizers(config: ExperimentConfig) -> None:
 
 def _oracle_outcome(cfg: evaluation.PointConfig, schemes: tuple[str, ...], num_channels: int,
                     seed: int) -> evaluation.ExperimentResult:
-    """``run_experiment`` of a point with ES; kept only because ``perfbench/tracer.py``
-    binds this name, and to be deleted with that binding (ROADMAP item 6)."""
+    """``run_experiment`` of a point with ES.
+
+    Kept only because ``perfbench/tracer.py`` binds this name; ROADMAP item 6
+    deletes it together with that binding.
+    """
     return evaluation.run_experiment(cfg, schemes, num_channels, seed)
 
 

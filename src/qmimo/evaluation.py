@@ -243,8 +243,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int,
                 solved: Optional[dict]):
     """Run one scheme on one channel; returns (se_apx, se_sim, bits, iters, capped).
 
-    ``solved`` is the channel's allocation -> ``AltMinReport`` dict that
-    AltMinBF and GPOS fill and ES continues, or None to keep nothing.
+    ``solved``: the channel's kept AltMin reports (module docstring), or None.
     """
     nr = cfg.nr
     uniform_bits = (cfg.b,) * nr
@@ -291,9 +290,8 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     ensemble is shared by every scheme and sweep point; the simulated
     distortion covariance of scheme s on channel c uses (seed, 1, c, k),
     with k the index of s in ``SCHEMES``, so a scheme's stream does not
-    depend on which other schemes run or in what order. Each channel is
-    drawn once and runs the schemes in the given order; ES continues the
-    solves of the schemes before it (module docstring), so list it last.
+    depend on which other schemes run or in what order. Each channel runs
+    the schemes in the given order, so list ES last (module docstring).
     Per-channel numerical scheme failures (``CHANNEL_ERRORS``) are recorded
     and the channel is dropped from that scheme's aggregates; any other
     exception propagates. Without schemes no channel is drawn.

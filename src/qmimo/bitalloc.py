@@ -8,8 +8,8 @@ alternating-minimization solves. An exhaustive oracle returns the optimum
 over every feasible allocation of a small instance. Both pick the best of
 a list of allocations through one scorer, ``_best``. Both take an optional
 ``solved`` dict, allocation to the ``AltMinReport`` of its latest solve on
-the same H, from which each solve continues (``altmin_beamforming``'s
-``start``) and into which it stores its own report.
+the same H. Only ``_solve`` reads and writes it: each solve continues the
+stored report (``altmin_beamforming``'s ``start``) and stores its own.
 """
 
 from __future__ import annotations
@@ -94,30 +94,22 @@ def _rank(scored: tuple) -> tuple[float, tuple[int, ...]]:
     return -scored[0], scored[1]
 
 
+def _solve(H: np.ndarray, bits: tuple[int, ...], pt: float, sigma_n2: float, ns: int,
+           eps: float, max_iter: int, solved: Optional[dict]) -> tuple[Beamformers, AltMinReport]:
+    """Solve ``bits`` continuing ``solved[bits]``, then store the report; None: from F0, no store."""
+    result = altmin_beamforming(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter,
+                                start=None if solved is None else solved.get(bits))
+    if solved is not None:
+        solved[bits] = result[1]
+    return result
+
+
 def _best(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
           ns: int, eps: float, max_iter: int,
           solved: Optional[dict] = None) -> tuple[float, tuple[int, ...]]:
     """Solve each allocation in order; ``(se, bits)`` of the highest SE, ties to the smallest bits."""
-    return _best_solve(H, allocations, pt, sigma_n2, ns, eps, max_iter, solved)[:2]
-
-
-def _best_solve(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
-                ns: int, eps: float, max_iter: int,
-                solved: Optional[dict] = None) -> tuple[float, tuple[int, ...], AltMinReport]:
-    """:func:`_best`'s ``(se, bits)`` and the AltMin report of that solve.
-
-    Each solve continues ``solved[bits]`` if present and stores its report there.
-    """
-    best = None
-    for bits in allocations:
-        start = None if solved is None else solved.get(bits)
-        _, rep = altmin_beamforming(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter,
-                                    start=start)
-        if solved is not None:
-            solved[bits] = rep
-        scored = (rep.final_se, bits, rep)
-        best = scored if best is None else min(best, scored, key=_rank)
-    return best
+    return min(((_solve(H, bits, pt, sigma_n2, ns, eps, max_iter, solved)[1].final_se, bits)
+                for bits in allocations), key=_rank)
 
 
 @dataclass(frozen=True)
@@ -142,17 +134,14 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     alternating-minimization solve, moves to the best one if it strictly
     improves the incumbent, and stops after ``i2`` iterations or when the
     neighborhood is exhausted. The returned beamformers come from a
-    full-convergence solve at the incumbent, which continues the
-    incumbent's scoring solve unless that one ran more than ``max_iter``
-    iterations. Ties between equal-SE neighbors break toward the
-    lexicographically smallest allocation. ``solved`` (module docstring)
-    also receives the final solve's report.
+    full-convergence solve at the incumbent. Ties between equal-SE
+    neighbors break toward the lexicographically smallest allocation. Every
+    solve, the final one too, continues ``solved`` (module docstring).
     """
     incumbent = greedy_init(H.shape[0], b_max, budget)
     scored = [incumbent]
     visited = {incumbent}
-    best_se, _, kept = _best_solve(H, [incumbent], pt, sigma_n2, ns, eps, scoring_max_iter,
-                                   solved)
+    best_se, _ = _best(H, [incumbent], pt, sigma_n2, ns, eps, scoring_max_iter, solved)
     se_trace = [best_se]
     for _ in range(i2):
         neighbors = neighbor_set(incumbent, visited)
@@ -160,16 +149,11 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
             break
         visited.update(neighbors)
         scored += neighbors
-        se, bits, rep = _best_solve(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter,
-                                    solved)
+        se, bits = _best(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter, solved)
         if se > best_se:
-            best_se, incumbent, kept = se, bits, rep
+            best_se, incumbent = se, bits
         se_trace.append(best_se)
-    beamformers, report = altmin_beamforming(
-        H, incumbent, pt, sigma_n2, ns, eps=eps, max_iter=max_iter, start=kept
-    )
-    if solved is not None:
-        solved[incumbent] = report
+    beamformers, report = _solve(H, incumbent, pt, sigma_n2, ns, eps, max_iter, solved)
     return GposResult(
         allocation=incumbent,
         beamformers=beamformers,
@@ -236,7 +220,7 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     The result is that of solving every allocation, ties broken toward the
     lexicographically smallest; multisets whose :func:`se_ceiling` lies
     below the incumbent are skipped (README, "CLI", ``--oracle``).
-    Continuing ``solved`` (module docstring) changes no float. Raises
+    Continuing ``solved`` (module docstring) changes no float or entry. Raises
     ``ValueError`` if the unconstrained search space b_max^Nr exceeds
     ``MAX_SEARCH_SPACE`` or the budget is infeasible.
     """
@@ -251,7 +235,8 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     for m in sorted(multisets, key=lambda m: (-ceiling[m], m)):
         if best is not None and ceiling[m] < best[0] * (1.0 - _PRUNE_RTOL):
             break
-        winner = _best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter, solved)
+        # a copy: no later solve reads the oracle's own reports
+        winner = _best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter, dict(solved or {}))
         best = winner if best is None else min(best, winner, key=_rank)
     se, bits = best
     return bits, float(se)

@@ -16,9 +16,9 @@ Schemes
     Exhaustive-search oracle over bit allocations (``qmimo run --oracle``).
 
 Every scheme of a point runs on each channel in turn, so the ensemble is
-drawn once. On a point with ES, the channel's AltMinBF and GPOS solves are
-kept per allocation, and ES, which runs last, continues them
-(``bitalloc.exhaustive_search``'s ``solved``) to the same floats.
+drawn once. On a point with ES, the channel's AltMinBF and GPOS solves
+fill a store per allocation (``bitalloc._solve``), and ES, which runs
+last, continues them to the same floats.
 """
 
 from __future__ import annotations
@@ -243,7 +243,7 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int,
                 solved: Optional[dict]):
     """Run one scheme on one channel; returns (se_apx, se_sim, bits, iters, capped).
 
-    ``solved``: the channel's kept AltMin reports (module docstring), or None.
+    ``solved``: the channel's store of AltMin solves (module docstring), or None.
     """
     nr = cfg.nr
     uniform_bits = (cfg.b,) * nr
@@ -255,12 +255,8 @@ def _run_scheme(scheme: str, H: np.ndarray, cfg: PointConfig, sim_seed: int,
         se = beamforming.spectral_efficiency(H, bf.F, bf.U, g, ce)
         iters, converged = 0, True
     elif scheme == "AltMinBF":
-        bf, rep = beamforming.altmin_beamforming(
-            H, uniform_bits, cfg.pt, cfg.sigma_n2, cfg.ns,
-            eps=cfg.eps, max_iter=cfg.max_iter,
-        )
-        if solved is not None:
-            solved[uniform_bits] = rep
+        bf, rep = bitalloc._solve(H, uniform_bits, cfg.pt, cfg.sigma_n2, cfg.ns, cfg.eps,
+                                  cfg.max_iter, solved)
         bits, se, iters, converged = uniform_bits, rep.final_se, rep.iterations, rep.converged
     else:  # GPOS or ES; run_experiment rejects unknown names
         kw = dict(pt=cfg.pt, sigma_n2=cfg.sigma_n2, ns=cfg.ns, b_max=cfg.b_max,
@@ -310,7 +306,7 @@ def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
     for c in range(num_channels if schemes else 0):
         H = channel.saleh_valenzuela(config.nt, config.nr, config.sv,
                                      seed=derive_seed(seed, 0, c))
-        # only ES reads the kept solves; a 64x64 GPOS channel would keep ~70 MB
+        # only ES needs the store; a 64x64 GPOS channel would fill ~70 MB of it
         solved = {} if "ES" in schemes else None
         for scheme in schemes:
             try:

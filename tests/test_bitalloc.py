@@ -159,7 +159,8 @@ class TestGpos:
 
 
 class TestFinalSolveContinuation:
-    """GPOS's final solve continues the incumbent's scoring solve: the floats of a solve from F0."""
+    """GPOS's final solve continues the incumbent's stored scoring solve, and without a
+    store starts from F0: the floats of a solve from F0 either way."""
 
     @pytest.mark.parametrize("i2, scoring_max_iter, max_iter, kinds", [
         # scoring solves that converged before their cap, and ones it stopped
@@ -172,12 +173,11 @@ class TestFinalSolveContinuation:
     ])
     def test_matches_a_solve_from_f0(self, monkeypatch, i2, scoring_max_iter, max_iter, kinds):
         solve = bitalloc.altmin_beamforming
-        finals = []
+        calls = []
 
-        def recorded(*args, **kwargs):
-            result = solve(*args, **kwargs)
-            if kwargs.get("start") is not None:
-                finals.append((kwargs["start"], result[1]))
+        def recorded(H, bits, *args, **kwargs):
+            result = solve(H, bits, *args, **kwargs)
+            calls.append((bits, kwargs.get("start"), result[1]))
             return result
 
         monkeypatch.setattr(bitalloc, "altmin_beamforming", recorded)
@@ -186,23 +186,31 @@ class TestFinalSolveContinuation:
             kw = dict(pt=1.0, sigma_n2=10 ** (-snr_db / 10), ns=2, b_max=3, budget=8)
             for seed in range(8000, 8010):
                 H = saleh_valenzuela(8, 4, seed=seed)
-                finals.clear()
-                res = gpos_bfba(H, i2=i2, scoring_max_iter=scoring_max_iter, max_iter=max_iter,
-                                **kw)
-                (kept, rep), = finals
-                if i2 == 0:
-                    assert res.allocation == greedy_init(4, 3, 8)
-                seen.add("longer" if kept.iterations > max_iter
-                         else "converged" if kept.converged else "capped")
-                bf, fresh = altmin_beamforming(H, res.allocation, kw["pt"], kw["sigma_n2"],
-                                               kw["ns"], max_iter=max_iter)
                 where = f"{snr_db} dB, seed {seed}"
-                assert res.se == rep.final_se == fresh.final_se, where
-                assert (rep.iterations, rep.converged) == (fresh.iterations, fresh.converged), where
-                np.testing.assert_array_equal(rep.objective_trace, fresh.objective_trace)
-                for x, y in ((res.beamformers.F, bf.F), (res.beamformers.U, bf.U),
-                             (res.beamformers.W, bf.W)):
-                    np.testing.assert_array_equal(x, y, err_msg=where)
+                for solved in ({}, None):
+                    calls.clear()
+                    res = gpos_bfba(H, i2=i2, scoring_max_iter=scoring_max_iter,
+                                    max_iter=max_iter, solved=solved, **kw)
+                    *scoring, (bits, start, rep) = calls
+                    assert bits == res.allocation and rep is res.final_report, where
+                    if i2 == 0:
+                        assert res.allocation == greedy_init(4, 3, 8)
+                    if solved is None:
+                        assert [s for _, s, _ in calls] == [None] * len(calls), where
+                    else:
+                        kept, = [r for b, _, r in scoring if b == bits]
+                        assert start is kept, where
+                        seen.add("longer" if kept.iterations > max_iter
+                                 else "converged" if kept.converged else "capped")
+                    bf, fresh = solve(H, res.allocation, kw["pt"], kw["sigma_n2"], kw["ns"],
+                                      max_iter=max_iter)
+                    assert res.se == rep.final_se == fresh.final_se, where
+                    assert (rep.iterations, rep.converged) == (fresh.iterations,
+                                                               fresh.converged), where
+                    np.testing.assert_array_equal(rep.objective_trace, fresh.objective_trace)
+                    for x, y in ((res.beamformers.F, bf.F), (res.beamformers.U, bf.U),
+                                 (res.beamformers.W, bf.W)):
+                        np.testing.assert_array_equal(x, y, err_msg=where)
         assert seen == kinds
 
 
@@ -252,6 +260,20 @@ class TestOracleContinuation:
                              else "AltMinBF capped" if start is altmin and not start.converged
                              else "converged" if start.converged else "capped")
         assert seen == kinds
+
+    def test_adds_no_entries_to_the_store(self):
+        # ES continues the store but keeps its own reports out of it: no later
+        # solve on the channel would read them
+        H = saleh_valenzuela(8, 6, seed=0)
+        kw = dict(pt=1.0, sigma_n2=0.1, ns=2, b_max=4, budget=12)
+        uniform = (2,) * 6
+        solved = {uniform: altmin_beamforming(H, uniform, kw["pt"], kw["sigma_n2"], kw["ns"])[1]}
+        gpos_bfba(H, solved=solved, **kw)
+        before = dict(solved)
+        got = exhaustive_search(H, solved=solved, **kw)
+        assert solved.keys() == before.keys()
+        assert all(solved[bits] is rep for bits, rep in before.items())
+        assert got == exhaustive_search(H, **kw)
 
 
 class TestExhaustive:

@@ -221,6 +221,31 @@ class TestRunExperiment:
         with pytest.raises(error, match="synthetic bug"):
             run_experiment(cfg, ["WF"], num_channels=2, seed=9)
 
+    @pytest.mark.parametrize("schemes", [["WF", "AltMinBF", "GPOS", "ES"], ["AltMinBF", "GPOS"]])
+    def test_solves_continue_the_channel_store_only_with_es(self, monkeypatch, schemes):
+        # with ES every solve of an allocation already solved on the channel
+        # continues that solve's report; without ES no solve continues another
+        import qmimo.bitalloc as ba
+
+        solve, starts = ba.altmin_beamforming, []
+
+        def recorded(H, bits, *args, **kwargs):
+            result = solve(H, bits, *args, **kwargs)
+            starts.append((H.tobytes(), tuple(bits), kwargs.get("start"), result[1]))
+            return result
+
+        monkeypatch.setattr(ba, "altmin_beamforming", recorded)
+        cfg = PointConfig(nt=8, nr=4, ns=2, snr_db=10.0, b=2, b_max=3)
+        run_experiment(cfg, schemes, num_channels=2, seed=5)
+        latest, continued = {}, 0
+        for channel_bits, start, rep in ((s[:2], s[2], s[3]) for s in starts):
+            expected = latest.get(channel_bits) if "ES" in schemes else None
+            assert start is expected, channel_bits[1]
+            continued += start is not None
+            latest[channel_bits] = rep
+        assert len({h for h, *_ in starts}) == 2
+        assert (continued > 0) == ("ES" in schemes)
+
     def test_unknown_scheme_rejected(self):
         cfg = PointConfig(**DESK, snr_db=10.0, b=2)
         with pytest.raises(ValueError, match="unknown scheme"):

@@ -58,6 +58,7 @@ def test_same_outputs_names_what_a_changed_constant_moves(tmp_path, monkeypatch,
 
 def test_same_outputs_reads_its_configs():
     cases = same_outputs.cases()
-    assert len(cases) == 10
+    assert len(cases) == 11
     assert cases["workload-oracle-8x4"][1][-1] == "--oracle"
     assert cases["oracle-continuation-8x4"][1][-1] == "--oracle"
+    assert cases["uniform-continuation-8x4"][1][-1] == "--oracle"

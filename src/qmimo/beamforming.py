@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .bussgang import effective_noise_cov, gain_diagonal, noise_weights
 
@@ -80,8 +81,28 @@ class Link(NamedTuple):
         return cls(H, g, nt, Hh, Hh * g, 1.0 - g)
 
 
+# numpy.linalg's eigh, solve and slogdet without the wrappers' argument
+# checks: the same LAPACK kernels under the same error states, so the same
+# floats and LinAlgErrors for float64 and complex128 input (README, "Beamforming")
+def _lapack_errors(message: str) -> np.errstate:
+    """The error state of numpy.linalg's eigh and solve: a LAPACK failure raises ``LinAlgError(message)``."""
+    def fail(err: str, flag: int) -> None:
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_lapack_errors("Eigenvalues did not converge")
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _umath_linalg.eigh_lo(a)
+
+
+@_lapack_errors("Singular matrix")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _umath_linalg.solve(a, b)
+
+
 def _logdet_hermitian(A: np.ndarray) -> float:
-    sign, ld = np.linalg.slogdet(A)
+    sign, ld = _umath_linalg.slogdet(A)
     ld = float(ld)
     if sign.real <= 0 or not math.isfinite(ld):
         raise np.linalg.LinAlgError("matrix is not positive definite")
@@ -173,7 +194,7 @@ def receive_updates(GHF: np.ndarray, ce: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def update_combiner(CiGHF: np.ndarray, W: np.ndarray) -> np.ndarray:
     """MMSE combiner, by Woodbury ``C_e^{-1} G H F W^{-1}``, from ``CiGHF`` and W at the same F."""
-    return np.linalg.solve(W, CiGHF.conj().T).conj().T
+    return _solve(W, CiGHF.conj().T).conj().T
 
 
 def update_weight(GHF: np.ndarray, CiGHF: np.ndarray) -> np.ndarray:
@@ -214,7 +235,7 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
     d = np.einsum("ij,ij->i", U @ W, U.conj()).real
     J = rhs @ T.conj().T + (link.Hh * (d * link.omg * link.g)) @ link.H
     J = 0.5 * (J + J.conj().T)
-    lam, Q = np.linalg.eigh(J)
+    lam, Q = _eigh(J)
     c = Q.conj().T @ rhs
     c2 = (np.abs(c) ** 2).sum(axis=1)
     terms = list(zip(lam.tolist(), c2.tolist()))

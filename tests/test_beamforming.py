@@ -7,17 +7,22 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from qmimo import beamforming
 from qmimo.beamforming import (
     Link,
     _bisect_multiplier,
     _certified_bracket,
+    _eigh,
+    _logdet_hermitian,
     _minimum_norm_fits,
+    _solve,
     altmin_beamforming,
     mse_matrix,
     receive_updates,
     spectral_efficiency,
+    update_combiner,
     update_precoder,
     waterfilling_baseline,
     waterfilling_power,
@@ -504,18 +509,114 @@ class TestCombiner:
                                       np.zeros((3, 2)))
 
     def test_one_stream_space_solve(self, monkeypatch):
-        # the combiner solves against the Ns x Ns weight, never an Nr x Nr system
+        # the combiner solves against the Ns x Ns weight, never an Nr x Nr
+        # system; beamforming._solve and np.linalg.solve both call this kernel
         H, F, g, ce, _, _ = random_instance(6, 5, 2, seed=27)
         shapes = []
-        solve = np.linalg.solve
+        solve = _umath_linalg.solve
 
-        def recording_solve(a, b):
+        def recording_solve(a, b, **kwargs):
             shapes.append(np.shape(a))
-            return solve(a, b)
+            return solve(a, b, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        monkeypatch.setattr(_umath_linalg, "solve", recording_solve)
         receive_updates(g[:, None] * (H @ F), ce)
         assert shapes == [(2, 2)]
+
+
+@st.composite
+def square_systems(draw):
+    """A real or complex n x n matrix X, scaled by 10**-3 to 10**3, and an n x k right-hand side; n 0-40."""
+    n, k = draw(st.integers(0, 40)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X, B = rng.standard_normal((n, n)), rng.standard_normal((n, k))
+    if draw(st.booleans()):
+        X, B = X + 1j * rng.standard_normal((n, n)), B + 1j * rng.standard_normal((n, k))
+    return X * 10.0 ** draw(st.integers(-3, 3)), B
+
+
+class TestLapackHelpers:
+    # beamforming's direct LAPACK calls give numpy.linalg's floats and errors,
+    # and no warning escapes them: every test turns warnings into errors
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_systems())
+    @example((np.zeros((0, 0)), np.zeros((0, 2))))
+    def test_eigh_equals_numpy(self, system):
+        X = system[0]
+        J = X + X.conj().T  # Hermitian, in general indefinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam, Q = _eigh(J)
+            ref = np.linalg.eigh(J)
+        for got, want in ((lam, ref.eigenvalues), (Q, ref.eigenvectors)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_systems())
+    def test_solve_equals_numpy(self, system):
+        X, B = system
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, ref = _solve(X, B), np.linalg.solve(X, B)
+        assert x.dtype == ref.dtype
+        np.testing.assert_array_equal(x, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(square_systems())
+    def test_logdet_equals_numpy(self, system):
+        X = system[0]
+        # positive definite, then Hermitian indefinite
+        for A in (X @ X.conj().T + np.eye(X.shape[0]), X + X.conj().T):
+            sign, ld = np.linalg.slogdet(A)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if sign.real > 0 and math.isfinite(ld):
+                    assert _logdet_hermitian(A) == float(ld)
+                else:
+                    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                        _logdet_hermitian(A)
+
+    def test_singular_weight_raises(self):
+        # I + x x^H with |x|^2 ~ 1e19 rounds to a singular rank-one W; the bare
+        # kernel flags it with a RuntimeWarning, the helper raises instead
+        x = np.array([[3e9], [2e9j]])
+        W = np.eye(2) + x @ x.conj().T
+        W = 0.5 * (W + W.conj().T)
+        CiGHF = np.ones((3, 2), dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                _umath_linalg.solve(W, CiGHF.conj().T)
+            for solve in (np.linalg.solve, _solve):
+                with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                    solve(W, CiGHF.conj().T)
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                update_combiner(CiGHF, W)
+
+    def test_eigh_nonconvergence_raises(self, monkeypatch):
+        H, F, g, ce, _, pt = random_instance(4, 3, 2, seed=28)
+        W, U = receive_updates(g[:, None] * (H @ F), ce)
+
+        def unconverged(a, **kwargs):
+            # what the kernel does when LAPACK does not converge: NaN outputs
+            # and the floating-point invalid flag
+            zero = np.zeros(a.shape[-1])
+            nan = zero / zero
+            return nan, nan[:, None] + zero
+
+        monkeypatch.setattr(_umath_linalg, "eigh_lo", unconverged)
+        J = np.eye(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                _umath_linalg.eigh_lo(J)
+            for eigh in (np.linalg.eigh, _eigh):
+                with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                    eigh(J)
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                update_precoder(Link.of(H, g, 3), U, W, pt)
 
 
 class TestWeight:
@@ -631,8 +732,11 @@ class TestPrecoder:
         def forbidden(*args, **kwargs):
             raise AssertionError("linear solve in the precoder update")
 
-        monkeypatch.setattr(np.linalg, "solve", forbidden)
-        monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+        # the kernels under beamforming._solve, np.linalg.solve and np.linalg.lstsq
+        for kernel in ("solve", "solve1", "lstsq"):
+            monkeypatch.setattr(_umath_linalg, kernel, forbidden)
+        with pytest.raises(AssertionError, match="linear solve"):
+            update_combiner(np.ones((3, 2)), np.eye(2))  # the patch reaches beamforming._solve
         mus = [update_precoder(*inst)[1] for inst in instances]
         assert mus[0] == 0.0 and mus[1] > 0
 

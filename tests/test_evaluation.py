@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,34 @@ class TestRunExperiment:
         out = res.outcomes["WF"]
         assert out.failed_channels == [1]
         assert out.se_apx.size == 2
+
+    def test_lapack_failure_is_a_channel_failure(self, monkeypatch):
+        # channel 1 hands the combiner's direct LAPACK solve a singular system:
+        # AltMinBF and GPOS fail there, each with its one warning and no other
+        import qmimo.evaluation as ev
+        from numpy.linalg import _umath_linalg
+
+        draw, solve, drawn = ev.channel.saleh_valenzuela, _umath_linalg.solve, []
+
+        def counted_draw(*args, **kwargs):
+            drawn.append(None)
+            return draw(*args, **kwargs)
+
+        def solve_on(a, b, **kwargs):
+            return solve(np.zeros_like(a) if len(drawn) == 2 else a, b, **kwargs)
+
+        monkeypatch.setattr(ev.channel, "saleh_valenzuela", counted_draw)
+        monkeypatch.setattr(_umath_linalg, "solve", solve_on)
+        cfg = PointConfig(nt=8, nr=4, ns=2, snr_db=10.0, b=2, b_max=3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_experiment(cfg, ["WF", "AltMinBF", "GPOS"], num_channels=3, seed=5)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (RuntimeWarning, "scheme AltMinBF failed on channel 1: Singular matrix"),
+            (RuntimeWarning, "scheme GPOS failed on channel 1: Singular matrix"),
+        ]
+        assert {s: out.failed_channels for s, out in res.outcomes.items()} == {
+            "WF": [], "AltMinBF": [1], "GPOS": [1]}
 
     @pytest.mark.parametrize("error", [TypeError, ValueError])
     def test_programming_error_propagates(self, monkeypatch, error):

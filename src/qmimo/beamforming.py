@@ -11,6 +11,7 @@ and ``C_e``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,6 +43,14 @@ _EPS = float(np.finfo(float).eps)
 # the initial upper end, and a cap on the Newton steps from its root side
 _GRID = (2.0 ** (-0.5 * np.arange(121))).tolist()
 _NEWTON_STEPS = 8
+
+
+@functools.lru_cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, read-only: one array per size for every update."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass(frozen=True)
@@ -77,8 +86,9 @@ class Link(NamedTuple):
 
     @classmethod
     def of(cls, H: np.ndarray, g: np.ndarray, nt: int) -> Link:
+        """``g`` may be a (B, Nr) stack of gains, one per problem of a batch."""
         Hh = H.conj().T
-        return cls(H, g, nt, Hh, Hh * g, 1.0 - g)
+        return cls(H, g, nt, Hh, Hh * g[..., None, :], 1.0 - g)
 
 
 # numpy.linalg's eigh, solve and slogdet without the wrappers' argument
@@ -101,12 +111,14 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(a, b)
 
 
-def _logdet_hermitian(A: np.ndarray) -> float:
+def _logdet_hermitian(A: np.ndarray):
+    """``log det A`` of a Hermitian positive definite A, or the list of them over a stack."""
     sign, ld = _umath_linalg.slogdet(A)
-    ld = float(ld)
-    if sign.real <= 0 or not math.isfinite(ld):
+    out = ld.tolist()
+    pairs = zip(sign.real.tolist(), out) if A.ndim > 2 else [(sign.real, out)]
+    if not all(s > 0 and math.isfinite(x) for s, x in pairs):
         raise np.linalg.LinAlgError("matrix is not positive definite")
-    return ld
+    return out
 
 
 def spectral_efficiency(H: np.ndarray, F: np.ndarray, U: np.ndarray,
@@ -186,21 +198,27 @@ def _waterfilling_precoder(sv: np.ndarray, Vh: np.ndarray, pt: float,
 
 
 def receive_updates(GHF: np.ndarray, ce: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(W, U)``: the weight and MMSE combiner at the same F, from ``GHF = G H F`` and ``ce``."""
-    CiGHF = GHF / ce[:, None]
+    """``(W, U)``: the weight and MMSE combiner at the same F, from ``GHF = G H F`` and ``ce``.
+
+    Like the two updates, it takes a stack of problems along a leading axis.
+    """
+    CiGHF = GHF / ce[..., None]
     W = update_weight(GHF, CiGHF)
     return W, update_combiner(CiGHF, W)
 
 
 def update_combiner(CiGHF: np.ndarray, W: np.ndarray) -> np.ndarray:
     """MMSE combiner, by Woodbury ``C_e^{-1} G H F W^{-1}``, from ``CiGHF`` and W at the same F."""
-    return _solve(W, CiGHF.conj().T).conj().T
+    return _solve(W, CiGHF.conj().mT).conj().mT
 
 
 def update_weight(GHF: np.ndarray, CiGHF: np.ndarray) -> np.ndarray:
     """WMMSE weight W = I + F^H H^H G C_e^{-1} G H F from ``GHF`` and ``CiGHF``."""
-    W = np.eye(GHF.shape[1]) + GHF.conj().T @ CiGHF
-    return 0.5 * (W + W.conj().T)
+    W = GHF.conj().mT @ CiGHF
+    W += _identity(GHF.shape[-1])
+    W += W.conj().mT
+    W *= 0.5
+    return W
 
 
 def mse_matrix(H: np.ndarray, F: np.ndarray, U: np.ndarray, g: np.ndarray,
@@ -215,7 +233,7 @@ def mse_matrix(H: np.ndarray, F: np.ndarray, U: np.ndarray, g: np.ndarray,
 
 
 def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
-                    mu: float = 0.0) -> tuple[np.ndarray, float]:
+                    mu: float | list[float] = 0.0) -> tuple[np.ndarray, float | list[float]]:
     """Power-constrained precoder update of the weighted-MSE objective, as ``(F, mu)``.
 
     ``F(mu) = (J + mu I)^{-1} T W`` with ``T = H^H G U``, ``d = diag(U W U^H)``
@@ -226,30 +244,56 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
     channel", IEEE TSP 2011. README, "Beamforming", gives mu, which is 0 on
     the minimum-norm branch. H and g come from ``link``; ``pt <= 0`` raises.
     ``mu``, the previous update's multiplier, starts the multiplier search
-    and changes no float of the result.
+    and changes no float of the result. U and W may be (B, Nr, Ns) and
+    (B, Ns, Ns) stacks, one problem per slice with ``link`` of a (B, Nr)
+    stack of gains; ``mu`` is then a list of B floats, and so is the
+    returned one.
     """
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
+    stacked = U.ndim == 3
+    if not stacked:
+        U, W, mu = U[None], W[None], [mu]
     T = link.Hhg @ U
     rhs = T @ W
-    d = np.einsum("ij,ij->i", U @ W, U.conj()).real
-    J = rhs @ T.conj().T + (link.Hh * (d * link.omg * link.g)) @ link.H
-    J = 0.5 * (J + J.conj().T)
+    d = np.einsum("bij,bij->bi", U @ W, U.conj()).real
+    J = rhs @ T.conj().mT + (link.Hh * (d * link.omg * link.g)[:, None, :]) @ link.H
+    J += J.conj().mT
+    J *= 0.5
     lam, Q = _eigh(J)
-    c = Q.conj().T @ rhs
-    c2 = (np.abs(c) ** 2).sum(axis=1)
-    terms = list(zip(lam.tolist(), c2.tolist()))
-    # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
-    # eigh sorts lam, so max|lam| is at one end (a channel of rank 0 has none)
-    cut = _EPS * link.nt * max(-terms[0][0], terms[-1][0]) if terms else 0.0
-    if _minimum_norm_fits(terms, cut, pt * (1.0 + 1e-9)):
-        keep = np.abs(lam) > cut
-        return Q[:, keep] @ (c[keep] / lam[keep, None]), 0.0
-    # ||T W||_F, summed as np.linalg.norm sums it
-    x = rhs.ravel()
-    hi = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / math.sqrt(pt)
-    mu = _bisect_multiplier(lam, c2, terms, pt, hi, mu)
-    return Q @ (c / (lam + mu)[:, None]), mu
+    c = Q.conj().mT @ rhs
+    c2 = (np.abs(c) ** 2).sum(axis=-1)
+    mu, kept = list(mu), {}
+    for i, (lam_i, c2_i) in enumerate(zip(lam.tolist(), c2.tolist())):
+        terms = list(zip(lam_i, c2_i))
+        # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
+        # eigh sorts lam, so max|lam| is at one end (a channel of rank 0 has none)
+        cut = _EPS * link.nt * max(-terms[0][0], terms[-1][0]) if terms else 0.0
+        if _minimum_norm_fits(terms, cut, pt * (1.0 + 1e-9)):
+            mu[i], kept[i] = 0.0, np.abs(lam[i]) > cut
+            continue
+        # ||T W||_F, summed as np.linalg.norm sums it
+        x = rhs[i].ravel()
+        hi = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / math.sqrt(pt)
+        mu[i] = _bisect_multiplier(lam[i], c2[i], terms, pt, hi, mu[i])
+    if not kept:
+        F = _shifted_solution(Q, c, lam, mu)
+    else:
+        # the minimum-norm branch, rare, one problem at a time: Q[:, keep] is a
+        # copy whose layout can change a matrix-vector product's rounding
+        F = np.empty_like(c)
+        rest = [i for i in range(len(mu)) if i not in kept]
+        if rest:
+            F[rest] = _shifted_solution(Q[rest], c[rest], lam[rest], [mu[i] for i in rest])
+        for i, keep in kept.items():
+            F[i] = Q[i][:, keep] @ (c[i][keep] / lam[i][keep, None])
+    return (F, mu) if stacked else (F[0], mu[0])
+
+
+def _shifted_solution(Q: np.ndarray, c: np.ndarray, lam: np.ndarray,
+                      mu: list[float]) -> np.ndarray:
+    """The stack of ``(J + mu I)^{-1} T W = Q (c / (lam + mu))``, one mu per problem."""
+    return Q @ (c / (lam + np.array(mu)[:, None])[:, :, None])
 
 
 def _minimum_norm_fits(terms: list[tuple[float, float]], cut: float, limit: float) -> bool:
@@ -398,36 +442,104 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     returns the floats of a solve from F0, and its report counts every
     iteration from F0.
     """
+    g = gain_diagonal(bits, H.shape[0])
+    Hr, Vr, F0 = _reduce(H, pt, sigma_n2, ns)
+    report, = _iterate(Hr, H.shape[1], g[None], Vr.conj().T @ F0, pt, sigma_n2, eps,
+                       max_iter, [start])
+    F = report.iterate[0]
+    HF = Hr @ F
+    ce = effective_noise_cov(HF, *noise_weights(g, sigma_n2))
+    W, U = receive_updates(g[:, None] * HF, ce)
+    report = AltMinReport(report.iterations, report.objective_trace,
+                          spectral_efficiency(Hr, F, U, g, ce), report.converged, report.iterate)
+    return Beamformers(F=Vr @ F if report.iterations else F0, U=U, W=W), report
+
+
+# problems per stack of _altmin_batch: bounds the stacked working set, a few
+# complex _BATCH x r x Nr arrays, whatever the length of the allocation list
+_BATCH = 32
+
+
+def _altmin_batch(H: np.ndarray, allocations: Sequence[Sequence[int]], pt: float,
+                  sigma_n2: float, ns: int, eps: float, max_iter: int,
+                  starts: Sequence[Optional[AltMinReport]]) -> list[Optional[AltMinReport]]:
+    """:func:`_iterate` over ``allocations`` on one H, ``_BATCH`` at a time: the reports to resume.
+
+    A stack that raises, or whose floating-point errors would warn, gives
+    back its ``starts``, so that solving its allocations one by one raises
+    or warns where those lone solves do (README, "Bit allocation").
+    """
+    Hr, Vr, F0 = _reduce(H, pt, sigma_n2, ns)
+    Fr0 = Vr.conj().T @ F0
+    # every floating-point error that the lone solves would report raises instead
+    errors = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    out = []
+    for i in range(0, len(allocations), _BATCH):
+        chunk, first = allocations[i:i + _BATCH], starts[i:i + _BATCH]
+        try:
+            with np.errstate(**errors):
+                gains = np.array([gain_diagonal(bits, H.shape[0]) for bits in chunk])
+                out += _iterate(Hr, H.shape[1], gains, Fr0, pt, sigma_n2, eps, max_iter, first)
+        except (ArithmeticError, ValueError):  # LinAlgError and FloatingPointError among them
+            out += first
+    return out
+
+
+def _reduce(H: np.ndarray, pt: float, sigma_n2: float,
+            ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(H V_r, V_r, F0)`` from one thin SVD of H (README, "Beamforming")."""
     nr, nt = H.shape
-    g = gain_diagonal(bits, nr)
     _, s, Vh = np.linalg.svd(H, full_matrices=False)
     F0 = _waterfilling_precoder(s, Vh, pt, sigma_n2, ns)
     Vr = Vh[s > s.max() * max(nr, nt) * _EPS].conj().T
-    Hr = H @ Vr
-    F = Vr.conj().T @ F0
-    # per-solve products, each formed in the order an iteration would form it
-    link = Link.of(Hr, g, nt)
-    g_col, (dist, noise) = g[:, None], noise_weights(g, sigma_n2)
-    trace: list[float] = []
-    converged, mu = False, 0.0
-    if start is not None and start.iterations <= max_iter:
-        F, mu = start.iterate
-        trace, converged = start.objective_trace.tolist(), start.converged
-    while True:
-        HF = Hr @ F
-        ce = effective_noise_cov(HF, dist, noise)
-        W, U = receive_updates(g_col * HF, ce)
-        if converged or len(trace) >= max_iter:
-            break
-        trace.append(_logdet_hermitian(W))
-        F, mu = update_precoder(link, U, W, pt, mu)
-        converged = len(trace) >= 2 and abs(trace[-1] - trace[-2]) <= eps
-    se = spectral_efficiency(Hr, F, U, g, ce)
-    report = AltMinReport(
-        iterations=len(trace),
-        objective_trace=np.asarray(trace),
-        final_se=se,
-        converged=converged,
-        iterate=(F, mu),
-    )
-    return Beamformers(F=Vr @ F if trace else F0, U=U, W=W), report
+    return H @ Vr, Vr, F0
+
+
+def _iterate(Hr: np.ndarray, nt: int, gains: np.ndarray, Fr0: np.ndarray, pt: float,
+             sigma_n2: float, eps: float, max_iter: int,
+             starts: Sequence[Optional[AltMinReport]]) -> list[AltMinReport]:
+    """The AltMin iterations of B problems on one reduced channel ``Hr = H V_r``, stacked.
+
+    Problem b has the gains ``gains[b]`` and starts from ``starts[b]`` as
+    :func:`altmin_beamforming` takes it, else from ``Fr0 = V_r^H F0``. Each
+    runs until it converges or reaches ``max_iter``, and is then dropped
+    from the stack. Returns one report per problem, whose ``final_se`` is
+    NaN: :func:`altmin_beamforming` resumes it to form U, W and the SE.
+    """
+    traces, converged, iterates = [], [], []
+    for start in starts:
+        resume = start is not None and start.iterations <= max_iter
+        traces.append(start.objective_trace.tolist() if resume else [])
+        converged.append(resume and start.converged)
+        iterates.append(start.iterate if resume else (Fr0, 0.0))
+    active = [b for b, t in enumerate(traces) if not converged[b] and len(t) < max_iter]
+    if active:
+        F = np.array([iterates[b][0] for b in active])
+        mu = [iterates[b][1] for b in active]
+    while active:
+        # the stack's per-solve products, formed again when problems leave it
+        link = Link.of(Hr, gains[active] if len(active) < len(gains) else gains, nt)
+        dist, noise = noise_weights(link.g, sigma_n2)
+        g_col = link.g[..., None]
+        live = [traces[b] for b in active]
+        going = active
+        while len(going) == len(active):
+            HF = Hr @ F
+            ce = effective_noise_cov(HF, dist, noise)
+            W, U = receive_updates(g_col * HF, ce)
+            for t, x in zip(live, _logdet_hermitian(W)):
+                t.append(x)
+            F, mu = update_precoder(link, U, W, pt, mu)
+            going = []
+            for i, t in enumerate(live):
+                converged[active[i]] = done = len(t) >= 2 and abs(t[-1] - t[-2]) <= eps
+                if done or len(t) >= max_iter:
+                    iterates[active[i]] = (F[i].copy(), mu[i])
+                else:
+                    going.append(i)
+        active = [active[i] for i in going]
+        if active:
+            F, mu = F[going], [mu[i] for i in going]
+    return [AltMinReport(iterations=len(t), objective_trace=np.asarray(t), final_se=math.nan,
+                         converged=c, iterate=x)
+            for t, c, x in zip(traces, converged, iterates)]

@@ -6,10 +6,12 @@ greedy sweep produces the starting allocation; a pair-swap neighborhood
 search with a visited list improves it, scoring candidates by short
 alternating-minimization solves. An exhaustive oracle returns the optimum
 over every feasible allocation of a small instance. Both pick the best of
-a list of allocations through one scorer, ``_best``. Both take an optional
-``solved`` dict, allocation to the ``AltMinReport`` of its latest solve on
-the same H. Only ``_solve`` reads and writes it: each solve continues the
-stored report (``altmin_beamforming``'s ``start``) and stores its own.
+a list of allocations through one scorer, ``_best``, which runs the AltMin
+iterations of the list stacked (README, "Bit allocation"). Both take an
+optional ``solved`` dict, allocation to the ``AltMinReport`` of its latest
+solve on the same H. Each solve continues the stored report
+(``altmin_beamforming``'s ``start``), ``_best``'s through its stack, and
+``_solve`` stores its report.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamforming import AltMinReport, Beamformers, altmin_beamforming
+from .beamforming import AltMinReport, Beamformers, _altmin_batch, altmin_beamforming
 from .bussgang import gain_diagonal
 
 __all__ = [
@@ -95,10 +97,16 @@ def _rank(scored: tuple) -> tuple[float, tuple[int, ...]]:
 
 
 def _solve(H: np.ndarray, bits: tuple[int, ...], pt: float, sigma_n2: float, ns: int,
-           eps: float, max_iter: int, solved: Optional[dict]) -> tuple[Beamformers, AltMinReport]:
-    """Solve ``bits`` continuing ``solved[bits]``, then store the report; None: from F0, no store."""
+           eps: float, max_iter: int, solved: Optional[dict],
+           start: Optional[AltMinReport] = None) -> tuple[Beamformers, AltMinReport]:
+    """Solve ``bits`` continuing ``start``, by default ``solved[bits]``, then store the report.
+
+    ``solved=None``: no store, and without ``start`` a solve from F0.
+    """
+    if start is None and solved is not None:
+        start = solved.get(bits)
     result = altmin_beamforming(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter,
-                                start=None if solved is None else solved.get(bits))
+                                start=start)
     if solved is not None:
         solved[bits] = result[1]
     return result
@@ -107,9 +115,15 @@ def _solve(H: np.ndarray, bits: tuple[int, ...], pt: float, sigma_n2: float, ns:
 def _best(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
           ns: int, eps: float, max_iter: int,
           solved: Optional[dict] = None) -> tuple[float, tuple[int, ...]]:
-    """Solve each allocation in order; ``(se, bits)`` of the highest SE, ties to the smallest bits."""
-    return min(((_solve(H, bits, pt, sigma_n2, ns, eps, max_iter, solved)[1].final_se, bits)
-                for bits in allocations), key=_rank)
+    """Solve each allocation in order; ``(se, bits)`` of the highest SE, ties to the smallest bits.
+
+    The iterations run stacked from the stored starts (``_altmin_batch``);
+    each allocation's ``_solve`` then resumes its finished report.
+    """
+    starts = [None if solved is None else solved.get(bits) for bits in allocations]
+    starts = _altmin_batch(H, allocations, pt, sigma_n2, ns, eps, max_iter, starts)
+    return min(((_solve(H, bits, pt, sigma_n2, ns, eps, max_iter, solved, start)[1].final_se,
+                 bits) for bits, start in zip(allocations, starts)), key=_rank)
 
 
 @dataclass(frozen=True)

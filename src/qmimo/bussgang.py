@@ -82,8 +82,9 @@ def effective_noise_cov(HF: np.ndarray, dist: np.ndarray, noise: np.ndarray) -> 
     """Diagonal ``dist * diag(H F F^H H^H) + noise`` of the approximate C_e, from ``HF = H F``.
 
     ``dist, noise = noise_weights(g, sigma_n2)``; the approximation improves with ADC resolution.
+    A stack of problems along a leading axis gives the stack of diagonals.
     """
-    d = np.einsum("ij,ij->i", HF, HF.conj()).real
+    d = np.einsum("...ij,...ij->...i", HF, HF.conj()).real
     return dist * d + noise
 
 

@@ -1,13 +1,20 @@
 """Greedy initialization, swap neighborhoods, GPOS and the exhaustive oracle."""
 
+import math
+import tracemalloc
+import warnings
+from itertools import product
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 import qmimo.bitalloc as bitalloc
+from qmimo import beamforming
 from qmimo.bitalloc import (
     enumerate_allocations,
     exhaustive_search,
@@ -196,7 +203,10 @@ class TestFinalSolveContinuation:
                     if i2 == 0:
                         assert res.allocation == greedy_init(4, 3, 8)
                     if solved is None:
-                        assert [s for _, s, _ in calls] == [None] * len(calls), where
+                        # no store: the final solve starts from F0, and each scoring
+                        # solve resumes its stacked iterations and runs none of its own
+                        assert start is None, where
+                        assert all(s.iterations == r.iterations for _, s, r in scoring), where
                     else:
                         kept, = [r for b, _, r in scoring if b == bits]
                         assert start is kept, where
@@ -215,7 +225,10 @@ class TestFinalSolveContinuation:
 
 
 class TestOracleContinuation:
-    """ES continues the channel's AltMinBF and GPOS solves: the result of solving afresh."""
+    """ES continues the channel's AltMinBF and GPOS solves: the result of solving afresh.
+
+    The stored reports are the starts of ES's stacked iterations (``_altmin_batch``).
+    """
 
     @pytest.mark.parametrize("scoring_max_iter, max_iter, kinds", [
         # scoring solves that converged before their cap, and ones it stopped
@@ -225,12 +238,12 @@ class TestOracleContinuation:
         (40, 20, {"fresh", "converged", "capped", "longer", "AltMinBF capped"}),
     ])
     def test_matches_a_search_from_f0(self, monkeypatch, scoring_max_iter, max_iter, kinds):
-        solve = bitalloc.altmin_beamforming
+        batch = bitalloc._altmin_batch
         starts = []
 
-        def recorded(*args, **kwargs):
-            starts.append((args[1], kwargs.get("start")))
-            return solve(*args, **kwargs)
+        def recorded(H, allocations, *args):
+            starts.extend(zip(allocations, args[-1]))
+            return batch(H, allocations, *args)
 
         seen = set()
         uniform = (2, 2, 2, 2)
@@ -247,10 +260,10 @@ class TestOracleContinuation:
                 alone = gpos_bfba(H, scoring_max_iter=scoring_max_iter, **kw)
                 assert (res.allocation, res.se) == (alone.allocation, alone.se), where
                 kept = dict(solved)
-                monkeypatch.setattr(bitalloc, "altmin_beamforming", recorded)
+                monkeypatch.setattr(bitalloc, "_altmin_batch", recorded)
                 starts.clear()
                 got = exhaustive_search(H, solved=solved, **kw)
-                monkeypatch.setattr(bitalloc, "altmin_beamforming", solve)
+                monkeypatch.setattr(bitalloc, "_altmin_batch", batch)
                 assert got == exhaustive_search(H, **kw), where
                 for bits, start in starts:
                     # every allocation solved before ES continues, no other does
@@ -330,6 +343,214 @@ class TestExhaustive:
         assert all(1 <= n <= len(allocations) for n in solves), solves
         if snr_db == 20:
             assert min(solves) < len(allocations), solves
+
+
+def lone_solves(H, allocations, kw, max_iter, store):
+    """``_best`` as a loop of lone solves, each continuing and then updating ``store``."""
+    scored = []
+    for bits in allocations:
+        _, rep = altmin_beamforming(H, bits, kw["pt"], kw["sigma_n2"], kw["ns"],
+                                    max_iter=max_iter, start=store.get(bits))
+        store[bits] = rep
+        scored.append((rep.final_se, bits))
+    return min(scored, key=lambda x: (-x[0], x[1]))
+
+
+def assert_same_report(got, want, where):
+    assert (got.iterations, got.converged) == (want.iterations, want.converged), where
+    assert got.final_se == want.final_se, where
+    np.testing.assert_array_equal(got.objective_trace, want.objective_trace, err_msg=where)
+    np.testing.assert_array_equal(got.iterate[0], want.iterate[0], err_msg=where)
+    assert got.iterate[1] == want.iterate[1], where
+
+
+@st.composite
+def scored_lists(draw):
+    """(H, allocations, kw, max_iter, starts, batch): an 8x4 or 6x3 channel, maybe of
+    rank < Nr, 1-12 allocations and, per allocation, no start, a capped start, a
+    converged one or one that ran longer than max_iter."""
+    nt, nr = draw(st.sampled_from([(8, 4), (6, 3)]))
+    rank = draw(st.sampled_from([1, 2, nr]))
+    ns = draw(st.integers(1, min(2, rank)))
+    snr_db = draw(st.sampled_from([0, 10, 20, 30]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((nr, rank)) + 1j * rng.standard_normal((nr, rank))
+    B = rng.standard_normal((rank, nt)) + 1j * rng.standard_normal((rank, nt))
+    H = A @ B / np.sqrt(2 * nt * rank)
+    pool = list(product(range(1, 4), repeat=nr))
+    allocations = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    max_iter = draw(st.sampled_from([4, 30]))
+    kw = dict(pt=1.0, sigma_n2=10 ** (-snr_db / 10), ns=ns)
+    starts = {}
+    for bits in allocations:
+        cap = draw(st.sampled_from([None, max_iter // 2, 200, max_iter + 5]))
+        if cap is not None:
+            starts[bits] = altmin_beamforming(H, bits, kw["pt"], kw["sigma_n2"], ns,
+                                              max_iter=cap)[1]
+    return H, allocations, kw, max_iter, starts, draw(st.sampled_from([1, 3, 32]))
+
+
+class TestStackedScoring:
+    """``_best`` runs the AltMin iterations of its list stacked, in chunks of
+    ``beamforming._BATCH``; its scores and stored reports are those of lone solves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scored_lists())
+    def test_matches_lone_solves(self, case):
+        H, allocations, kw, max_iter, starts, batch = case
+        want_store, got_store = dict(starts), dict(starts)
+        want = lone_solves(H, allocations, kw, max_iter, want_store)
+        with mock.patch.object(beamforming, "_BATCH", batch):
+            got = bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], kw["ns"], 1e-4,
+                                 max_iter, got_store)
+        assert got == want
+        assert got_store.keys() == want_store.keys()
+        for bits in allocations:
+            assert_same_report(got_store[bits], want_store[bits], bits)
+
+    def test_stack_mixes_both_precoder_branches(self, monkeypatch):
+        # a rank-2 channel at one stream and 20 dB: minimum-norm and bisection
+        # updates share stacks
+        rng = np.random.default_rng(5)
+        H = ((rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+             @ (rng.standard_normal((2, 8)) + 1j * rng.standard_normal((2, 8))) / 4.0)
+        kw = dict(pt=1.0, sigma_n2=0.01, ns=1)
+        allocations = enumerate_allocations(4, 3, 8)
+        fits, update = beamforming._minimum_norm_fits, beamforming.update_precoder
+        branches = []
+
+        def recorded_fits(*args):
+            branches[-1].append(fits(*args))
+            return branches[-1][-1]
+
+        def recorded_update(link, U, *args):
+            branches.append([])
+            return update(link, U, *args)
+
+        monkeypatch.setattr(beamforming, "_minimum_norm_fits", recorded_fits)
+        monkeypatch.setattr(beamforming, "update_precoder", recorded_update)
+        got_store = {}
+        got = bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], 1, 1e-4, 30, got_store)
+        assert any(True in b and False in b for b in branches), branches
+        monkeypatch.undo()
+        want_store = {}
+        assert got == lone_solves(H, allocations, kw, 30, want_store)
+        for bits in allocations:
+            assert_same_report(got_store[bits], want_store[bits], bits)
+
+    @pytest.mark.parametrize("k, batch", [(1, 32), (5, 4), (4, 4)])
+    def test_failure_surfaces_where_the_lone_solves_fail(self, monkeypatch, k, batch):
+        # allocation k's eigh fails at its second update; before that error the
+        # lone solves warn once per allocation solved (a spectral_efficiency
+        # spy) and store those allocations' reports, and so does _best
+        H = saleh_valenzuela(8, 4, seed=3)
+        kw = dict(pt=1.0, sigma_n2=0.1, ns=2)
+        allocations = enumerate_allocations(4, 3, 8)[:8]
+        starts = {bits: altmin_beamforming(H, bits, 1.0, 0.1, 2, max_iter=3)[1]
+                  for bits in allocations[::3] if bits != allocations[k]}
+        eigh, se = _umath_linalg.eigh_lo, beamforming.spectral_efficiency
+        seen = []
+
+        def recording(a, **kwargs):
+            seen.append(a.reshape(-1, *a.shape[-2:])[0].copy())
+            return eigh(a, **kwargs)
+
+        monkeypatch.setattr(_umath_linalg, "eigh_lo", recording)
+        altmin_beamforming(H, allocations[k], 1.0, 0.1, 2, max_iter=30)
+        bad = seen[1]
+
+        def failing(a, **kwargs):
+            if any(np.array_equal(x, bad) for x in a.reshape(-1, *a.shape[-2:])):
+                zero = np.zeros(())
+                zero / zero  # the invalid flag LAPACK's failure raises
+            return eigh(a, **kwargs)
+
+        def warning_se(H, F, U, g, C_e):
+            warnings.warn(f"SE at gains {g.tolist()}", RuntimeWarning)
+            return se(H, F, U, g, C_e)
+
+        monkeypatch.setattr(_umath_linalg, "eigh_lo", failing)
+        monkeypatch.setattr(beamforming, "spectral_efficiency", warning_se)
+        monkeypatch.setattr(beamforming, "_BATCH", batch)
+        outcomes = []
+        for run in (lambda store: lone_solves(H, allocations, kw, 30, store),
+                    lambda store: bitalloc._best(H, allocations, 1.0, 0.1, 2, 1e-4, 30, store)):
+            store = dict(starts)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(np.linalg.LinAlgError) as error:
+                    run(store)
+            outcomes.append((str(error.value), [str(w.message) for w in caught], store))
+        (message, warned, store), (got_message, got_warned, got_store) = outcomes
+        assert message == got_message == "Eigenvalues did not converge"
+        assert len(warned) == k and got_warned == warned
+        assert got_store.keys() == store.keys()
+        for bits in store:
+            assert_same_report(got_store[bits], store[bits], bits)
+
+    def test_stack_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # 200 64x64 allocations; the stacked arrays hold a few complex Nr x Nr
+        # matrices per problem, so the chunk bounds the peak and one stack of all
+        # 200 would exceed it
+        H = saleh_valenzuela(64, 64, seed=0)
+        rng = np.random.default_rng(0)
+        allocations = sorted({tuple(rng.integers(1, 4, 64).tolist()) for _ in range(200)})
+        assert len(allocations) >= 200
+        bound = 6 * beamforming._BATCH * 64 * 64 * 16
+        peaks = []
+        for batch in (beamforming._BATCH, len(allocations)):
+            monkeypatch.setattr(beamforming, "_BATCH", batch)
+            tracemalloc.start()
+            try:
+                bitalloc._best(H, allocations, 1.0, 0.01, 8, 1e-4, 2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < bound < peaks[1], (peaks, bound)
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_one_resuming_solve_per_scored_allocation(self, monkeypatch, with_store):
+        # the tracer counts one AltMin span per scored allocation: each _best
+        # list calls altmin_beamforming once per allocation, in list order, and
+        # each call resumes a finished stacked report with no update of its own
+        H = saleh_valenzuela(8, 4, seed=11)
+        kw = dict(pt=1.0, sigma_n2=0.01, ns=2, b_max=3, budget=8)
+        solve, best, update = (bitalloc.altmin_beamforming, bitalloc._best,
+                               beamforming.update_precoder)
+        lists, calls, updates = [], [], [0]
+
+        def listed(H, allocations, *args):
+            lists.append(list(allocations))
+            return best(H, allocations, *args)
+
+        def counted(*args):
+            updates[0] += 1
+            return update(*args)
+
+        def spied(H, bits, pt, sigma_n2, ns, eps=1e-4, max_iter=500, start=None):
+            before = updates[0]
+            result = solve(H, bits, pt, sigma_n2, ns, eps=eps, max_iter=max_iter, start=start)
+            calls.append((bits, start, result[1], max_iter, updates[0] - before))
+            return result
+
+        monkeypatch.setattr(bitalloc, "_best", listed)
+        monkeypatch.setattr(bitalloc, "altmin_beamforming", spied)
+        monkeypatch.setattr(beamforming, "update_precoder", counted)
+        store = {} if with_store else None
+        res = gpos_bfba(H, solved=store, **kw)
+        gpos_calls, gpos_lists = list(calls), list(lists)
+        calls.clear(), lists.clear()
+        exhaustive_search(H, solved=store, **kw)
+        for made, scored in ((gpos_calls[:-1], gpos_lists), (calls, lists)):
+            assert [c[0] for c in made] == [bits for allocs in scored for bits in allocs]
+            for bits, start, rep, max_iter, fresh in made:
+                assert math.isnan(start.final_se), bits
+                assert start.converged or start.iterations == max_iter, bits
+                assert (rep.iterations, fresh) == (start.iterations, 0), bits
+        assert [c[0] for c in gpos_calls] == [*res.scored_allocations, res.allocation]
+        # GPOS's final solve continues the incumbent's scoring report, kept in the store
+        kept = [rep for bits, _, rep, *_ in gpos_calls[:-1] if bits == res.allocation]
+        assert gpos_calls[-1][1] is (kept[-1] if with_store else None)
 
 
 class TestSeCeiling:

@@ -256,13 +256,24 @@ class TestRunExperiment:
         # continues that solve's report; without ES no solve continues another
         import qmimo.bitalloc as ba
 
-        solve, starts = ba.altmin_beamforming, []
+        solve, batch, starts, stacked = ba.altmin_beamforming, ba._altmin_batch, [], {}
+
+        def batched(H, allocations, *args):
+            reports = batch(H, allocations, *args)
+            stacked.update((id(r), (r, s)) for r, s in zip(reports, args[-1]))
+            return reports
 
         def recorded(H, bits, *args, **kwargs):
             result = solve(H, bits, *args, **kwargs)
-            starts.append((H.tobytes(), tuple(bits), kwargs.get("start"), result[1]))
+            start = kwargs.get("start")
+            # a scoring or ES solve resumes its stacked iterations: the report
+            # it continues is the one those iterations started from
+            report, first = stacked.get(id(start), (None, None))
+            start = first if report is start else start
+            starts.append((H.tobytes(), tuple(bits), start, result[1]))
             return result
 
+        monkeypatch.setattr(ba, "_altmin_batch", batched)
         monkeypatch.setattr(ba, "altmin_beamforming", recorded)
         cfg = PointConfig(nt=8, nr=4, ns=2, snr_db=10.0, b=2, b_max=3)
         run_experiment(cfg, schemes, num_channels=2, seed=5)

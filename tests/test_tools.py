@@ -58,7 +58,18 @@ def test_same_outputs_names_what_a_changed_constant_moves(tmp_path, monkeypatch,
 
 def test_same_outputs_reads_its_configs():
     cases = same_outputs.cases()
-    assert len(cases) == 11
+    assert len(cases) == 12
     assert cases["workload-oracle-8x4"][1][-1] == "--oracle"
     assert cases["oracle-continuation-8x4"][1][-1] == "--oracle"
     assert cases["uniform-continuation-8x4"][1][-1] == "--oracle"
+
+
+def test_same_outputs_spans_the_scoring_chunks():
+    # the first GPOS neighbour list of the stacks case is stacked in more than one chunk
+    from qmimo import beamforming
+    from qmimo.bitalloc import greedy_init, neighbor_set
+
+    config, _ = same_outputs.cases()["gpos-stacks-16x16"]
+    nr, b_max = config["Nr"], config["b_max"]
+    incumbent = greedy_init(nr, b_max, nr * config["b"])
+    assert len(neighbor_set(incumbent, {incumbent})) > beamforming._BATCH

@@ -9,7 +9,7 @@ are compared byte for byte. Exits 0 if all agree and 1 otherwise, naming
 each output that differs; a run that fails with both trees counts as a
 difference in its status, since it compares nothing.
 
-The configs are the two golden configs of ``tests/test_golden.py``, five
+The configs are the two golden configs of ``tests/test_golden.py``, six
 sweeps defined here, and point 0 of each workload in
 ``perfbench/workloads.py`` at seed 0; both files are read, never edited.
 Standard library only: nothing of qmimo is imported into this process.
@@ -91,6 +91,13 @@ def cases() -> dict[str, tuple[dict, list[str]]]:
         {"Nt": 8, "Nr": 4, "Ns": 2, "snr_db": [0, 20], "b": 3, "b_max": 3,
          "max_iter": [20, 500], "schemes": ["GPOS", "AltMinBF"], "num_channels": 3},
         run_args("--oracle"),
+    )
+    # GPOS neighbour lists of 65 allocations, each stacked in several chunks of
+    # beamforming._BATCH, at one stream (some minimum-norm precoder updates) and four
+    out["gpos-stacks-16x16"] = (
+        {"Nt": 16, "Nr": 16, "Ns": [1, 4], "snr_db": [0, 30], "b": 2, "b_max": 4,
+         "scoring_max_iter": 10, "schemes": ["GPOS", "AltMinBF"], "num_channels": 2},
+        run_args(),
     )
     for w in _workloads().values():
         out[f"workload-{w.name}"] = (w.point_config(0), w.cli_args(CONFIG, OUT, w.chunk_seed(0, 0)))

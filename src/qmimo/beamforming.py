@@ -115,9 +115,9 @@ def _logdet_hermitian(A: np.ndarray):
     """``log det A`` of a Hermitian positive definite A, or the list of them over a stack."""
     sign, ld = _umath_linalg.slogdet(A)
     out = ld.tolist()
-    pairs = zip(sign.real.tolist(), out) if A.ndim > 2 else [(sign.real, out)]
-    if not all(s > 0 and math.isfinite(x) for s, x in pairs):
-        raise np.linalg.LinAlgError("matrix is not positive definite")
+    for s, x in zip(sign.real.tolist(), out) if A.ndim > 2 else [(sign.real, out)]:
+        if s <= 0 or not math.isfinite(x):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
     return out
 
 
@@ -251,49 +251,44 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
     """
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
-    stacked = U.ndim == 3
-    if not stacked:
-        U, W, mu = U[None], W[None], [mu]
     T = link.Hhg @ U
     rhs = T @ W
-    d = np.einsum("bij,bij->bi", U @ W, U.conj()).real
-    J = rhs @ T.conj().mT + (link.Hh * (d * link.omg * link.g)[:, None, :]) @ link.H
+    d = np.einsum("...ij,...ij->...i", U @ W, U.conj()).real
+    J = rhs @ T.conj().mT + (link.Hh * (d * link.omg * link.g)[..., None, :]) @ link.H
     J += J.conj().mT
     J *= 0.5
     lam, Q = _eigh(J)
     c = Q.conj().mT @ rhs
     c2 = (np.abs(c) ** 2).sum(axis=-1)
-    mu, kept = list(mu), {}
-    for i, (lam_i, c2_i) in enumerate(zip(lam.tolist(), c2.tolist())):
-        terms = list(zip(lam_i, c2_i))
+    stacked = U.ndim == 3
+    mu, kept = list(mu) if stacked else [mu], {}
+    # one problem per row; a lone problem is the only row
+    for i, (lam_i, c2_i, rhs_i) in enumerate(zip(lam, c2, rhs) if stacked else [(lam, c2, rhs)]):
+        terms = list(zip(lam_i.tolist(), c2_i.tolist()))
         # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
         # eigh sorts lam, so max|lam| is at one end (a channel of rank 0 has none)
         cut = _EPS * link.nt * max(-terms[0][0], terms[-1][0]) if terms else 0.0
         if _minimum_norm_fits(terms, cut, pt * (1.0 + 1e-9)):
-            mu[i], kept[i] = 0.0, np.abs(lam[i]) > cut
+            mu[i], kept[i] = 0.0, np.abs(lam_i) > cut
             continue
         # ||T W||_F, summed as np.linalg.norm sums it
-        x = rhs[i].ravel()
+        x = rhs_i.ravel()
         hi = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / math.sqrt(pt)
-        mu[i] = _bisect_multiplier(lam[i], c2[i], terms, pt, hi, mu[i])
-    if not kept:
-        F = _shifted_solution(Q, c, lam, mu)
+        mu[i] = _bisect_multiplier(lam_i, c2_i, terms, pt, hi, mu[i])
+    if not kept:  # F = (J + mu I)^{-1} T W = Q (c / (lam + mu))
+        F = Q @ (c / (lam + (np.array(mu)[:, None] if stacked else mu[0]))[..., None])
     else:
         # the minimum-norm branch, rare, one problem at a time: Q[:, keep] is a
         # copy whose layout can change a matrix-vector product's rounding
-        F = np.empty_like(c)
+        Qs, cs, lams = (Q, c, lam) if stacked else (Q[None], c[None], lam[None])
+        F = np.empty_like(cs)
         rest = [i for i in range(len(mu)) if i not in kept]
         if rest:
-            F[rest] = _shifted_solution(Q[rest], c[rest], lam[rest], [mu[i] for i in rest])
+            F[rest] = Qs[rest] @ (cs[rest] / (lams[rest] + np.array(mu)[rest, None])[..., None])
         for i, keep in kept.items():
-            F[i] = Q[i][:, keep] @ (c[i][keep] / lam[i][keep, None])
-    return (F, mu) if stacked else (F[0], mu[0])
-
-
-def _shifted_solution(Q: np.ndarray, c: np.ndarray, lam: np.ndarray,
-                      mu: list[float]) -> np.ndarray:
-    """The stack of ``(J + mu I)^{-1} T W = Q (c / (lam + mu))``, one mu per problem."""
-    return Q @ (c / (lam + np.array(mu)[:, None])[:, :, None])
+            F[i] = Qs[i][:, keep] @ (cs[i][keep] / lams[i][keep, None])
+        F = F if stacked else F[0]
+    return (F, mu) if stacked else (F, mu[0])
 
 
 def _minimum_norm_fits(terms: list[tuple[float, float]], cut: float, limit: float) -> bool:
@@ -513,32 +508,41 @@ def _iterate(Hr: np.ndarray, nt: int, gains: np.ndarray, Fr0: np.ndarray, pt: fl
         converged.append(resume and start.converged)
         iterates.append(start.iterate if resume else (Fr0, 0.0))
     active = [b for b, t in enumerate(traces) if not converged[b] and len(t) < max_iter]
-    if active:
+    # a stack of one problem is carried without its batch axis: the same
+    # updates on 2-D arrays, without the stacked calls' overhead
+    if len(active) == 1:
+        F, mu = iterates[active[0]]
+    elif active:
         F = np.array([iterates[b][0] for b in active])
         mu = [iterates[b][1] for b in active]
     while active:
+        one = len(active) == 1
         # the stack's per-solve products, formed again when problems leave it
-        link = Link.of(Hr, gains[active] if len(active) < len(gains) else gains, nt)
-        dist, noise = noise_weights(link.g, sigma_n2)
-        g_col = link.g[..., None]
+        g = gains[active[0]] if one else gains[active] if len(active) < len(gains) else gains
+        link = Link.of(Hr, g, nt)
+        dist, noise = noise_weights(g, sigma_n2)
+        g_col = g[..., None]
         live = [traces[b] for b in active]
         going = active
         while len(going) == len(active):
             HF = Hr @ F
             ce = effective_noise_cov(HF, dist, noise)
             W, U = receive_updates(g_col * HF, ce)
-            for t, x in zip(live, _logdet_hermitian(W)):
+            logdets = _logdet_hermitian(W)
+            for t, x in zip(live, [logdets] if one else logdets):
                 t.append(x)
             F, mu = update_precoder(link, U, W, pt, mu)
             going = []
             for i, t in enumerate(live):
                 converged[active[i]] = done = len(t) >= 2 and abs(t[-1] - t[-2]) <= eps
                 if done or len(t) >= max_iter:
-                    iterates[active[i]] = (F[i].copy(), mu[i])
+                    iterates[active[i]] = (F, mu) if one else (F[i].copy(), mu[i])
                 else:
                     going.append(i)
         active = [active[i] for i in going]
-        if active:
+        if len(active) == 1:
+            F, mu = F[going[0]], mu[going[0]]
+        elif active:
             F, mu = F[going], [mu[i] for i in going]
     return [AltMinReport(iterations=len(t), objective_trace=np.asarray(t), final_se=math.nan,
                          converged=c, iterate=x)

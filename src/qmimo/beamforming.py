@@ -111,7 +111,7 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve(a, b)
 
 
-def _logdet_hermitian(A: np.ndarray):
+def _logdet_hermitian(A: np.ndarray) -> float | list[float]:
     """``log det A`` of a Hermitian positive definite A, or the list of them over a stack."""
     sign, ld = _umath_linalg.slogdet(A)
     out = ld.tolist()

@@ -86,7 +86,7 @@ class Link(NamedTuple):
 
     @classmethod
     def of(cls, H: np.ndarray, g: np.ndarray, nt: int) -> Link:
-        """``g`` may be a (B, Nr) stack of gains, one per problem of a batch."""
+        """``g`` is a (B, Nr) stack of gains, one per problem of a stack, or one problem's Nr gains."""
         Hh = H.conj().T
         return cls(H, g, nt, Hh, Hh * g[..., None, :], 1.0 - g)
 
@@ -244,13 +244,16 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
     channel", IEEE TSP 2011. README, "Beamforming", gives mu, which is 0 on
     the minimum-norm branch. H and g come from ``link``; ``pt <= 0`` raises.
     ``mu``, the previous update's multiplier, starts the multiplier search
-    and changes no float of the result. U and W may be (B, Nr, Ns) and
+    and changes no float of the result. U and W are (B, Nr, Ns) and
     (B, Ns, Ns) stacks, one problem per slice with ``link`` of a (B, Nr)
-    stack of gains; ``mu`` is then a list of B floats, and so is the
-    returned one.
+    stack of gains, and ``mu`` is a list of B floats, as is the returned
+    one. A lone 2-D problem runs as a stack of one and returns a 2-D F and
+    a float.
     """
     if not pt > 0:
         raise ValueError(f"pt must be positive, got {pt}")
+    lone = U.ndim == 2
+    U, W, mu = (U[None], W[None], [mu]) if lone else (U, W, list(mu))
     T = link.Hhg @ U
     rhs = T @ W
     d = np.einsum("...ij,...ij->...i", U @ W, U.conj()).real
@@ -260,10 +263,8 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
     lam, Q = _eigh(J)
     c = Q.conj().mT @ rhs
     c2 = (np.abs(c) ** 2).sum(axis=-1)
-    stacked = U.ndim == 3
-    mu, kept = list(mu) if stacked else [mu], {}
-    # one problem per row; a lone problem is the only row
-    for i, (lam_i, c2_i, rhs_i) in enumerate(zip(lam, c2, rhs) if stacked else [(lam, c2, rhs)]):
+    kept = {}
+    for i, (lam_i, c2_i, rhs_i) in enumerate(zip(lam, c2, rhs)):
         terms = list(zip(lam_i.tolist(), c2_i.tolist()))
         # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
         # eigh sorts lam, so max|lam| is at one end (a channel of rank 0 has none)
@@ -276,19 +277,17 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
         hi = math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) / math.sqrt(pt)
         mu[i] = _bisect_multiplier(lam_i, c2_i, terms, pt, hi, mu[i])
     if not kept:  # F = (J + mu I)^{-1} T W = Q (c / (lam + mu))
-        F = Q @ (c / (lam + (np.array(mu)[:, None] if stacked else mu[0]))[..., None])
+        F = Q @ (c / (lam + np.array(mu)[:, None])[..., None])
     else:
         # the minimum-norm branch, rare, one problem at a time: Q[:, keep] is a
         # copy whose layout can change a matrix-vector product's rounding
-        Qs, cs, lams = (Q, c, lam) if stacked else (Q[None], c[None], lam[None])
-        F = np.empty_like(cs)
+        F = np.empty_like(c)
         rest = [i for i in range(len(mu)) if i not in kept]
         if rest:
-            F[rest] = Qs[rest] @ (cs[rest] / (lams[rest] + np.array(mu)[rest, None])[..., None])
+            F[rest] = Q[rest] @ (c[rest] / (lam[rest] + np.array(mu)[rest, None])[..., None])
         for i, keep in kept.items():
-            F[i] = Qs[i][:, keep] @ (cs[i][keep] / lams[i][keep, None])
-        F = F if stacked else F[0]
-    return (F, mu) if stacked else (F, mu[0])
+            F[i] = Q[i][:, keep] @ (c[i][keep] / lam[i][keep, None])
+    return (F[0], mu[0]) if lone else (F, mu)
 
 
 def _minimum_norm_fits(terms: list[tuple[float, float]], cut: float, limit: float) -> bool:
@@ -498,8 +497,10 @@ def _iterate(Hr: np.ndarray, nt: int, gains: np.ndarray, Fr0: np.ndarray, pt: fl
     Problem b has the gains ``gains[b]`` and starts from ``starts[b]`` as
     :func:`altmin_beamforming` takes it, else from ``Fr0 = V_r^H F0``. Each
     runs until it converges or reaches ``max_iter``, and is then dropped
-    from the stack. Returns one report per problem, whose ``final_se`` is
-    NaN: :func:`altmin_beamforming` resumes it to form U, W and the SE.
+    from the stack. F is carried as a (B, r, Ns) stack and mu as a list for
+    any B, a lone solve's stack of one included. Returns one report per
+    problem, whose ``final_se`` is NaN: :func:`altmin_beamforming` resumes
+    it to form U, W and the SE.
     """
     traces, converged, iterates = [], [], []
     for start in starts:
@@ -508,17 +509,11 @@ def _iterate(Hr: np.ndarray, nt: int, gains: np.ndarray, Fr0: np.ndarray, pt: fl
         converged.append(resume and start.converged)
         iterates.append(start.iterate if resume else (Fr0, 0.0))
     active = [b for b, t in enumerate(traces) if not converged[b] and len(t) < max_iter]
-    # a stack of one problem is carried without its batch axis: the same
-    # updates on 2-D arrays, without the stacked calls' overhead
-    if len(active) == 1:
-        F, mu = iterates[active[0]]
-    elif active:
-        F = np.array([iterates[b][0] for b in active])
-        mu = [iterates[b][1] for b in active]
+    F = np.array([iterates[b][0] for b in active])
+    mu = [iterates[b][1] for b in active]
     while active:
-        one = len(active) == 1
         # the stack's per-solve products, formed again when problems leave it
-        g = gains[active[0]] if one else gains[active] if len(active) < len(gains) else gains
+        g = gains[active] if len(active) < len(gains) else gains
         link = Link.of(Hr, g, nt)
         dist, noise = noise_weights(g, sigma_n2)
         g_col = g[..., None]
@@ -528,22 +523,18 @@ def _iterate(Hr: np.ndarray, nt: int, gains: np.ndarray, Fr0: np.ndarray, pt: fl
             HF = Hr @ F
             ce = effective_noise_cov(HF, dist, noise)
             W, U = receive_updates(g_col * HF, ce)
-            logdets = _logdet_hermitian(W)
-            for t, x in zip(live, [logdets] if one else logdets):
+            for t, x in zip(live, _logdet_hermitian(W)):
                 t.append(x)
             F, mu = update_precoder(link, U, W, pt, mu)
             going = []
             for i, t in enumerate(live):
                 converged[active[i]] = done = len(t) >= 2 and abs(t[-1] - t[-2]) <= eps
                 if done or len(t) >= max_iter:
-                    iterates[active[i]] = (F, mu) if one else (F[i].copy(), mu[i])
+                    iterates[active[i]] = (F[i].copy(), mu[i])
                 else:
                     going.append(i)
         active = [active[i] for i in going]
-        if len(active) == 1:
-            F, mu = F[going[0]], mu[going[0]]
-        elif active:
-            F, mu = F[going], [mu[i] for i in going]
+        F, mu = F[going], [mu[i] for i in going]
     return [AltMinReport(iterations=len(t), objective_trace=np.asarray(t), final_se=math.nan,
                          converged=c, iterate=x)
             for t, c, x in zip(traces, converged, iterates)]

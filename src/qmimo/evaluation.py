@@ -294,13 +294,6 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     """
     _check_schemes(schemes)
     config.validate(schemes)
-    return ExperimentResult(config=config, seed=seed, num_channels=num_channels,
-                            outcomes=_ensemble(config, schemes, num_channels, seed))
-
-
-def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
-              seed: int) -> dict[str, SchemeOutcome]:
-    """The channel loop of ``run_experiment``, unchecked."""
     rows: dict[str, list] = {s: [] for s in schemes}
     failed: dict[str, list[int]] = {s: [] for s in schemes}
     for c in range(num_channels if schemes else 0):
@@ -317,10 +310,12 @@ def _ensemble(config: PointConfig, schemes: Sequence[str], num_channels: int,
                 warnings.warn(
                     f"scheme {scheme} failed on channel {c}: {exc}",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=2,
                 )
                 failed[scheme].append(c)
                 continue
             rows[scheme].append(row)
-    return {s: SchemeOutcome.from_rows(rows[s], failed[s], config.sim_se, s == "ES")
-            for s in schemes}
+    outcomes = {s: SchemeOutcome.from_rows(rows[s], failed[s], config.sim_se, s == "ES")
+                for s in schemes}
+    return ExperimentResult(config=config, seed=seed, num_channels=num_channels,
+                            outcomes=outcomes)

@@ -751,6 +751,38 @@ class TestPrecoder:
             fits = _minimum_norm_fits(secular_terms(lam, c2), 0.25, float(limit))
             assert fits == (total <= limit)
 
+    def test_stack_matches_lone_updates(self, monkeypatch):
+        # three problems on one channel, one link of their stacked gains:
+        # minimum-norm updates at sigma_n2 1e-4 and 0.1, bisection at 1.0
+        H, F, *_, pt = random_instance(3, 6, 2, seed=26)
+        problems = []
+        for b, sn2, mu in ((2, 1e-4, 0.0), (2, 1.0, 0.3), (3, 0.1, 0.2)):
+            g = gain_diagonal([b] * 3, 3)
+            ce = effective_noise_cov(H @ F, *noise_weights(g, sn2))
+            W, U = receive_updates(g[:, None] * (H @ F), ce)
+            problems.append((g, U, W, mu))
+        g, U, W, mu = (list(x) for x in zip(*problems))
+        fits, branches = beamforming._minimum_norm_fits, []
+
+        def recorded_fits(*args):
+            branches.append(fits(*args))
+            return branches[-1]
+
+        monkeypatch.setattr(beamforming, "_minimum_norm_fits", recorded_fits)
+        F_stack, mu_stack = update_precoder(Link.of(H, np.array(g), 6), np.array(U), np.array(W),
+                                            pt, mu)
+        assert branches == [True, False, True]
+        monkeypatch.undo()
+        assert F_stack.shape == (3, 6, 2)
+        assert isinstance(mu_stack, list) and len(mu_stack) == 3
+        assert all(type(m) is float for m in mu_stack)
+        for i in range(3):
+            F_i, mu_i = update_precoder(Link.of(H, g[i], 6), U[i], W[i], pt, mu[i])
+            assert F_i.shape == (6, 2) and type(mu_i) is float
+            np.testing.assert_array_equal(F_stack[i], F_i)
+            assert mu_stack[i] == mu_i
+        assert mu_stack[0] == mu_stack[2] == 0.0 < mu_stack[1]
+
     @settings(max_examples=300, deadline=None)
     @given(precoder_instances())
     def test_matches_solve_reference(self, instance):

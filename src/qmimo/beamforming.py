@@ -39,6 +39,10 @@ __all__ = [
 
 _RIDGE = 1e-12
 _EPS = float(np.finfo(float).eps)
+# the precoder's power tolerances, relative to pt: the bisection's band
+# |P(mu) - pt| and the minimum-norm branch's acceptance P(0) <= pt (1 + ...)
+_POWER_RTOL = 1e-8
+_MIN_NORM_RTOL = 1e-9
 # the precoder bisection's certified bracket: a grid of 2**-0.5 steps below
 # the initial upper end, and a cap on the Newton steps from its root side
 _GRID = (2.0 ** (-0.5 * np.arange(121))).tolist()
@@ -269,7 +273,7 @@ def update_precoder(link: Link, U: np.ndarray, W: np.ndarray, pt: float,
         # the cutoff of lstsq(rcond=None): eigenvalues below it count as zero;
         # eigh sorts lam, so max|lam| is at one end (a channel of rank 0 has none)
         cut = _EPS * link.nt * max(-terms[0][0], terms[-1][0]) if terms else 0.0
-        if _minimum_norm_fits(terms, cut, pt * (1.0 + 1e-9)):
+        if _minimum_norm_fits(terms, cut, pt * (1.0 + _MIN_NORM_RTOL)):
             mu[i], kept[i] = 0.0, np.abs(lam_i) > cut
             continue
         # ||T W||_F, summed as np.linalg.norm sums it
@@ -298,16 +302,16 @@ def _minimum_norm_fits(terms: list[tuple[float, float]], cut: float, limit: floa
 
 def _bisect_multiplier(lam: np.ndarray, c2: np.ndarray, terms: list[tuple[float, float]],
                        pt: float, hi: float, start: float) -> float:
-    """The midpoint at which bisection on ``[0, hi]`` finds ``|P(mu) - pt| <= 1e-8 pt``.
+    """The midpoint at which bisection on ``[0, hi]`` finds ``|P(mu) - pt| <= _POWER_RTOL pt``.
 
     ``P(mu) = c2 @ (lam + mu)**-2``; ``terms`` holds ``(lam_i, c2_i)`` as
     Python floats. Bisection, not Newton, picks mu: SE is pinned at rtol
-    1e-9, and another root-finder would settle elsewhere inside the 1e-8
+    1e-9, and another root-finder would settle elsewhere inside that
     power tolerance. Midpoints outside the bracket of
     :func:`_certified_bracket`, whose Newton steps begin at ``start`` if it
     lies above the floor, take their side without evaluating P.
     """
-    tol = 1e-8 * pt
+    tol = _POWER_RTOL * pt
     floor = max(0.0, -terms[0][0])
     a, b = _certified_bracket(terms, pt, hi, tol, floor, start)
     lo = 0.0
@@ -359,7 +363,7 @@ def _certified_bracket(terms: list[tuple[float, float]], pt: float, hi: float,
     while right - left > 1:
         k = (left + right) // 2
         mu = hi * _GRID[k]
-        if mu <= floor or _power(terms, mu) > pt:
+        if mu <= floor or _power_and_slope(terms, mu)[0] > pt:
             right = k
         else:
             left = k
@@ -393,15 +397,6 @@ def _newton_bracket(terms: list[tuple[float, float]], pt: float, tol: float, flo
             and _power_and_slope(terms, b)[0] < (pt - tol) * (1.0 - 1e-12)):
         return a, b
     return -1.0, math.inf
-
-
-def _power(terms: list[tuple[float, float]], mu: float) -> float:
-    """``P(mu)`` over ``terms = [(lam_i, c2_i)]``, for ``mu > -min lam``, without the slope."""
-    p = 0.0
-    for l, c in terms:
-        x = l + mu
-        p += c / (x * x)
-    return p
 
 
 def _power_and_slope(terms: list[tuple[float, float]], mu: float) -> tuple[float, float]:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .beamforming import AltMinReport, Beamformers, _altmin_batch, altmin_beamforming
+from .beamforming import _POWER_RTOL, AltMinReport, Beamformers, _altmin_batch, altmin_beamforming
 from .bussgang import gain_diagonal
 
 __all__ = [
@@ -36,9 +36,9 @@ __all__ = [
 
 #: Largest unconstrained search space b_max^Nr the exhaustive oracle accepts.
 MAX_SEARCH_SPACE = 10**6
-# AltMin's precoder meets pt only to within the bisection's 1e-8 pt (the
-# minimum-norm branch to 1e-9 pt), so the oracle bounds a power 1e-7 above it
-_POWER_SLACK = 1e-7
+# AltMin's precoder meets pt only to within beamforming._POWER_RTOL, so the
+# oracle bounds a power ten times that above pt
+_POWER_SLACK = 10 * _POWER_RTOL
 # the oracle skips a multiset only if its ceiling is below the incumbent SE
 # by more than this relative margin, far above the rounding of either
 _PRUNE_RTOL = 1e-9

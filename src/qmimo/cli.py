@@ -269,7 +269,7 @@ def _oracle_outcome(cfg: evaluation.PointConfig, schemes: tuple[str, ...], num_c
                     seed: int) -> evaluation.ExperimentResult:
     """``run_experiment`` of a point with ES.
 
-    Kept only because ``perfbench/tracer.py`` binds this name; ROADMAP item 6
+    Kept only because ``perfbench/tracer.py`` binds this name; ROADMAP item 2
     deletes it together with that binding.
     """
     return evaluation.run_experiment(cfg, schemes, num_channels, seed)
@@ -279,7 +279,8 @@ def run_sweep(config: ExperimentConfig) -> int:
     """Execute all sweep points, streaming results to ``config.output_dir`` per point.
 
     A scheme ``"ES"`` in ``config.schemes``, in any position, adds the
-    exhaustive-oracle row, which runs last on each channel and comes last.
+    exhaustive-oracle row, which ``run_experiment`` runs last on each
+    channel and puts last.
     The CSV is rewritten and flushed after each point so an interrupted
     run keeps every completed point. Returns a process exit status (0 on
     success, 1 if any point raised; its traceback goes to stderr).
@@ -290,13 +291,12 @@ def run_sweep(config: ExperimentConfig) -> int:
     json_path = out_dir / "results.json"
     records: list[tuple] = []
     points = config.points()
-    schemes = tuple(sorted(config.schemes, key="ES".__eq__))  # stable: ES moves last
-    run = _oracle_outcome if "ES" in schemes else evaluation.run_experiment
+    run = _oracle_outcome if "ES" in config.schemes else evaluation.run_experiment
     status = 0
     for i, (axes, cfg) in enumerate(points):
         print(f"[{i + 1}/{len(points)}] " + " ".join(f"{k}={v:g}" for k, v in axes.items()))
         try:
-            result = run(cfg, schemes, config.num_channels, config.seed)
+            result = run(cfg, config.schemes, config.num_channels, config.seed)
         except Exception:
             print(f"point {axes} failed:\n{traceback.format_exc()}", end="", file=sys.stderr)
             status = 1

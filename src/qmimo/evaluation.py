@@ -287,13 +287,15 @@ def run_experiment(config: PointConfig, schemes: Sequence[str],
     distortion covariance of scheme s on channel c uses (seed, 1, c, k),
     with k the index of s in ``SCHEMES``, so a scheme's stream does not
     depend on which other schemes run or in what order. Each channel runs
-    the schemes in the given order, so list ES last (module docstring).
+    the schemes in the given order, except that ES runs last, and its
+    outcome comes last (module docstring).
     Per-channel numerical scheme failures (``CHANNEL_ERRORS``) are recorded
     and the channel is dropped from that scheme's aggregates; any other
     exception propagates. Without schemes no channel is drawn.
     """
     _check_schemes(schemes)
     config.validate(schemes)
+    schemes = sorted(schemes, key="ES".__eq__)  # stable: ES moves last
     rows: dict[str, list] = {s: [] for s in schemes}
     failed: dict[str, list[int]] = {s: [] for s in schemes}
     for c in range(num_channels if schemes else 0):

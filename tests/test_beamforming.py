@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
-from qmimo import beamforming
+from qmimo import beamforming, bitalloc
 from qmimo.beamforming import (
     Link,
     _bisect_multiplier,
@@ -696,7 +696,13 @@ class TestPrecoder:
         GHF = g[:, None] * (H @ F)
         W, U = receive_updates(GHF, ce)
         F_new = update_precoder(Link.of(H, g, 6), U, W, pt)[0]
-        assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
+        assert np.linalg.norm(F_new) ** 2 <= pt * (1 + bitalloc._POWER_SLACK)
+
+    def test_oracle_slack_covers_the_power_tolerances(self):
+        # ES's ceiling pruning is exact only while its power slack exceeds
+        # both of the precoder's tolerances
+        assert bitalloc._POWER_SLACK == 10 * beamforming._POWER_RTOL
+        assert beamforming._MIN_NORM_RTOL < beamforming._POWER_RTOL
 
     def test_power_monotone_in_multiplier(self):
         H, F, g, ce, _, pt = random_instance(4, 4, 2, seed=24)
@@ -719,7 +725,7 @@ class TestPrecoder:
         W, U = receive_updates(GHF, ce)
         F_new = update_precoder(Link.of(H, g, 6), U, W, pt)[0]
         assert np.all(np.isfinite(F_new))
-        assert np.linalg.norm(F_new) ** 2 <= pt * (1 + 1e-6)
+        assert np.linalg.norm(F_new) ** 2 <= pt * (1 + bitalloc._POWER_SLACK)
 
     def test_no_linear_solves(self, monkeypatch):
         # one eigh per update on both branches; the bisection is scalar

@@ -286,6 +286,23 @@ class TestRunExperiment:
         assert len({h for h, *_ in starts}) == 2
         assert (continued > 0) == ("ES" in schemes)
 
+    def test_es_runs_last_in_any_position(self):
+        # ES continues the channel's AltMinBF and GPOS solves, so it runs last
+        # on each channel and its outcome comes last, wherever it is listed
+        cfg = PointConfig(nt=8, nr=4, ns=2, snr_db=20.0, b=2, b_max=3)
+        results = [run_experiment(cfg, schemes, num_channels=2, seed=3)
+                   for schemes in (("ES", "WF", "GPOS"), ("WF", "ES", "GPOS"),
+                                   ("WF", "GPOS", "ES"))]
+        for res in results:
+            assert list(res.outcomes) == ["WF", "GPOS", "ES"]
+        for res in results[:2]:
+            for scheme, out in res.outcomes.items():
+                last = results[-1].outcomes[scheme]
+                for name in ("se_apx", "ee", "power_w", "iterations"):
+                    np.testing.assert_array_equal(getattr(out, name), getattr(last, name))
+                assert out.allocations == last.allocations
+                assert out.failed_channels == last.failed_channels == []
+
     def test_unknown_scheme_rejected(self):
         cfg = PointConfig(**DESK, snr_db=10.0, b=2)
         with pytest.raises(ValueError, match="unknown scheme"):

@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .quantizer import distortion_table, lloyd_max_design
+from .quantizer import _whole, distortion_table, lloyd_max_design
 
 __all__ = [
     "gain_diagonal",
@@ -32,18 +32,16 @@ def gain_diagonal(bits: Optional[Sequence[int]], nr: int) -> np.ndarray:
     """Per-chain Bussgang gains 1 - gamma(b_i) as a real vector.
 
     gamma is ``distortion_table().gamma``, which the model reads only here
-    and ``cli._dump_quantizers`` writes out. ``bits=None`` means full
-    resolution (all gains 1).
+    and ``cli._dump_quantizers`` writes out, and which checks each entry
+    (``quantizer._whole``). ``bits=None`` means full resolution (all gains 1).
     """
     if bits is None:
         return np.ones(nr)
-    bits = np.asarray(bits, dtype=int)
+    bits = np.asarray(bits, dtype=object)  # keeps each entry's type for the check
     if bits.shape != (nr,):
         raise ValueError(f"bits must have length {nr}, got shape {bits.shape}")
-    if np.any(bits < 1):
-        raise ValueError("every per-chain resolution must be >= 1")
     table = distortion_table()
-    return np.array([1.0 - table.gamma(int(b)) for b in bits])
+    return np.array([1.0 - table.gamma(b) for b in bits])
 
 
 class QdCovApprox(NamedTuple):
@@ -114,7 +112,7 @@ def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     nr = H.shape[0]
     ns = F.shape[1]
     g = gain_diagonal(bits, nr)
-    quantizers = [lloyd_max_design(int(b)) for b in bits]
+    quantizers = [lloyd_max_design(b) for b in bits]
     rng = np.random.default_rng(seed)
     s = rng.standard_normal((2, ns, num_samples))
     # times the reciprocal: bit for bit the complex s / sqrt(2)
@@ -151,11 +149,10 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     Hermitian, eigenvalues clipped at zero; ``bits=None`` gives the exact
     zero without drawing (README, "Monte-Carlo SE"). Bit-identical for a
     fixed integer ``seed``, the stream ``SeedSequence([seed, 0])``. Raises
-    ``TypeError`` for another seed and ``ValueError`` for a non-positive
-    ``num_samples``; a quantized run warns below 1e4 samples.
+    ``TypeError`` for another seed and ``ValueError`` for a ``num_samples``
+    that is not a whole number >= 1; a quantized run warns below 1e4 samples.
     """
-    if num_samples < 1:
-        raise ValueError(f"num_samples={num_samples} must be >= 1")
+    num_samples = _whole(num_samples, "num_samples")
     if not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed)!r}")
     stream = np.random.SeedSequence([int(seed), 0])

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantizer import _whole
+
 __all__ = [
     "SVParams",
     "saleh_valenzuela",
@@ -43,9 +45,10 @@ def ula_steering(num_antennas: int, phi) -> np.ndarray:
 
     Returns shape ``(num_antennas,)`` for scalar ``phi`` or
     ``(num_antennas, len(phi))`` for a vector of azimuth angles; the
-    squared norm per vector equals ``num_antennas``.
+    squared norm per vector equals ``num_antennas``, a whole number >= 1
+    (``quantizer._whole``).
     """
-    n = np.arange(num_antennas)
+    n = np.arange(_whole(num_antennas, "num_antennas"))
     return np.exp(1j * np.pi * np.multiply.outer(n, np.sin(np.asarray(phi, dtype=float))))
 
 
@@ -55,10 +58,10 @@ def saleh_valenzuela(nt: int, nr: int, params: SVParams | None = None,
 
     Cluster centers are uniform on [0, 2pi) independently at both ends;
     per-ray offsets are Laplacian with the configured spread; ray gains
-    are CN(0, 1). The prefactor makes E||H||_F^2 = nt*nr.
+    are CN(0, 1). The prefactor makes E||H||_F^2 = nt*nr. The antenna
+    counts are whole numbers >= 1 (``quantizer._whole``).
     """
-    if nt < 1 or nr < 1:
-        raise ValueError("antenna counts must be >= 1")
+    nt, nr = _whole(nt, "nt"), _whole(nr, "nr")
     params = params or SVParams()
     rng = np.random.default_rng(seed)
     ncl, nray = params.num_clusters, params.rays_per_cluster

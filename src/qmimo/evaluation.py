@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import beamforming, bitalloc, bussgang, channel
-# unused here; perfbench/tracer.py wraps distortion_table on this module
-from .quantizer import distortion_table  # noqa: F401
+# distortion_table is unused here; perfbench/tracer.py wraps it on this module
+from .quantizer import _whole, distortion_table  # noqa: F401
 
 __all__ = [
     "PointConfig",
@@ -75,10 +75,11 @@ def total_power(bits: Sequence[int]) -> float:
     """Total receiver power: Nr (P_LNA + P_RF) + sum_i 2 kappa f_s 2^{b_i}.
 
     Per-chain generalization of the uniform-resolution formula; the two
-    coincide when all entries of ``bits`` are equal.
+    coincide when all entries of ``bits`` are equal. Each entry follows the
+    resolution rule of ``quantizer._whole``.
     """
-    bits = np.asarray(bits, dtype=int)
-    adc = 2.0 * FOM_KAPPA * F_S * np.sum(2.0 ** bits.astype(float))
+    bits = np.array([_whole(b) for b in bits], dtype=float)
+    adc = 2.0 * FOM_KAPPA * F_S * np.sum(2.0 ** bits)
     return float(bits.size * (P_LNA + P_RF) + adc)
 
 
@@ -147,16 +148,13 @@ class PointConfig:
             raise ValueError(f"Pt={self.pt} must be positive")
         if not 0 < self.varsigma <= 1:
             raise ValueError(f"varsigma={self.varsigma} outside (0, 1]")
-        if self.ns < 1:
-            raise ValueError(f"Ns={self.ns} must be >= 1")
-        if self.ns > min(self.nt, self.nr):
+        if _whole(self.ns, "Ns") > min(self.nt, self.nr):
             raise ValueError(
                 f"ns={self.ns} exceeds min(Nt, Nr)={min(self.nt, self.nr)}"
             )
-        if not 1 <= self.b <= self.b_max:
-            raise ValueError(f"b={self.b} outside [1, b_max={self.b_max}]")
-        if self.num_qd_samples < 1:
-            raise ValueError(f"num_qd_samples={self.num_qd_samples} must be >= 1")
+        if _whole(self.b, "b") > _whole(self.b_max, "b_max"):
+            raise ValueError(f"b={self.b} exceeds b_max={self.b_max}")
+        _whole(self.num_qd_samples, "num_qd_samples")
         for key, value, low in (("max_iter", self.max_iter, 1), ("I2", self.i2, 0),
                                 ("scoring_max_iter", self.scoring_max_iter, 1),
                                 ("eps", self.eps, 0)):

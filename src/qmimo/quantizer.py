@@ -8,6 +8,7 @@ distortion factor with its two closed-form approximations. README,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -43,13 +44,27 @@ _TOL = 1e-10
 _MAX_STEPS = 50
 
 
+def _whole(value, name: str = "bits") -> int:
+    """``value`` as a whole number >= 1: the rule for a per-chain resolution, and for a count.
+
+    An integral value of any numeric type counts as that integer; anything
+    else, a boolean or a non-integral value included, raises ``ValueError``
+    naming ``name`` and the value.
+    """
+    if (isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real)
+            or not float(value).is_integer() or value < 1):
+        raise ValueError(f"{name} must be a whole number >= 1, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarQuantizer:
     """A scalar quantizer given by its thresholds and codebook.
 
     ``thresholds`` holds ``2**bits + 1`` strictly increasing decision levels
     from ``-inf`` to ``+inf`` and ``codebook`` the ``2**bits`` strictly
-    increasing output levels; anything else raises ``ValueError``.
+    increasing output levels; anything else raises ``ValueError``, as does
+    a ``bits`` outside the rule of ``_whole``.
     """
 
     bits: int
@@ -57,11 +72,10 @@ class ScalarQuantizer:
     codebook: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", _whole(self.bits))
         t = np.array(self.thresholds, dtype=float)
         c = np.array(self.codebook, dtype=float)
         nq = 2 ** self.bits
-        if self.bits < 1:
-            raise ValueError(f"bits must be >= 1, got {self.bits}")
         if t.shape != (nq + 1,) or c.shape != (nq,):
             raise ValueError("thresholds/codebook length inconsistent with bits")
         if not (np.isneginf(t[0]) and np.isposinf(t[-1])):
@@ -164,14 +178,8 @@ def quantizer_mse(q: ScalarQuantizer) -> float:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def lloyd_max_design(bits: int) -> ScalarQuantizer:
-    """The Lloyd-Max quantizer for a standard normal input, cached per ``bits``.
-
-    Raises ``ValueError`` for ``bits < 1`` and ``RuntimeError`` if the
-    Newton solve (README, "Quantizer design") does not converge.
-    """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+def _lloyd_max(bits: int) -> ScalarQuantizer:
+    """``lloyd_max_design`` for a ``bits`` already checked by ``_whole``."""
     nq = 2**bits
     c = _quantile_codebook(nq)
     for _ in range(_MAX_STEPS):
@@ -192,6 +200,21 @@ def lloyd_max_design(bits: int) -> ScalarQuantizer:
     raise RuntimeError(
         f"Lloyd-Max design for {bits} bits did not converge in {_MAX_STEPS} Newton steps"
     )
+
+
+def lloyd_max_design(bits: int) -> ScalarQuantizer:
+    """The Lloyd-Max quantizer for a standard normal input, cached per ``bits``.
+
+    Raises ``ValueError`` for a ``bits`` outside the rule of ``_whole``, checked
+    before the cache, which keys ``True`` and ``3.0`` as ``1`` and ``3``, and
+    ``RuntimeError`` if the Newton solve (README, "Quantizer design") does
+    not converge.
+    """
+    return _lloyd_max(_whole(bits))
+
+
+lloyd_max_design.cache_clear = _lloyd_max.cache_clear
+lloyd_max_design.cache_info = _lloyd_max.cache_info
 
 
 def _quantile_codebook(nq: int) -> np.ndarray:
@@ -233,10 +256,9 @@ def gamma_approx(bits: int, mode: str = "fitted") -> float:
     ``high_res`` is the classical ``(sqrt(3)*pi/2) * 2**(-2b)``, accurate
     for many bits but overshooting badly at low resolution (0.680 vs the
     true 0.3634 at one bit). ``fitted`` is ``2**(-1.74b + 0.28)``, usable
-    down to one bit.
+    down to one bit. ``bits`` follows the rule of ``_whole``.
     """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    bits = _whole(bits)
     if mode == "high_res":
         return float((np.sqrt(3.0) * np.pi / 2.0) * 2.0 ** (-2 * bits))
     if mode == "fitted":
@@ -249,14 +271,14 @@ class DistortionTable:
 
     Exact (``quantizer_mse``) up to ``TABLE_MAX_BITS``, each resolution
     designed on first use and kept; beyond it the high-resolution law.
+    ``gamma`` checks ``bits`` by ``_whole`` before its memo.
     """
 
     def __init__(self):
         self._gamma: dict[int, float] = {}
 
     def gamma(self, bits: int) -> float:
-        if bits < 1:
-            raise ValueError(f"bits must be >= 1, got {bits}")
+        bits = _whole(bits)
         if bits > TABLE_MAX_BITS:
             return gamma_approx(bits, "high_res")
         if bits not in self._gamma:

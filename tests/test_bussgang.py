@@ -1,5 +1,6 @@
 """Linearized quantization model: gains, covariances, arcsine law."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -63,9 +64,14 @@ class TestBussgangGain:
         assert g[0] == pytest.approx(1 - gamma_approx(14, "high_res"), rel=1e-12)
 
     def test_rejects_invalid_bits(self):
-        with pytest.raises(ValueError):
-            gain_diagonal([0, 2], 2)
-        with pytest.raises(ValueError):
+        # a resolution is never floored: [2.7, 3.2] is not read as [2, 3]
+        for bits, named in (([0, 2], "0"), ([2, 2.5], "2.5"), ([2.7, 3.2], "2.7"),
+                            ([True, 2], "True"), ([2, np.True_], "np.True_")):
+            with pytest.raises(ValueError, match=re.escape(named)):
+                gain_diagonal(bits, 2)
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="length 3"):
             gain_diagonal([1, 2], 3)
 
 

@@ -1,5 +1,7 @@
 """Channel generation and normalization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,11 @@ class TestSteering:
         a = ula_steering(n, 0.7)
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-12)
         assert np.linalg.norm(a) ** 2 == pytest.approx(n)
+
+    @pytest.mark.parametrize("n", [2.5, 0, True, np.True_], ids=repr)
+    def test_rejects_non_integral_antenna_count(self, n):
+        with pytest.raises(ValueError, match=re.escape(repr(n))):
+            ula_steering(n, 0.7)
 
     def test_vectorized_angles(self):
         a = ula_steering(4, [0.1, 0.2, 0.3])
@@ -72,3 +79,17 @@ class TestSalehValenzuela:
             SVParams(angle_spread_deg=-1.0)
         with pytest.raises(ValueError):
             saleh_valenzuela(0, 4, seed=0)
+
+    @pytest.mark.parametrize("nt, nr, named", [
+        (4.5, 2, "4.5"), (4, 2.2, "2.2"), (4.5, 2.2, "4.5"), (True, 4, "True"),
+        (4, np.True_, "np.True_"),
+    ], ids=repr)
+    def test_rejects_non_integral_antenna_counts(self, nt, nr, named):
+        # np.arange would read 4.5 antennas as 5 and 2.2 as 3
+        with pytest.raises(ValueError, match=re.escape(named)):
+            saleh_valenzuela(nt, nr, seed=0)
+
+    def test_integral_antenna_counts_count_as_that_integer(self):
+        H = saleh_valenzuela(8, 4, seed=5)
+        for nt, nr in ((8.0, 4.0), (np.int64(8), np.float32(4.0))):
+            np.testing.assert_array_equal(saleh_valenzuela(nt, nr, seed=5), H)

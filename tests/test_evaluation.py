@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from qmimo.evaluation import (
     FULL_PRECISION_BITS,
     P_LNA,
     P_RF,
+    SCHEMES,
     PointConfig,
     energy_efficiency,
     run_experiment,
@@ -110,6 +112,20 @@ class TestPointConfig:
         cfg = PointConfig(nt=4, nr=4, ns=5)
         with pytest.raises(ValueError, match="ns"):
             cfg.validate()
+        for ns in (0, 1.5, True):
+            with pytest.raises(ValueError, match=f"Ns must be a whole number >= 1, got {ns}"):
+                PointConfig(nt=4, nr=4, ns=ns).validate()
+
+    def test_validate_num_qd_samples(self):
+        # b and b_max: tests/test_quantizer.py, TestResolutionRule
+        for n in (0, 1e4 + 0.5):
+            with pytest.raises(ValueError, match=re.escape(f"num_qd_samples must be a whole "
+                                                           f"number >= 1, got {n!r}")):
+                PointConfig(num_qd_samples=n).validate()
+
+    def test_validate_b_above_b_max(self):
+        with pytest.raises(ValueError, match="b=4 exceeds b_max=3"):
+            PointConfig(b=4, b_max=3).validate()
 
     def test_validate_gpos_budget(self):
         cfg = PointConfig(nr=64, b=2, varsigma=0.25)  # budget 32 < 64
@@ -302,6 +318,24 @@ class TestRunExperiment:
                     np.testing.assert_array_equal(getattr(out, name), getattr(last, name))
                 assert out.allocations == last.allocations
                 assert out.failed_channels == last.failed_channels == []
+
+    def test_pt_moves_no_output_at_fixed_snr(self):
+        # sigma_n2 = Pt / SNR scales with Pt, F with sqrt(Pt), and every SE is
+        # invariant to that common scale, the Monte-Carlo one included
+        results = [run_experiment(PointConfig(nt=8, nr=4, ns=2, snr_db=10.0, pt=pt, b=2,
+                                              b_max=3, sim_se=True, num_qd_samples=10**4),
+                                  SCHEMES, num_channels=2, seed=5).outcomes
+                   for pt in (0.37, 1.0, 2.0)]
+        for outcomes in results[1:]:
+            for scheme, out in outcomes.items():
+                ref = results[0][scheme]
+                np.testing.assert_allclose(out.se_apx, ref.se_apx, rtol=1e-12)
+                if ref.se_sim is not None:
+                    np.testing.assert_allclose(out.se_sim, ref.se_sim, rtol=1e-12)
+                np.testing.assert_array_equal(out.iterations, ref.iterations)
+                assert out.allocations == ref.allocations
+                assert out.altmin_unconverged == ref.altmin_unconverged
+                assert out.failed_channels == ref.failed_channels == []
 
     def test_unknown_scheme_rejected(self):
         cfg = PointConfig(**DESK, snr_db=10.0, b=2)

@@ -1,6 +1,7 @@
 """Quantizer design, scaling, and distortion-factor tests."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,10 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from qmimo import quantizer
+from qmimo.beamforming import altmin_beamforming
 from qmimo.bussgang import gain_diagonal
+from qmimo.channel import saleh_valenzuela
+from qmimo.evaluation import PointConfig, total_power
 from qmimo.quantizer import (
     DistortionTable,
     ScalarQuantizer,
@@ -105,8 +109,9 @@ class TestLloydMax:
         assert lloyd_max_design(6).num_levels == 64
 
     def test_bits_validation(self):
-        with pytest.raises(ValueError):
-            lloyd_max_design(0)
+        for bits in (0, 2.5, True, np.True_):
+            with pytest.raises(ValueError, match=re.escape(repr(bits))):
+                lloyd_max_design(bits)
 
     @pytest.mark.parametrize("bits", range(1, 13))
     def test_newton_steps(self, bits, monkeypatch):
@@ -284,8 +289,9 @@ class TestGammaApprox:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             gamma_approx(2, "exact")
-        with pytest.raises(ValueError):
-            gamma_approx(0, "fitted")
+        for bits in (0, 2.5, True, np.True_):
+            with pytest.raises(ValueError, match=re.escape(repr(bits))):
+                gamma_approx(bits, "fitted")
 
 
 class TestDistortionTable:
@@ -333,8 +339,9 @@ class TestDistortionTable:
     def test_fallback_above_table(self):
         t = distortion_table()
         assert t.gamma(13) == gamma_approx(13, "high_res")
-        with pytest.raises(ValueError):
-            t.gamma(0)
+        for bits in (0, 13.5, True, np.True_):
+            with pytest.raises(ValueError, match=re.escape(repr(bits))):
+                t.gamma(bits)
 
     def test_fitted_accuracy_envelope(self):
         # measured accuracy of the low-resolution fit against the table:
@@ -411,3 +418,58 @@ class TestScalarQuantizerValidation:
         x = rng.standard_normal(10**6)
         mc = np.mean((q.quantize_real(x) - x) ** 2)
         assert quantizer_mse(q) == pytest.approx(mc, rel=5e-3)
+
+
+def _design_fields(q: ScalarQuantizer):
+    return type(q.bits), q.bits, q.thresholds, q.codebook
+
+
+def _altmin_fields(bits):
+    H = saleh_valenzuela(4, 4, seed=0)
+    bf, rep = altmin_beamforming(H, [bits, 2, 3, 1], 1.0, 0.1, 2, max_iter=5)
+    return bf.F, bf.U, rep.objective_trace, rep.final_se, rep.iterations
+
+
+# every reader of a per-chain resolution, each given the resolution under test
+RESOLUTION_READERS = {
+    "gain_diagonal": lambda b: gain_diagonal([2, b], 2),
+    "total_power": lambda b: total_power([b, 2]),
+    "lloyd_max_design": lambda b: _design_fields(lloyd_max_design(b)),
+    "gamma_approx": lambda b: (gamma_approx(b), gamma_approx(b, "high_res")),
+    "distortion_table().gamma": lambda b: distortion_table().gamma(b),
+    "ScalarQuantizer": lambda b: _design_fields(
+        ScalarQuantizer(b, lloyd_max_design(3).thresholds, lloyd_max_design(3).codebook)),
+    "PointConfig.validate b": lambda b: PointConfig(nt=8, nr=4, ns=2, b=b, b_max=3).validate(),
+    "PointConfig.validate b_max": lambda b: PointConfig(nt=8, nr=4, ns=2, b=1,
+                                                        b_max=b).validate(),
+    "altmin_beamforming": _altmin_fields,
+}
+
+
+class TestResolutionRule:
+    """A per-chain resolution is a whole number of bits >= 1, for every reader."""
+
+    @pytest.mark.parametrize("reader", RESOLUTION_READERS)
+    @pytest.mark.parametrize("bits", [2.5, 2.9, True, np.True_, 0, np.nan, "3"], ids=repr)
+    def test_rejects_anything_but_a_whole_number_of_bits(self, reader, bits):
+        with pytest.raises(ValueError, match=re.escape(repr(bits))):
+            RESOLUTION_READERS[reader](bits)
+
+    @pytest.mark.parametrize("reader", RESOLUTION_READERS)
+    @pytest.mark.parametrize("bits", [np.int64(3), 3.0, np.float32(3.0)], ids=repr)
+    def test_integral_values_count_as_that_integer(self, reader, bits):
+        np.testing.assert_equal(RESOLUTION_READERS[reader](bits), RESOLUTION_READERS[reader](3))
+
+    def test_checked_before_the_caches(self):
+        # lru_cache and the gamma memo key True as 1: a cached 1-bit design
+        # must not answer for a boolean
+        distortion_table().gamma(1)
+        lloyd_max_design(1)
+        with pytest.raises(ValueError, match="True"):
+            lloyd_max_design(True)
+        with pytest.raises(ValueError, match="True"):
+            distortion_table().gamma(True)
+        q = lloyd_max_design(3)
+        size = lloyd_max_design.cache_info().currsize
+        assert lloyd_max_design(3.0) is lloyd_max_design(np.int64(3)) is q
+        assert lloyd_max_design.cache_info().currsize == size

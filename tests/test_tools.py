@@ -58,10 +58,15 @@ def test_same_outputs_names_what_a_changed_constant_moves(tmp_path, monkeypatch,
 
 def test_same_outputs_reads_its_configs():
     cases = same_outputs.cases()
-    assert len(cases) == 12
+    assert len(cases) == 13
     assert cases["workload-oracle-8x4"][1][-1] == "--oracle"
     assert cases["oracle-continuation-8x4"][1][-1] == "--oracle"
     assert cases["uniform-continuation-8x4"][1][-1] == "--oracle"
+    # the Monte-Carlo path quantizes some chains by binary search
+    from qmimo.quantizer import _COUNT_MAX_BITS
+
+    config, _ = cases["mc-8bit-8x4"]
+    assert config["sim_se"] and max(config["b"]) > _COUNT_MAX_BITS
 
 
 def test_same_outputs_spans_the_scoring_chunks():

@@ -9,7 +9,7 @@ are compared byte for byte. Exits 0 if all agree and 1 otherwise, naming
 each output that differs; a run that fails with both trees counts as a
 difference in its status, since it compares nothing.
 
-The configs are the two golden configs of ``tests/test_golden.py``, six
+The configs are the two golden configs of ``tests/test_golden.py``, seven
 sweeps defined here, and point 0 of each workload in
 ``perfbench/workloads.py`` at seed 0; both files are read, never edited.
 Standard library only: nothing of qmimo is imported into this process.
@@ -97,6 +97,14 @@ def cases() -> dict[str, tuple[dict, list[str]]]:
     out["gpos-stacks-16x16"] = (
         {"Nt": 16, "Nr": 16, "Ns": [1, 4], "snr_db": [0, 30], "b": 2, "b_max": 4,
          "scoring_max_iter": 10, "schemes": ["GPOS", "AltMinBF"], "num_channels": 2},
+        run_args(),
+    )
+    # 8-bit chains: quantize_real indexes their codebooks by binary search,
+    # the branch above _COUNT_MAX_BITS, on the Monte-Carlo path
+    out["mc-8bit-8x4"] = (
+        {"Nt": 8, "Nr": 4, "Ns": 2, "snr_db": [0, 30], "b": [3, 8], "b_max": 8,
+         "schemes": ["WF", "AltMinBF", "GPOS"], "sim_se": True, "num_qd_samples": 10**4,
+         "num_channels": 2},
         run_args(),
     )
     for w in _workloads().values():

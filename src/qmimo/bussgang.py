@@ -96,9 +96,12 @@ def _clip_psd(C: np.ndarray) -> np.ndarray:
     return (V * w) @ V.conj().T
 
 
-# samples per column block of the Monte-Carlo path; bounds the working set
-# beyond the drawn samples to one 2Nr x _MC_BLOCK product
+# samples per column block of the Monte-Carlo path: one quantize_real call
+# per chain and one Gram update per block
 _MC_BLOCK = 8192
+# columns per H F s sub-block, a divisor of _MC_BLOCK; bounds the working set
+# beyond the drawn samples to one 2Nr x _HFS_BLOCK product
+_HFS_BLOCK = 1024
 
 
 def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
@@ -117,28 +120,39 @@ def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     s = rng.standard_normal((2, ns, num_samples))
     # times the reciprocal: bit for bit the complex s / sqrt(2)
     s *= 1.0 / np.sqrt(2.0)
-    y = rng.standard_normal((2, nr, num_samples))
-    y *= np.sqrt(sigma_n2 / 2.0)
+    y = rng.standard_normal((2, nr, num_samples))  # scaled to n block by block
+    noise_std = np.sqrt(sigma_n2 / 2.0)
+    # views with the (2, N) row axes merged: [Re; Im] stacked along the rows
+    s_rows = s.reshape(2 * ns, num_samples)
+    y_rows = y.reshape(2 * nr, num_samples)
     hf = H @ F
     hf_planar = np.block([[hf.real, -hf.imag], [hf.imag, hf.real]])
     cy_diag = np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2
     std = np.sqrt(cy_diag / 2.0)
-    product = np.empty(2 * nr * min(num_samples, _MC_BLOCK))
+    hfs = np.empty((2 * nr, _HFS_BLOCK))
     for start in range(0, num_samples, _MC_BLOCK):
-        cols = slice(start, start + _MC_BLOCK)
-        Y = y[:, :, cols]
-        width = Y.shape[2]
-        hfs = product[:2 * nr * width].reshape(2 * nr, width)
-        np.matmul(hf_planar, s[:, :, cols].reshape(2 * ns, width), out=hfs)
-        E = Y.reshape(2 * nr, width)  # a view: the (2, Nr) row axes merge
-        E += hfs
+        stop = min(start + _MC_BLOCK, num_samples)
+        for sub in range(start, stop, _HFS_BLOCK):
+            width = min(_HFS_BLOCK, stop - sub)
+            symbols = s_rows[:, sub:sub + width]
+            if width < _HFS_BLOCK:
+                # the last sub-block, zero padded: BLAS computes a product's
+                # trailing columns with other code, and the padding keeps
+                # each column's floats independent of num_samples
+                symbols = np.zeros((2 * ns, _HFS_BLOCK))
+                symbols[:, :width] = s_rows[:, sub:]
+            np.matmul(hf_planar, symbols, out=hfs)
+            y_sub = y_rows[:, sub:sub + width]  # n, then y
+            y_sub *= noise_std
+            y_sub += hfs[:, :width]
+        Y = y[:, :, start:stop]
         for i, q in enumerate(quantizers):
             rows = Y[:, i]  # [Re y_i; Im y_i], left holding eta_i
             z = q.quantize_real(rows / std[i])
             z *= std[i]
             rows *= g[i]
             np.subtract(z, rows, out=rows)
-        yield E
+        yield y_rows[:, start:stop]
 
 
 def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,

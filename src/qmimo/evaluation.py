@@ -23,6 +23,7 @@ last, continues them to the same floats.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -126,6 +127,16 @@ class PointConfig:
     sv: channel.SVParams = field(default_factory=channel.SVParams)
     sim_se: bool = False
     num_qd_samples: int = 10**5
+
+    def __post_init__(self):
+        # an integral value of a whole-number field is stored as int, so that
+        # range() and slices take it; validate() rejects every other value
+        for name in ("nt", "nr", "ns", "b", "b_max", "b_total", "max_iter", "i2",
+                     "scoring_max_iter", "num_qd_samples"):
+            value = getattr(self, name)
+            if (isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+                    and float(value).is_integer()):
+                object.__setattr__(self, name, int(value))
 
     @property
     def sigma_n2(self) -> float:

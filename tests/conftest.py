@@ -13,8 +13,8 @@ def _one_shot_stream(H, F, sigma_n2, bits, n_samples, seed):
     ``seed`` goes to ``np.random.default_rng`` as it is; ``qd_cov_simulated``
     draws from ``SeedSequence([seed, 0])``. The whole stream is drawn in the
     documented order (s.real, s.imag, n.real, n.imag), ``H F s`` is the real
-    planar product ``[[Re HF, -Im HF], [Im HF, Re HF]] @ [Re s; Im s]``, and
-    each chain's real and imaginary parts are quantized separately.
+    planar product ``[[Re HF, -Im HF], [Im HF, Re HF]] @ [Re s; Im s]`` in one
+    call, and each chain's real and imaginary parts are quantized separately.
     """
     nr, ns = H.shape[0], F.shape[1]
     rng = np.random.default_rng(seed)
@@ -23,8 +23,11 @@ def _one_shot_stream(H, F, sigma_n2, bits, n_samples, seed):
     n = (rng.standard_normal((nr, n_samples))
          + 1j * rng.standard_normal((nr, n_samples))) * np.sqrt(sigma_n2 / 2.0)
     hf = H @ F
-    planar = (np.block([[hf.real, -hf.imag], [hf.imag, hf.real]])
-              @ np.concatenate([s.real, s.imag]))
+    # a BLAS product computes the columns past its kernel width's last
+    # multiple with other code: zero symbols pad it to whole 1024-column
+    # pieces, so that each column's floats do not depend on n_samples
+    symbols = np.pad(np.concatenate([s.real, s.imag]), ((0, 0), (0, -n_samples % 1024)))
+    planar = (np.block([[hf.real, -hf.imag], [hf.imag, hf.real]]) @ symbols)[:, :n_samples]
     hfs = planar[:nr] + 1j * planar[nr:]
     # the planar product is the complex one up to rounding: a few ulp of
     # the largest entry

@@ -123,6 +123,23 @@ class TestPointConfig:
                                                            f"number >= 1, got {n!r}")):
                 PointConfig(num_qd_samples=n).validate()
 
+    def test_integral_floats_run_as_their_integers(self):
+        # an 8x4 point given as floats: ES enumerates, range(i2) and the
+        # stream slices take the stored ints
+        ints = dict(nt=8, nr=4, ns=2, b=2, b_max=3, b_total=8, max_iter=500, i2=15,
+                    scoring_max_iter=30, num_qd_samples=10**4)
+        floats = PointConfig(snr_db=20.0, sim_se=True, **{k: float(v) for k, v in ints.items()})
+        assert {k: type(getattr(floats, k)) for k in ints} == dict.fromkeys(ints, int)
+        schemes = ["WF", "GPOS", "ES"]
+        want, got = (run_experiment(cfg, schemes, num_channels=2, seed=5).outcomes
+                     for cfg in (PointConfig(snr_db=20.0, sim_se=True, **ints), floats))
+        for scheme in schemes:
+            np.testing.assert_array_equal(got[scheme].se_apx, want[scheme].se_apx)
+            if scheme != "ES":
+                np.testing.assert_array_equal(got[scheme].se_sim, want[scheme].se_sim)
+            assert got[scheme].allocations == want[scheme].allocations
+            assert {type(b) for bits in got[scheme].allocations for b in bits} == {int}
+
     def test_validate_b_above_b_max(self):
         with pytest.raises(ValueError, match="b=4 exceeds b_max=3"):
             PointConfig(b=4, b_max=3).validate()

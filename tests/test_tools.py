@@ -58,7 +58,7 @@ def test_same_outputs_names_what_a_changed_constant_moves(tmp_path, monkeypatch,
 
 def test_same_outputs_reads_its_configs():
     cases = same_outputs.cases()
-    assert len(cases) == 13
+    assert len(cases) == 14
     assert cases["workload-oracle-8x4"][1][-1] == "--oracle"
     assert cases["oracle-continuation-8x4"][1][-1] == "--oracle"
     assert cases["uniform-continuation-8x4"][1][-1] == "--oracle"
@@ -67,6 +67,13 @@ def test_same_outputs_reads_its_configs():
 
     config, _ = cases["mc-8bit-8x4"]
     assert config["sim_se"] and max(config["b"]) > _COUNT_MAX_BITS
+    # at 64x64 the last block ends in a partial H F s sub-block
+    from qmimo.bussgang import _HFS_BLOCK, _MC_BLOCK
+
+    config, _ = cases["mc-64x64"]
+    assert config["sim_se"] and (config["Nr"], config["Ns"]) == (64, 8)
+    remainder = config["num_qd_samples"] % _MC_BLOCK
+    assert remainder > _HFS_BLOCK and remainder % _HFS_BLOCK != 0
 
 
 def test_same_outputs_spans_the_scoring_chunks():

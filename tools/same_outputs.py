@@ -9,7 +9,7 @@ are compared byte for byte. Exits 0 if all agree and 1 otherwise, naming
 each output that differs; a run that fails with both trees counts as a
 difference in its status, since it compares nothing.
 
-The configs are the two golden configs of ``tests/test_golden.py``, seven
+The configs are the two golden configs of ``tests/test_golden.py``, eight
 sweeps defined here, and point 0 of each workload in
 ``perfbench/workloads.py`` at seed 0; both files are read, never edited.
 Standard library only: nothing of qmimo is imported into this process.
@@ -105,6 +105,13 @@ def cases() -> dict[str, tuple[dict, list[str]]]:
         {"Nt": 8, "Nr": 4, "Ns": 2, "snr_db": [0, 30], "b": [3, 8], "b_max": 8,
          "schemes": ["WF", "AltMinBF", "GPOS"], "sim_se": True, "num_qd_samples": 10**4,
          "num_channels": 2},
+        run_args(),
+    )
+    # the paper's 64x64 Ns 8 on the Monte-Carlo path: the last block of
+    # 2 * 8192 + 1500 samples ends in a 476-column H F s sub-block
+    out["mc-64x64"] = (
+        {"Nt": 64, "Nr": 64, "Ns": 8, "snr_db": 20, "b": [1, 3], "schemes": ["WF"],
+         "sim_se": True, "num_qd_samples": 2 * 8192 + 1500, "num_channels": 1},
         run_args(),
     )
     for w in _workloads().values():

@@ -97,10 +97,10 @@ def _clip_psd(C: np.ndarray) -> np.ndarray:
 
 
 # samples per column block of the Monte-Carlo path: one quantize_real call
-# per chain and one Gram update per block
+# per chain and one Gram update per block, and the noise drawn per call
 _MC_BLOCK = 8192
-# columns per H F s sub-block, a divisor of _MC_BLOCK; bounds the working set
-# beyond the drawn samples to one 2Nr x _HFS_BLOCK product
+# columns per H F s sub-block; bounds the working set beyond the sample
+# array to one 2Nr x _HFS_BLOCK product while H F s overwrites the symbols
 _HFS_BLOCK = 1024
 
 
@@ -108,8 +108,11 @@ def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
                       bits: Sequence[int], num_samples: int, seed):
     """Draw y = H F s + n, quantize per chain, yield planar ``[Re eta; Im eta]`` blocks.
 
-    ``seed`` goes to ``np.random.default_rng``. Each block is a view of at
-    most ``_MC_BLOCK`` columns, valid until the next is drawn (README,
+    ``seed`` goes to ``np.random.default_rng``. The symbols are drawn into
+    the last 2 Ns rows of the one ``(2, Nr, N)`` sample array, ``H F s``
+    overwrites them sub-block by sub-block, and the noise is drawn row by
+    row and added in place, so Ns <= Nr. Each block is a view of at most
+    ``_MC_BLOCK`` columns, valid until the next is drawn (README,
     "Monte-Carlo SE").
     """
     nr = H.shape[0]
@@ -117,34 +120,41 @@ def _quantized_blocks(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     g = gain_diagonal(bits, nr)
     quantizers = [lloyd_max_design(b) for b in bits]
     rng = np.random.default_rng(seed)
-    s = rng.standard_normal((2, ns, num_samples))
-    # times the reciprocal: bit for bit the complex s / sqrt(2)
-    s *= 1.0 / np.sqrt(2.0)
-    y = rng.standard_normal((2, nr, num_samples))  # scaled to n block by block
-    noise_std = np.sqrt(sigma_n2 / 2.0)
+    y = np.empty((2, nr, num_samples))
     # views with the (2, N) row axes merged: [Re; Im] stacked along the rows
-    s_rows = s.reshape(2 * ns, num_samples)
     y_rows = y.reshape(2 * nr, num_samples)
+    s_rows = y_rows[2 * (nr - ns):]
+    rng.standard_normal(out=s_rows)
+    # times the reciprocal: bit for bit the complex s / sqrt(2)
+    s_rows *= 1.0 / np.sqrt(2.0)
     hf = H @ F
     hf_planar = np.block([[hf.real, -hf.imag], [hf.imag, hf.real]])
     cy_diag = np.real(np.einsum("ij,ij->i", hf, hf.conj())) + sigma_n2
     std = np.sqrt(cy_diag / 2.0)
     hfs = np.empty((2 * nr, _HFS_BLOCK))
+    for sub in range(0, num_samples, _HFS_BLOCK):
+        width = min(_HFS_BLOCK, num_samples - sub)
+        symbols = s_rows[:, sub:sub + width]
+        if width < _HFS_BLOCK:
+            # the last sub-block, zero padded: BLAS computes a product's
+            # trailing columns with other code, and the padding keeps
+            # each column's floats independent of num_samples
+            symbols = np.zeros((2 * ns, _HFS_BLOCK))
+            symbols[:, :width] = s_rows[:, sub:]
+        np.matmul(hf_planar, symbols, out=hfs)
+        # overwrites only these columns' symbols, which the product has read
+        y_rows[:, sub:sub + width] = hfs[:, :width]
+    del hfs
+    noise_std = np.sqrt(sigma_n2 / 2.0)
+    piece = np.empty(_MC_BLOCK)
+    for row in y_rows:  # Re n, then Im n: the stream order of the draws
+        for start in range(0, num_samples, _MC_BLOCK):
+            y_piece = row[start:start + _MC_BLOCK]
+            n = rng.standard_normal(out=piece[:y_piece.size])
+            n *= noise_std
+            np.add(n, y_piece, out=y_piece)
     for start in range(0, num_samples, _MC_BLOCK):
         stop = min(start + _MC_BLOCK, num_samples)
-        for sub in range(start, stop, _HFS_BLOCK):
-            width = min(_HFS_BLOCK, stop - sub)
-            symbols = s_rows[:, sub:sub + width]
-            if width < _HFS_BLOCK:
-                # the last sub-block, zero padded: BLAS computes a product's
-                # trailing columns with other code, and the padding keeps
-                # each column's floats independent of num_samples
-                symbols = np.zeros((2 * ns, _HFS_BLOCK))
-                symbols[:, :width] = s_rows[:, sub:]
-            np.matmul(hf_planar, symbols, out=hfs)
-            y_sub = y_rows[:, sub:sub + width]  # n, then y
-            y_sub *= noise_std
-            y_sub += hfs[:, :width]
         Y = y[:, :, start:stop]
         for i, q in enumerate(quantizers):
             rows = Y[:, i]  # [Re y_i; Im y_i], left holding eta_i
@@ -163,14 +173,17 @@ def qd_cov_simulated(H: np.ndarray, F: np.ndarray, sigma_n2: float,
     Hermitian, eigenvalues clipped at zero; ``bits=None`` gives the exact
     zero without drawing (README, "Monte-Carlo SE"). Bit-identical for a
     fixed integer ``seed``, the stream ``SeedSequence([seed, 0])``. Raises
-    ``TypeError`` for another seed and ``ValueError`` for a ``num_samples``
-    that is not a whole number >= 1; a quantized run warns below 1e4 samples.
+    ``TypeError`` for another seed, a bool included, and ``ValueError`` for
+    a ``num_samples`` that is not a whole number >= 1 or for more streams
+    than receive chains; a quantized run warns below 1e4 samples.
     """
     num_samples = _whole(num_samples, "num_samples")
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise TypeError(f"seed must be an integer, got {type(seed)!r}")
     stream = np.random.SeedSequence([int(seed), 0])
     nr = H.shape[0]
+    if F.shape[1] > nr:
+        raise ValueError(f"F has {F.shape[1]} streams, more than H's {nr} receive chains")
     if bits is None:
         return np.zeros((nr, nr), dtype=complex)
     if num_samples < 10**4:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmimo.bussgang import (
+    _HFS_BLOCK,
     _MC_BLOCK,
     _clip_psd,
     _quantized_blocks,
@@ -195,12 +196,13 @@ class TestQdCovSimulated:
         np.testing.assert_allclose(sim, sim.conj().T)
         assert np.linalg.eigvalsh(sim).min() >= 0
 
-    @pytest.mark.parametrize("nr, nt, ns", [(4, 5, 2), (32, 32, 4), (64, 64, 8)])
+    @pytest.mark.parametrize("nr, nt, ns", [(4, 5, 2), (32, 32, 4), (64, 64, 8), (8, 8, 8)])
     def test_sample_stream_and_remainder_block(self, nr, nt, ns, one_shot_stream):
         # the column blocks and their H F s sub-blocks, the last one a
-        # 17-sample remainder, must reproduce the one-shot reference stream;
-        # the second allocation spans the quantizer's switch from counting
-        # thresholds to a binary search
+        # 17-sample remainder, must reproduce the one-shot reference stream,
+        # also at Ns == Nr, where the symbols fill every row of the sample
+        # array; the second allocation spans the quantizer's switch from
+        # counting thresholds to a binary search
         H, F, sn2 = random_instance(nr, nt, ns, seed=13)
         n_samples = 2 * _MC_BLOCK + 17
         cut = _COUNT_MAX_BITS
@@ -232,12 +234,18 @@ class TestQdCovSimulated:
         with pytest.raises(ValueError, match="num_samples"):
             qd_cov_simulated(H, F, sn2, [1, 1], num_samples=n_samples, seed=0)
 
-    @pytest.mark.parametrize("seed", [1.0, None, np.random.SeedSequence(0)],
-                             ids=["float", "None", "SeedSequence"])
+    @pytest.mark.parametrize("seed", [1.0, None, np.random.SeedSequence(0), True],
+                             ids=["float", "None", "SeedSequence", "bool"])
     def test_rejects_a_non_integer_seed(self, seed):
         H, F, sn2 = random_instance(2, 2, 1, seed=7)
         with pytest.raises(TypeError, match="seed must be an integer"):
             qd_cov_simulated(H, F, sn2, [1, 1], num_samples=10**4, seed=seed)
+
+    def test_rejects_more_streams_than_receive_chains(self):
+        # the symbols are drawn into the rows of the Nr-row sample array
+        H, F, sn2 = random_instance(2, 4, 3, seed=7)
+        with pytest.raises(ValueError, match="3 streams, more than H's 2 receive chains"):
+            qd_cov_simulated(H, F, sn2, [1, 1], num_samples=10**4, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(nr=st.integers(1, 5), ns=st.integers(1, 3), seed=st.integers(0, 2**16),
@@ -251,20 +259,23 @@ class TestQdCovSimulated:
         np.testing.assert_allclose(sim, sim.conj().T, rtol=0, atol=1e-14 * scale)
         assert np.linalg.eigvalsh(sim).min() >= -1e-14 * scale
 
-    def test_peak_memory_is_bounded(self):
-        # 32x32, Ns = 4, 1e5 samples: the drawn symbols and noise take
-        # 2 (Nr + Ns) N floats = 57.6 MB; on top come one 2Nr x _HFS_BLOCK
-        # H F s sub-block (0.5 MB) and the per-chain temporaries of a block
-        H, F, sn2 = random_instance(32, 32, 4, seed=14)
-        bits = [3] * 32
+    @pytest.mark.parametrize("nr, nt, ns", [(32, 32, 4), (64, 64, 8)])
+    def test_peak_memory_is_bounded(self, nr, nt, ns):
+        # 1e5 samples: the one (2, Nr, N) sample array, which holds the
+        # symbols until H F s overwrites them, plus one 2Nr x _HFS_BLOCK
+        # H F s sub-block, plus at most 0.5 MB of per-block temporaries
+        H, F, sn2 = random_instance(nr, nt, ns, seed=14)
+        bits = [3] * nr
+        n_samples = 10**5
         qd_cov_simulated(H, F, sn2, bits, num_samples=10**4, seed=0)  # design the quantizer
         tracemalloc.start()
         try:
-            qd_cov_simulated(H, F, sn2, bits, num_samples=10**5, seed=0)
+            qd_cov_simulated(H, F, sn2, bits, num_samples=n_samples, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 59.5e6, f"peak {peak / 1e6:.1f} MB"
+        bound = 16 * nr * n_samples + 8 * 2 * nr * _HFS_BLOCK + 0.5e6
+        assert peak < bound, f"peak {peak / 1e6:.2f} MB, bound {bound / 1e6:.2f} MB"
 
 
 class TestClipPsd:

@@ -33,6 +33,14 @@ def test_columns_add_up(capsys):
                                            for i in range(1, len(total))]
 
 
+def copied_src(tmp_path):
+    """A copy of this checkout's ``src/qmimo`` under ``tmp_path``, to mutate."""
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "qmimo", changed / "qmimo",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return changed
+
+
 def test_same_outputs_names_what_a_changed_constant_moves(tmp_path, monkeypatch, capsys):
     small = {"Nt": 4, "Nr": 4, "Ns": 2, "snr_db": 10.0, "b": [1, 2],
              "schemes": ["WF"], "num_channels": 2, "seed": 3}
@@ -42,9 +50,7 @@ def test_same_outputs_names_what_a_changed_constant_moves(tmp_path, monkeypatch,
     assert same_outputs.main(["same_outputs.py", str(src), str(src)]) == 0
     assert capsys.readouterr().out == "1 configs, 0 differing outputs\n"
 
-    changed = tmp_path / "src"
-    shutil.copytree(src / "qmimo", changed / "qmimo",
-                    ignore=shutil.ignore_patterns("__pycache__"))
+    changed = copied_src(tmp_path)
     module = changed / "qmimo" / "evaluation.py"
     text = module.read_text()
     assert text.count("P_LNA = 25e-3") == 1
@@ -56,9 +62,26 @@ def test_same_outputs_names_what_a_changed_constant_moves(tmp_path, monkeypatch,
         "1 configs, 2 differing outputs"]
 
 
+def test_same_outputs_sees_an_ulp_of_the_covariance(tmp_path, monkeypatch, capsys):
+    # the written files round such a change away; the covariance case prints its bytes
+    case = same_outputs.cases()["mc-covariance"]
+    monkeypatch.setattr(same_outputs, "cases", lambda: {"mc-covariance": case})
+    src = ROOT / "src"
+    changed = copied_src(tmp_path)
+    module = changed / "qmimo" / "bussgang.py"
+    text = module.read_text()
+    line = "    gram.imag = R[nr:, :nr] - R[:nr, nr:]\n"
+    assert text.count(line) == 1
+    module.write_text(text.replace(
+        line, line + "    gram.real[0, 0] = np.nextafter(gram.real[0, 0], np.inf)\n"))
+    assert same_outputs.main(["same_outputs.py", str(src), str(changed)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: mc-covariance/stdout", "1 configs, 1 differing outputs"]
+
+
 def test_same_outputs_reads_its_configs():
     cases = same_outputs.cases()
-    assert len(cases) == 14
+    assert len(cases) == 15
     assert cases["workload-oracle-8x4"][1][-1] == "--oracle"
     assert cases["oracle-continuation-8x4"][1][-1] == "--oracle"
     assert cases["uniform-continuation-8x4"][1][-1] == "--oracle"
@@ -74,6 +97,11 @@ def test_same_outputs_reads_its_configs():
     assert config["sim_se"] and (config["Nr"], config["Ns"]) == (64, 8)
     remainder = config["num_qd_samples"] % _MC_BLOCK
     assert remainder > _HFS_BLOCK and remainder % _HFS_BLOCK != 0
+    # so do both covariance calls, at 32x32 Ns 4 and 64x64 Ns 8
+    config, _ = cases["mc-covariance"]
+    assert [call[:3] for call in config["calls"]] == [[32, 32, 4], [64, 64, 8]]
+    for nr, *_, bits, n in config["calls"]:
+        assert len(bits) == nr and n > _MC_BLOCK and n % _HFS_BLOCK != 0
 
 
 def test_same_outputs_spans_the_scoring_chunks():

@@ -2,17 +2,20 @@
 
 Usage: ``python3 tools/same_outputs.py OLD_SRC NEW_SRC``, where each
 argument is a directory holding the ``qmimo`` package (a checkout's
-``src``). Every config of :func:`cases` runs through ``qmimo run`` once
-with each tree, in a subprocess with one BLAS thread, and ``results.csv``,
-``results.json``, ``quantizers.json``, stdout, stderr and the exit status
-are compared byte for byte. Exits 0 if all agree and 1 otherwise, naming
-each output that differs; a run that fails with both trees counts as a
-difference in its status, since it compares nothing.
+``src``). Every case of :func:`cases` runs once with each tree, in a
+subprocess with one BLAS thread, and ``results.csv``, ``results.json``,
+``quantizers.json``, stdout, stderr and the exit status are compared byte
+for byte. Exits 0 if all agree and 1 otherwise, naming each output that
+differs; a run that fails with both trees counts as a difference in its
+status, since it compares nothing.
 
-The configs are the two golden configs of ``tests/test_golden.py``, eight
-sweeps defined here, and point 0 of each workload in
-``perfbench/workloads.py`` at seed 0; both files are read, never edited.
-Standard library only: nothing of qmimo is imported into this process.
+The cases are ``qmimo run`` on the two golden configs of
+``tests/test_golden.py``, on eight sweeps defined here and on point 0 of
+each workload in ``perfbench/workloads.py`` at seed 0 (both files are
+read, never edited), and one that prints the sha256 of
+``qd_cov_simulated``'s bytes, whose ulp-level changes the written files
+round away. Standard library only: nothing of qmimo is imported into this
+process.
 """
 
 from __future__ import annotations
@@ -32,9 +35,25 @@ FILES = ("results.csv", "results.json", "quantizers.json")
 CONFIG, OUT = "config.json", "out"
 
 
+# the programs a case's subprocess runs with ``python -c``
+CLI = "import sys; from qmimo.cli import main; sys.exit(main(sys.argv[1:]))"
+COVARIANCE = """
+import hashlib, json, sys
+import numpy as np
+from qmimo.bussgang import qd_cov_simulated
+for nr, nt, ns, bits, n in json.load(open(sys.argv[1]))["calls"]:
+    rng = np.random.default_rng([nr, nt, ns])
+    H = (rng.standard_normal((nr, nt)) + 1j * rng.standard_normal((nr, nt))) / np.sqrt(2)
+    F = rng.standard_normal((nt, ns)) + 1j * rng.standard_normal((nt, ns))
+    F /= np.linalg.norm(F)
+    C = qd_cov_simulated(H, F, 0.1, bits, num_samples=n, seed=0)
+    print(nr, nt, ns, n, hashlib.sha256(C.tobytes()).hexdigest())
+"""
+
+
 def run_args(*extra: str) -> list[str]:
-    """``qmimo run`` arguments for a case's config and output directory."""
-    return ["run", CONFIG, "--output-dir", OUT, *extra]
+    """``python`` arguments of ``qmimo run`` on a case's config and output directory."""
+    return ["-c", CLI, "run", CONFIG, "--output-dir", OUT, *extra]
 
 
 def _golden_configs() -> dict[str, dict]:
@@ -57,7 +76,7 @@ def _workloads() -> dict:
 
 
 def cases() -> dict[str, tuple[dict, list[str]]]:
-    """Case name -> (config, ``qmimo run`` arguments)."""
+    """Case name -> (config, ``python`` arguments)."""
     out = {f"golden-{name}": (doc, run_args()) for name, doc in _golden_configs().items()}
     out["oracle-8x4-sweep"] = (
         {"Nt": 8, "Nr": 4, "Ns": 2, "snr_db": [-10, 0, 10, 20], "b": [2, 3], "b_max": 3,
@@ -115,18 +134,26 @@ def cases() -> dict[str, tuple[dict, list[str]]]:
         run_args(),
     )
     for w in _workloads().values():
-        out[f"workload-{w.name}"] = (w.point_config(0), w.cli_args(CONFIG, OUT, w.chunk_seed(0, 0)))
+        out[f"workload-{w.name}"] = (
+            w.point_config(0), ["-c", CLI, *w.cli_args(CONFIG, OUT, w.chunk_seed(0, 0))])
+    # the covariance itself at 32x32 Ns 4 and 64x64 Ns 8, each ending in a
+    # partial block and a partial H F s sub-block; the bits span the
+    # quantizer's counting and binary-search paths
+    out["mc-covariance"] = (
+        {"calls": [[32, 32, 4, [1, 2, 3, 8] * 8, 3 * 8192 + 17],
+                   [64, 64, 8, [1, 3] * 32, 2 * 8192 + 1500]]},
+        ["-c", COVARIANCE, CONFIG],
+    )
     return out
 
 
 def _run(src: Path, config: dict, args: list[str], work: Path) -> dict[str, bytes]:
-    """The outputs of one ``qmimo run`` from ``src`` in the directory ``work``."""
+    """The outputs of one case run from ``src`` in the directory ``work``."""
     work.mkdir(parents=True)
     (work / CONFIG).write_text(json.dumps(config, indent=1))
     threads = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
-    entry = "import sys; from qmimo.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-c", entry, *args],
+        [sys.executable, *args],
         cwd=work, env={**os.environ, **threads, "PYTHONPATH": str(src)}, capture_output=True,
     )
     outputs = {name: (work / OUT / name).read_bytes()

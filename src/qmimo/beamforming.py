@@ -429,7 +429,8 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     and eps, resumes that solve from its last iterate if it ran at most
     ``max_iter`` iterations, and is ignored otherwise. A resumed solve
     returns the floats of a solve from F0, and its report counts every
-    iteration from F0.
+    iteration from F0. Every solve on a channel shares one thin SVD of H
+    (:func:`_reduce`); an F0 returned after no iteration is the caller's copy.
     """
     g = gain_diagonal(bits, H.shape[0])
     Hr, Vr, F0 = _reduce(H, pt, sigma_n2, ns)
@@ -441,7 +442,7 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     W, U = receive_updates(g[:, None] * HF, ce)
     report = AltMinReport(report.iterations, report.objective_trace,
                           spectral_efficiency(Hr, F, U, g, ce), report.converged, report.iterate)
-    return Beamformers(F=Vr @ F if report.iterations else F0, U=U, W=W), report
+    return Beamformers(F=Vr @ F if report.iterations else F0.copy(), U=U, W=W), report
 
 
 # problems per stack of _altmin_batch: bounds the stacked working set, a few
@@ -454,7 +455,8 @@ def _altmin_batch(H: np.ndarray, allocations: Sequence[Sequence[int]], pt: float
                   starts: Sequence[Optional[AltMinReport]]) -> list[Optional[AltMinReport]]:
     """:func:`_iterate` over ``allocations`` on one H, ``_BATCH`` at a time: the reports to resume.
 
-    A stack that raises, or whose floating-point errors would warn, gives
+    The stacks start from the channel's one thin SVD (:func:`_reduce`). A
+    stack that raises, or whose floating-point errors would warn, gives
     back its ``starts``, so that solving its allocations one by one raises
     or warns where those lone solves do (README, "Bit allocation").
     """
@@ -474,14 +476,30 @@ def _altmin_batch(H: np.ndarray, allocations: Sequence[Sequence[int]], pt: float
     return out
 
 
+# _reduce's one entry, [key, (H V_r, V_r, F0)], of the last channel it reduced
+_reduced: list = []
+
+
 def _reduce(H: np.ndarray, pt: float, sigma_n2: float,
             ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(H V_r, V_r, F0)`` from one thin SVD of H (README, "Beamforming")."""
-    nr, nt = H.shape
-    _, s, Vh = np.linalg.svd(H, full_matrices=False)
-    F0 = _waterfilling_precoder(s, Vh, pt, sigma_n2, ns)
-    Vr = Vh[s > s.max() * max(nr, nt) * _EPS].conj().T
-    return H @ Vr, Vr, F0
+    """``(H V_r, V_r, F0)``, read-only, from one thin SVD of H (README, "Beamforming").
+
+    It keeps the last channel's arrays, keyed by H's shape, dtype, strides
+    and bytes and by pt, sigma_n2 and ns, so that every solve on a channel
+    shares one SVD and one water-filling start.
+    """
+    key = (H.shape, H.dtype.str, H.strides, H.tobytes(), float(pt).hex(),
+           float(sigma_n2).hex(), ns)
+    if not _reduced or _reduced[0] != key:
+        nr, nt = H.shape
+        _, s, Vh = np.linalg.svd(H, full_matrices=False)
+        F0 = _waterfilling_precoder(s, Vh, pt, sigma_n2, ns)
+        Vr = Vh[s > s.max() * max(nr, nt) * _EPS].conj().T
+        arrays = H @ Vr, Vr, F0
+        for a in arrays:
+            a.flags.writeable = False
+        _reduced[:] = key, arrays
+    return _reduced[1]
 
 
 def _iterate(Hr: np.ndarray, nt: int, gains: np.ndarray, Fr0: np.ndarray, pt: float,

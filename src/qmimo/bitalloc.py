@@ -4,14 +4,15 @@ An allocation is a tuple of per-chain resolutions in {1, ..., b_max}
 summing to the caller's active-bit budget (``PointConfig.budget``). A
 greedy sweep produces the starting allocation; a pair-swap neighborhood
 search with a visited list improves it, scoring candidates by short
-alternating-minimization solves. An exhaustive oracle returns the optimum
-over every feasible allocation of a small instance. Both pick the best of
-a list of allocations through one scorer, ``_best``, which runs the AltMin
-iterations of the list stacked (README, "Bit allocation"). Both take an
-optional ``solved`` dict, allocation to the ``AltMinReport`` of its latest
-solve on the same H. Each solve continues the stored report
-(``altmin_beamforming``'s ``start``), ``_best``'s through its stack, and
-``_solve`` stores its report.
+alternating-minimization solves; the start is scored in the first sweep's
+list. An exhaustive oracle returns the optimum over every feasible
+allocation of a small instance. Both score lists of allocations through
+one scorer, ``_best``, which runs the AltMin iterations of a list stacked
+and returns every score, and both take the ``_rank`` minimum of the
+scores (README, "Bit allocation"). Both take an optional ``solved`` dict,
+allocation to the ``AltMinReport`` of its latest solve on the same H. Each
+solve continues the stored report (``altmin_beamforming``'s ``start``),
+``_best``'s through its stack, and ``_solve`` stores its report.
 """
 
 from __future__ import annotations
@@ -114,16 +115,18 @@ def _solve(H: np.ndarray, bits: tuple[int, ...], pt: float, sigma_n2: float, ns:
 
 def _best(H: np.ndarray, allocations: list[tuple[int, ...]], pt: float, sigma_n2: float,
           ns: int, eps: float, max_iter: int,
-          solved: Optional[dict] = None) -> tuple[float, tuple[int, ...]]:
-    """Solve each allocation in order; ``(se, bits)`` of the highest SE, ties to the smallest bits.
+          solved: Optional[dict] = None) -> list[tuple[float, tuple[int, ...]]]:
+    """Solve each allocation; ``(se, bits)`` of every one, in list order.
 
     The iterations run stacked from the stored starts (``_altmin_batch``);
-    each allocation's ``_solve`` then resumes its finished report.
+    each allocation's ``_solve`` then resumes its finished report. The
+    callers pick ``min(..., key=_rank)``: the highest SE, ties to the
+    smallest bits.
     """
     starts = [None if solved is None else solved.get(bits) for bits in allocations]
     starts = _altmin_batch(H, allocations, pt, sigma_n2, ns, eps, max_iter, starts)
-    return min(((_solve(H, bits, pt, sigma_n2, ns, eps, max_iter, solved, start)[1].final_se,
-                 bits) for bits, start in zip(allocations, starts)), key=_rank)
+    return [(_solve(H, bits, pt, sigma_n2, ns, eps, max_iter, solved, start)[1].final_se, bits)
+            for bits, start in zip(allocations, starts)]
 
 
 @dataclass(frozen=True)
@@ -147,23 +150,30 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
     incumbent with a short (``scoring_max_iter``-capped)
     alternating-minimization solve, moves to the best one if it strictly
     improves the incumbent, and stops after ``i2`` iterations or when the
-    neighborhood is exhausted. The returned beamformers come from a
-    full-convergence solve at the incumbent. Ties between equal-SE
-    neighbors break toward the lexicographically smallest allocation. Every
-    solve, the final one too, continues ``solved`` (module docstring).
+    neighborhood is exhausted. The greedy start is scored in one stack
+    with the first iteration's neighbors, which gives the floats of scoring
+    it alone. The returned beamformers come from a full-convergence solve
+    at the incumbent. Ties between equal-SE neighbors break toward the
+    lexicographically smallest allocation. Every solve, the final one too,
+    continues ``solved`` (module docstring).
     """
     incumbent = greedy_init(H.shape[0], b_max, budget)
     scored = [incumbent]
     visited = {incumbent}
-    best_se, _ = _best(H, [incumbent], pt, sigma_n2, ns, eps, scoring_max_iter, solved)
+    neighbors = neighbor_set(incumbent, visited) if i2 > 0 else []
+    (best_se, _), *scores = _best(H, [incumbent, *neighbors], pt, sigma_n2, ns, eps,
+                                  scoring_max_iter, solved)
     se_trace = [best_se]
-    for _ in range(i2):
-        neighbors = neighbor_set(incumbent, visited)
+    for sweep in range(i2):
+        if sweep:
+            neighbors = neighbor_set(incumbent, visited)
+            scores = _best(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter,
+                           solved) if neighbors else []
         if not neighbors:
             break
         visited.update(neighbors)
         scored += neighbors
-        se, bits = _best(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter, solved)
+        se, bits = min(scores, key=_rank)
         if se > best_se:
             best_se, incumbent = se, bits
         se_trace.append(best_se)
@@ -250,7 +260,8 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
         if best is not None and ceiling[m] < best[0] * (1.0 - _PRUNE_RTOL):
             break
         # a copy: no later solve reads the oracle's own reports
-        winner = _best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter, dict(solved or {}))
+        winner = min(_best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter,
+                           dict(solved or {})), key=_rank)
         best = winner if best is None else min(best, winner, key=_rank)
     se, bits = best
     return bits, float(se)

@@ -1022,8 +1022,10 @@ class TestAltMin:
         assert drop == pytest.approx(1.08e-9, rel=1e-2)
         assert drop <= ns * 1e-8
 
-    def test_one_svd_of_h_per_solve(self, monkeypatch):
-        # the water-filling start and V_r come from one thin SVD of H
+    def test_one_svd_of_h_per_channel(self, monkeypatch):
+        # the water-filling start and V_r come from one thin SVD of H, which
+        # AltMinBF, GPOS's stacks and resumes and ES on the channel share
+        monkeypatch.setattr(beamforming, "_reduced", [])
         H = saleh_valenzuela(8, 4, seed=71)
         svd = np.linalg.svd
         calls = []
@@ -1033,8 +1035,42 @@ class TestAltMin:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counting)
-        altmin_beamforming(H, [1, 3, 2, 1], 1.0, 0.01, 2, max_iter=3)
+        kw = dict(pt=1.0, sigma_n2=0.01, ns=2)
+        solved = {(2, 2, 2, 2): altmin_beamforming(H, [2] * 4, *kw.values())[1]}
+        bitalloc.gpos_bfba(H, b_max=3, budget=8, solved=solved, **kw)
+        bitalloc.exhaustive_search(H, b_max=3, budget=8, solved=solved, **kw)
         assert sum(calls) == 1
+        Hr, Vr, F0 = beamforming._reduce(H, *kw.values())
+        assert not any(a.flags.writeable for a in (Hr, Vr, F0))
+
+    def test_shared_svd_gives_the_floats_of_fresh_solves(self, monkeypatch):
+        monkeypatch.setattr(beamforming, "_reduced", [])
+        A = saleh_valenzuela(8, 4, seed=73)
+        B = saleh_valenzuela(8, 4, seed=74)
+        # the same bytes as A in another shape: a channel of its own
+        C = A.reshape(8, 4).copy()
+        bits = {4: (1, 3, 2, 1), 8: (1, 3, 2, 1, 2, 2, 3, 1)}
+
+        def solve(H, max_iter=500):
+            return altmin_beamforming(H, bits[H.shape[0]], 1.0, 0.01, 2, max_iter=max_iter)
+
+        fresh = {}
+        for name, H in (("A", A), ("B", B), ("C", C)):
+            beamforming._reduced.clear()
+            fresh[name] = solve(H)
+        for name, H in (("A", A), ("B", B), ("A", A), ("C", C), ("A", A)):
+            (bf, rep), (want_bf, want) = solve(H), fresh[name]
+            assert rep.final_se == want.final_se and rep.iterations == want.iterations, name
+            for x, y in ((bf.F, want_bf.F), (bf.U, want_bf.U), (bf.W, want_bf.W)):
+                np.testing.assert_array_equal(x, y, err_msg=name)
+        # an F0 returned after no precoder step is the caller's to write
+        F0 = solve(A, max_iter=0)[0].F
+        want = F0.copy()
+        F0[...] = 7.0
+        np.testing.assert_array_equal(solve(A, max_iter=0)[0].F, want)
+        bf, rep = solve(A)
+        assert rep.final_se == fresh["A"][1].final_se
+        np.testing.assert_array_equal(bf.F, fresh["A"][0].F)
 
     def test_one_bit_high_snr_beats_wf(self):
         # quantization-aware design strictly better than the unaware WF

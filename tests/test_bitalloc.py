@@ -335,8 +335,8 @@ class TestExhaustive:
         solves = []
         for seed in range(8000, 8010):
             H = saleh_valenzuela(8, 4, seed=seed)
-            se, bits = bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], kw["ns"],
-                                      1e-4, 500)
+            se, bits = min(bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], kw["ns"],
+                                          1e-4, 500), key=bitalloc._rank)
             calls[0] = 0
             assert exhaustive_search(H, **kw) == (bits, se)
             solves.append(calls[0])
@@ -401,8 +401,8 @@ class TestStackedScoring:
         want_store, got_store = dict(starts), dict(starts)
         want = lone_solves(H, allocations, kw, max_iter, want_store)
         with mock.patch.object(beamforming, "_BATCH", batch):
-            got = bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], kw["ns"], 1e-4,
-                                 max_iter, got_store)
+            got = min(bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], kw["ns"], 1e-4,
+                                     max_iter, got_store), key=bitalloc._rank)
         assert got == want
         assert got_store.keys() == want_store.keys()
         for bits in allocations:
@@ -430,7 +430,8 @@ class TestStackedScoring:
         monkeypatch.setattr(beamforming, "_minimum_norm_fits", recorded_fits)
         monkeypatch.setattr(beamforming, "update_precoder", recorded_update)
         got_store = {}
-        got = bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], 1, 1e-4, 30, got_store)
+        got = min(bitalloc._best(H, allocations, kw["pt"], kw["sigma_n2"], 1, 1e-4, 30,
+                                 got_store), key=bitalloc._rank)
         assert any(True in b and False in b for b in branches), branches
         monkeypatch.undo()
         want_store = {}
@@ -551,6 +552,64 @@ class TestStackedScoring:
         # GPOS's final solve continues the incumbent's scoring report, kept in the store
         kept = [rep for bits, _, rep, *_ in gpos_calls[:-1] if bits == res.allocation]
         assert gpos_calls[-1][1] is (kept[-1] if with_store else None)
+
+
+class TestSharedStartStack:
+    """GPOS scores its greedy start in one ``_best`` list with the first sweep's neighbors;
+    every field of its result is that of a loop of lone solves."""
+
+    @staticmethod
+    def lone_gpos(H, kw, i2):
+        """``gpos_bfba`` with each ``_best`` list as a loop of lone solves (``lone_solves``)."""
+        store = {}
+        incumbent = greedy_init(H.shape[0], kw["b_max"], kw["budget"])
+        scored, visited = [incumbent], {incumbent}
+        best_se, _ = lone_solves(H, [incumbent], kw, 30, store)
+        trace = [best_se]
+        for _ in range(i2):
+            neighbors = neighbor_set(incumbent, visited)
+            if not neighbors:
+                break
+            visited.update(neighbors)
+            scored += neighbors
+            se, bits = lone_solves(H, neighbors, kw, 30, store)
+            if se > best_se:
+                best_se, incumbent = se, bits
+            trace.append(best_se)
+        bf, rep = altmin_beamforming(H, incumbent, kw["pt"], kw["sigma_n2"], kw["ns"],
+                                     start=store.get(incumbent))
+        return incumbent, bf, rep, trace, tuple(scored)
+
+    @pytest.mark.parametrize("i2, budget", [(15, 8), (0, 8), (15, 12)])
+    def test_start_scored_with_the_first_sweep(self, monkeypatch, i2, budget):
+        # budget 12 = Nr * b_max: the start has no swap neighbor
+        best = bitalloc._best
+        lists = []
+
+        def listed(H, allocations, *args):
+            lists.append(list(allocations))
+            return best(H, allocations, *args)
+
+        monkeypatch.setattr(bitalloc, "_best", listed)
+        for snr_db in (0, 20):
+            kw = dict(pt=1.0, sigma_n2=10 ** (-snr_db / 10), ns=2, b_max=3, budget=budget)
+            for seed in range(8020, 8024):
+                H = saleh_valenzuela(8, 4, seed=seed)
+                where = f"{snr_db} dB, seed {seed}"
+                lists.clear()
+                res = gpos_bfba(H, i2=i2, solved={}, **kw)
+                start = greedy_init(4, 3, budget)
+                assert lists[0] == [start] + (neighbor_set(start, {start}) if i2 else []), where
+                allocation, bf, rep, trace, scored = self.lone_gpos(H, kw, i2)
+                assert res.allocation == allocation, where
+                assert res.se == rep.final_se, where
+                np.testing.assert_array_equal(res.se_trace, trace, err_msg=where)
+                assert res.scored_allocations == scored, where
+                assert res.iterations == len(trace) - 1, where
+                assert_same_report(res.final_report, rep, where)
+                for x, y in ((res.beamformers.F, bf.F), (res.beamformers.U, bf.U),
+                             (res.beamformers.W, bf.W)):
+                    np.testing.assert_array_equal(x, y, err_msg=where)
 
 
 class TestSeCeiling:

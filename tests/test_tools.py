@@ -1,5 +1,6 @@
-"""``tools/src_lines.py``, the line split that ROADMAP and CHANGES quote, and
-``tools/same_outputs.py``, the byte-identity check between two source trees."""
+"""``tools/src_lines.py``, the line split that ROADMAP and CHANGES quote,
+``tools/same_outputs.py``, the byte-identity check between two source trees, and
+``tools/bench_pairs.py``'s summary of paired benchmark runs."""
 
 import importlib.util
 import shutil
@@ -113,3 +114,57 @@ def test_same_outputs_spans_the_scoring_chunks():
     nr, b_max = config["Nr"], config["b_max"]
     incumbent = greedy_init(nr, b_max, nr * config["b"])
     assert len(neighbor_set(incumbent, {incumbent})) > beamforming._BATCH
+
+
+bench_pairs = load_tool("bench_pairs")
+METRICS = [{"name": "channels_per_s", "better": "higher", "bound": 0.25},
+           {"name": "cpu_s_per_channel", "better": "lower", "bound": 0.25}]
+
+
+def canned_runs(workload, gains):
+    """``result.json`` records of seeds 20-29: the parent reads 25, 26, 27, 25, ... channels/s,
+    the change that plus ``gains[i]``; cpu_s_per_channel is 0.8 over it."""
+    runs = []
+    for i, seed in enumerate(range(20, 30)):
+        for side, cps in (("parent", 25.0 + i % 3), ("change", 25.0 + i % 3 + gains[i])):
+            runs.append({"workload": workload, "seed": seed, "side": side,
+                         "results_csv_sha256": f"{seed}", "end_to_end": {
+                             "channels_per_s": cps, "cpu_s_per_channel": 0.8 / cps}})
+    return runs
+
+
+def test_bench_pairs_summary_and_claims():
+    runs = (canned_runs("met", [4.0] * 10) + canned_runs("close", [0.5] * 10)
+            + canned_runs("split", [4.0] * 8 + [-1.0] * 2))
+    # a failed run drops its seed from the pairs
+    runs.append({"workload": "met", "seed": 30, "side": "parent", "returncode": 1})
+    summary, claim = bench_pairs.summarize(
+        runs, METRICS, [(w, "channels_per_s") for w in ("met", "close", "split")])
+    met = summary["met"]
+    assert met["seeds"] == list(range(20, 30)) and met["results_csv_identical_pairs"] == 10
+    cps = met["channels_per_s"]
+    # parent values 25 x4, 26 x3, 27 x3: inclusive quartiles 25, 26, 26.75
+    assert cps["parent"] == {"median": 26.0, "q1": 25.0, "q3": 26.75, "n": 10}
+    assert cps["change"] == {"median": 30.0, "q1": 29.0, "q3": 30.75, "n": 10}
+    assert cps["pairs_change_better"] == 10 and cps["median_ratio"] == round(30 / 26, 4)
+    assert cps["parent_quartile_spread"] == 1.75 and cps["median_difference"] == 4.0
+    assert cps["within_bound"]
+    assert met["cpu_s_per_channel"]["pairs_change_better"] == 10
+    assert claim["met channels_per_s"]["met"]
+    assert claim["met channels_per_s"]["pairs"] == 10
+    # every pair won, by less than the parent's quartile spread
+    assert claim["close channels_per_s"]["pairs_change_better"] == 10
+    assert not claim["close channels_per_s"]["met"]
+    # a median gain of 4 over a spread of 1.75, on 8 of 10 pairs
+    assert claim["split channels_per_s"]["pairs_change_better"] == 8
+    assert claim["split channels_per_s"]["median_difference"] > 1.75
+    assert not claim["split channels_per_s"]["met"]
+
+
+def test_bench_pairs_bound_and_seeds():
+    summary, _ = bench_pairs.summarize(canned_runs("slow", [-8.0] * 10), METRICS)
+    # 18 against 26 channels/s is 31 % slower, beyond the 25 % bound
+    assert not summary["slow"]["channels_per_s"]["within_bound"]
+    assert not summary["slow"]["cpu_s_per_channel"]["within_bound"]
+    assert bench_pairs.seed_range("20-29") == list(range(20, 30))
+    assert bench_pairs.seed_range("7") == [7]

@@ -185,20 +185,11 @@ def waterfilling_baseline(H: np.ndarray, pt: float, sigma_n2: float,
     The combiner takes the ``ns`` leading left singular vectors, the
     precoder the leading right singular vectors scaled by the water-filled
     powers on the singular-value SNRs. Streams beyond the channel rank
-    receive zero power.
+    receive zero power. F and U are the caller's copies of F0 and
+    ``Z[:, :ns]`` from the channel's one thin SVD (:func:`_reduce`).
     """
-    Z, sv, Vh = np.linalg.svd(H, full_matrices=False)
-    F = _waterfilling_precoder(sv, Vh, pt, sigma_n2, ns)
-    return Beamformers(F=F, U=Z[:, :ns], W=np.eye(ns, dtype=complex))
-
-
-def _waterfilling_precoder(sv: np.ndarray, Vh: np.ndarray, pt: float,
-                           sigma_n2: float, ns: int) -> np.ndarray:
-    """Water-filling precoder from the thin SVD factors ``sv``, ``Vh`` of H."""
-    if ns > sv.size:
-        raise ValueError(f"ns={ns} exceeds min(Nt, Nr)={sv.size}")
-    p = waterfilling_power(sv[:ns] ** 2 / sigma_n2, pt)
-    return Vh[:ns].conj().T * np.sqrt(p)[None, :]
+    _, _, F0, _, Z = _reduce(H, pt, sigma_n2, ns)
+    return Beamformers(F=F0.copy(order="K"), U=Z.copy(order="K"), W=np.eye(ns, dtype=complex))
 
 
 def receive_updates(GHF: np.ndarray, ce: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,13 +420,13 @@ def altmin_beamforming(H: np.ndarray, bits: Optional[Sequence[int]], pt: float,
     and eps, resumes that solve from its last iterate if it ran at most
     ``max_iter`` iterations, and is ignored otherwise. A resumed solve
     returns the floats of a solve from F0, and its report counts every
-    iteration from F0. Every solve on a channel shares one thin SVD of H
-    (:func:`_reduce`); an F0 returned after no iteration is the caller's copy.
+    iteration from F0. Every solve on a channel starts from the ``V_r^H F0``
+    of one thin SVD of H, shared with WF (:func:`_reduce`); an F0 returned
+    after no iteration is the caller's copy.
     """
     g = gain_diagonal(bits, H.shape[0])
-    Hr, Vr, F0 = _reduce(H, pt, sigma_n2, ns)
-    report, = _iterate(Hr, H.shape[1], g[None], Vr.conj().T @ F0, pt, sigma_n2, eps,
-                       max_iter, [start])
+    Hr, Vr, F0, Fr0, _ = _reduce(H, pt, sigma_n2, ns)
+    report, = _iterate(Hr, H.shape[1], g[None], Fr0, pt, sigma_n2, eps, max_iter, [start])
     F = report.iterate[0]
     HF = Hr @ F
     ce = effective_noise_cov(HF, *noise_weights(g, sigma_n2))
@@ -460,8 +451,7 @@ def _altmin_batch(H: np.ndarray, allocations: Sequence[Sequence[int]], pt: float
     back its ``starts``, so that solving its allocations one by one raises
     or warns where those lone solves do (README, "Bit allocation").
     """
-    Hr, Vr, F0 = _reduce(H, pt, sigma_n2, ns)
-    Fr0 = Vr.conj().T @ F0
+    Hr, _, _, Fr0, _ = _reduce(H, pt, sigma_n2, ns)
     # every floating-point error that the lone solves would report raises instead
     errors = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
     out = []
@@ -476,26 +466,29 @@ def _altmin_batch(H: np.ndarray, allocations: Sequence[Sequence[int]], pt: float
     return out
 
 
-# _reduce's one entry, [key, (H V_r, V_r, F0)], of the last channel it reduced
+# _reduce's one entry, [key, (H V_r, V_r, F0, V_r^H F0, Z[:, :Ns])], of the last channel
 _reduced: list = []
 
 
-def _reduce(H: np.ndarray, pt: float, sigma_n2: float,
-            ns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(H V_r, V_r, F0)``, read-only, from one thin SVD of H (README, "Beamforming").
+def _reduce(H: np.ndarray, pt: float, sigma_n2: float, ns: int) -> tuple[np.ndarray, ...]:
+    """``(H V_r, V_r, F0, V_r^H F0, Z[:, :ns])``, read-only, from one thin SVD ``H = Z S V^H``.
 
-    It keeps the last channel's arrays, keyed by H's shape, dtype, strides
-    and bytes and by pt, sigma_n2 and ns, so that every solve on a channel
-    shares one SVD and one water-filling start.
+    F0 is the water-filling precoder and ``Z[:, :ns]`` its combiner
+    (:func:`waterfilling_baseline`); README, "Beamforming", gives V_r. It
+    keeps the last channel's arrays, keyed by H's shape, dtype, strides
+    and bytes and by pt, sigma_n2 and ns, so that every scheme on a
+    channel shares one SVD and one water-filling design.
     """
     key = (H.shape, H.dtype.str, H.strides, H.tobytes(), float(pt).hex(),
            float(sigma_n2).hex(), ns)
     if not _reduced or _reduced[0] != key:
         nr, nt = H.shape
-        _, s, Vh = np.linalg.svd(H, full_matrices=False)
-        F0 = _waterfilling_precoder(s, Vh, pt, sigma_n2, ns)
+        Z, s, Vh = np.linalg.svd(H, full_matrices=False)
+        if ns > s.size:
+            raise ValueError(f"ns={ns} exceeds min(Nt, Nr)={s.size}")
+        F0 = Vh[:ns].conj().T * np.sqrt(waterfilling_power(s[:ns] ** 2 / sigma_n2, pt))[None, :]
         Vr = Vh[s > s.max() * max(nr, nt) * _EPS].conj().T
-        arrays = H @ Vr, Vr, F0
+        arrays = H @ Vr, Vr, F0, Vr.conj().T @ F0, Z[:, :ns]
         for a in arrays:
             a.flags.writeable = False
         _reduced[:] = key, arrays

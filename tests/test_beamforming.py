@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
-from qmimo import beamforming, bitalloc
+from qmimo import beamforming, bitalloc, evaluation
 from qmimo.beamforming import (
     Link,
     _bisect_multiplier,
@@ -246,7 +246,8 @@ def frozen_altmin(H, bits, pt, sigma_n2, ns, eps=1e-4, max_iter=500):
     nr, nt = H.shape
     g = gain_diagonal(bits, nr)
     _, s, Vh = np.linalg.svd(H, full_matrices=False)
-    F0 = beamforming._waterfilling_precoder(s, Vh, pt, sigma_n2, ns)
+    p = waterfilling_power(s[:ns] ** 2 / sigma_n2, pt)
+    F0 = Vh[:ns].conj().T * np.sqrt(p)[None, :]
     Vr = Vh[s > s.max() * max(nr, nt) * np.finfo(float).eps].conj().T
     Hr = H @ Vr
     F = Vr.conj().T @ F0
@@ -1023,8 +1024,8 @@ class TestAltMin:
         assert drop <= ns * 1e-8
 
     def test_one_svd_of_h_per_channel(self, monkeypatch):
-        # the water-filling start and V_r come from one thin SVD of H, which
-        # AltMinBF, GPOS's stacks and resumes and ES on the channel share
+        # the water-filling design and V_r come from one thin SVD of H, which
+        # WF, AltMinBF, GPOS's stacks and resumes and ES on the channel share
         monkeypatch.setattr(beamforming, "_reduced", [])
         H = saleh_valenzuela(8, 4, seed=71)
         svd = np.linalg.svd
@@ -1036,12 +1037,29 @@ class TestAltMin:
 
         monkeypatch.setattr(np.linalg, "svd", counting)
         kw = dict(pt=1.0, sigma_n2=0.01, ns=2)
+        waterfilling_baseline(H, *kw.values())
         solved = {(2, 2, 2, 2): altmin_beamforming(H, [2] * 4, *kw.values())[1]}
         bitalloc.gpos_bfba(H, b_max=3, budget=8, solved=solved, **kw)
         bitalloc.exhaustive_search(H, b_max=3, budget=8, solved=solved, **kw)
         assert sum(calls) == 1
-        Hr, Vr, F0 = beamforming._reduce(H, *kw.values())
-        assert not any(a.flags.writeable for a in (Hr, Vr, F0))
+        Hr, Vr, F0, Fr0, Z = beamforming._reduce(H, *kw.values())
+        assert not any(a.flags.writeable for a in (Hr, Vr, F0, Fr0, Z))
+
+    def test_one_svd_of_h_per_channel_of_an_experiment(self, monkeypatch):
+        # every scheme of a channel, WF and FullPrecision too, reads one SVD
+        monkeypatch.setattr(beamforming, "_reduced", [])
+        cfg = evaluation.PointConfig(nt=4, nr=8, ns=2, snr_db=20.0, b=2, b_max=3)
+        svd = np.linalg.svd
+        shapes = []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        res = evaluation.run_experiment(cfg, evaluation.SCHEMES, num_channels=2, seed=3)
+        assert all(not o.failed_channels for o in res.outcomes.values())
+        assert shapes.count((8, 4)) == 2
 
     def test_shared_svd_gives_the_floats_of_fresh_solves(self, monkeypatch):
         monkeypatch.setattr(beamforming, "_reduced", [])
@@ -1071,6 +1089,26 @@ class TestAltMin:
         bf, rep = solve(A)
         assert rep.final_se == fresh["A"][1].final_se
         np.testing.assert_array_equal(bf.F, fresh["A"][0].F)
+
+        # the WF design, read from the same entry, is the caller's to write too
+        def wf(H):
+            return waterfilling_baseline(H, 1.0, 0.01, 2)
+
+        fresh_wf = {}
+        for name, H in (("A", A), ("B", B)):
+            beamforming._reduced.clear()
+            fresh_wf[name] = wf(H)
+        for name, H in (("A", A), ("B", B), ("A", A)):
+            bf, want_bf = wf(H), fresh_wf[name]
+            for x, y in ((bf.F, want_bf.F), (bf.U, want_bf.U), (bf.W, want_bf.W)):
+                np.testing.assert_array_equal(x, y, err_msg=name)
+        bf = wf(A)
+        assert bf.F.flags.writeable and bf.U.flags.writeable
+        bf.F[...] = 7.0
+        bf.U[...] = 7.0
+        for x, y in ((wf(A).F, fresh_wf["A"].F), (wf(A).U, fresh_wf["A"].U),
+                     (solve(A, max_iter=0)[0].F, want)):
+            np.testing.assert_array_equal(x, y)
 
     def test_one_bit_high_snr_beats_wf(self):
         # quantization-aware design strictly better than the unaware WF

@@ -3,16 +3,17 @@
 An allocation is a tuple of per-chain resolutions in {1, ..., b_max}
 summing to the caller's active-bit budget (``PointConfig.budget``). A
 greedy sweep produces the starting allocation; a pair-swap neighborhood
-search with a visited list improves it, scoring candidates by short
-alternating-minimization solves; the start is scored in the first sweep's
-list. An exhaustive oracle returns the optimum over every feasible
-allocation of a small instance. Both score lists of allocations through
-one scorer, ``_best``, which runs the AltMin iterations of a list stacked
-and returns every score, and both take the ``_rank`` minimum of the
-scores (README, "Bit allocation"). Both take an optional ``solved`` dict,
-allocation to the ``AltMinReport`` of its latest solve on the same H. Each
-solve continues the stored report (``altmin_beamforming``'s ``start``),
-``_best``'s through its stack, and ``_solve`` stores its report.
+search improves it, scoring candidates by short alternating-minimization
+solves and never scoring an allocation twice; the start is scored in the
+first sweep's list. An exhaustive oracle returns the optimum over every
+feasible allocation of a small instance. Both score lists of allocations
+through one scorer, ``_best``, which runs the AltMin iterations of a list
+stacked and returns every score, and both take the ``_rank`` minimum of
+the scores (README, "Bit allocation"). Both take an optional ``solved``
+dict, allocation to the ``AltMinReport`` of its latest solve on the same
+H. Each solve continues the stored report (``altmin_beamforming``'s
+``start``), ``_best``'s through its stack, and ``_solve`` stores its
+report.
 """
 
 from __future__ import annotations
@@ -59,21 +60,21 @@ def _check_feasible(nr: int, b_max: int, budget: int) -> None:
 def greedy_init(nr: int, b_max: int, budget: int) -> tuple[int, ...]:
     """Greedy starting allocation: all chains at b_max, then sweep down.
 
-    Chains are visited in index order, each decremented to a floor of 1
-    until the sum equals the active-bit budget.
+    Chains are visited once in index order, each giving up
+    ``min(b_max - 1, excess)`` bits, where ``excess`` is what the sum still
+    exceeds the active-bit budget by.
     """
     _check_feasible(nr, b_max, budget)
-    bits = [b_max] * nr
-    for n in range(nr):
-        while bits[n] >= 2 and sum(bits) > budget:
-            bits[n] -= 1
-        if sum(bits) == budget:
-            break
+    bits, excess = [], nr * b_max - budget
+    for _ in range(nr):
+        cut = min(b_max - 1, excess)
+        bits.append(b_max - cut)
+        excess -= cut
     return tuple(bits)
 
 
 def neighbor_set(bits: tuple[int, ...], tabu: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """All swap neighbors of an allocation not yet visited.
+    """All swap neighbors of an allocation not in ``tabu``.
 
     A neighbor swaps positions (i, j) with unequal values, which preserves
     the bit sum and the bounds; there are at most Nr(Nr-1)/2 of them.
@@ -146,37 +147,32 @@ def gpos_bfba(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
               solved: Optional[dict] = None) -> GposResult:
     """Greedy pair-order search over bit allocations with joint beamforming.
 
-    Each search iteration scores every unvisited swap neighbor of the
-    incumbent with a short (``scoring_max_iter``-capped)
-    alternating-minimization solve, moves to the best one if it strictly
-    improves the incumbent, and stops after ``i2`` iterations or when the
-    neighborhood is exhausted. The greedy start is scored in one stack
-    with the first iteration's neighbors, which gives the floats of scoring
-    it alone. The returned beamformers come from a full-convergence solve
-    at the incumbent. Ties between equal-SE neighbors break toward the
-    lexicographically smallest allocation. Every solve, the final one too,
-    continues ``solved`` (module docstring).
+    Each search iteration scores every swap neighbor of the incumbent not
+    scored before (the scored list is the tabu list) with a short
+    (``scoring_max_iter``-capped) alternating-minimization solve, moves to
+    the best one if it strictly improves the incumbent, and stops after
+    ``i2`` iterations or when the neighborhood is exhausted. The greedy
+    start is scored in one stack with the first iteration's neighbors, which
+    gives the floats of scoring it alone. The returned beamformers come from
+    a full-convergence solve at the incumbent. Ties between equal-SE
+    neighbors break toward the lexicographically smallest allocation. Every
+    solve, the final one too, continues ``solved`` (module docstring).
     """
     incumbent = greedy_init(H.shape[0], b_max, budget)
     scored = [incumbent]
-    visited = {incumbent}
-    neighbors = neighbor_set(incumbent, visited) if i2 > 0 else []
+    neighbors = neighbor_set(incumbent, set(scored)) if i2 > 0 else []
     (best_se, _), *scores = _best(H, [incumbent, *neighbors], pt, sigma_n2, ns, eps,
                                   scoring_max_iter, solved)
     se_trace = [best_se]
-    for sweep in range(i2):
-        if sweep:
-            neighbors = neighbor_set(incumbent, visited)
-            scores = _best(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter,
-                           solved) if neighbors else []
-        if not neighbors:
-            break
-        visited.update(neighbors)
+    while neighbors:
         scored += neighbors
         se, bits = min(scores, key=_rank)
         if se > best_se:
             best_se, incumbent = se, bits
         se_trace.append(best_se)
+        neighbors = neighbor_set(incumbent, set(scored)) if len(se_trace) <= i2 else []
+        scores = _best(H, neighbors, pt, sigma_n2, ns, eps, scoring_max_iter,
+                       solved) if neighbors else []
     beamformers, report = _solve(H, incumbent, pt, sigma_n2, ns, eps, max_iter, solved)
     return GposResult(
         allocation=incumbent,
@@ -243,7 +239,8 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
 
     The result is that of solving every allocation, ties broken toward the
     lexicographically smallest; multisets whose :func:`se_ceiling` lies
-    below the incumbent are skipped (README, "CLI", ``--oracle``).
+    below the incumbent are skipped (README, "CLI", ``--oracle``). The
+    incumbent is a running ``_rank`` minimum, from the empty ``(-inf, ())``.
     Continuing ``solved`` (module docstring) changes no float or entry. Raises
     ``ValueError`` if the unconstrained search space b_max^Nr exceeds
     ``MAX_SEARCH_SPACE`` or the budget is infeasible.
@@ -255,13 +252,12 @@ def exhaustive_search(H: np.ndarray, *, pt: float, sigma_n2: float, ns: int,
         multisets.setdefault(tuple(sorted(bits)), []).append(bits)
     ceiling = {m: se_ceiling(H, m, pt * (1.0 + _POWER_SLACK), sigma_n2, ns)
                for m in multisets}
-    best = None
+    best = (-np.inf, ())
     for m in sorted(multisets, key=lambda m: (-ceiling[m], m)):
-        if best is not None and ceiling[m] < best[0] * (1.0 - _PRUNE_RTOL):
+        if ceiling[m] < best[0] * (1.0 - _PRUNE_RTOL):
             break
         # a copy: no later solve reads the oracle's own reports
-        winner = min(_best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter,
-                           dict(solved or {})), key=_rank)
-        best = winner if best is None else min(best, winner, key=_rank)
+        best = min(best, *_best(H, multisets[m], pt, sigma_n2, ns, eps, max_iter,
+                                dict(solved or {})), key=_rank)
     se, bits = best
     return bits, float(se)

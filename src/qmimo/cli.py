@@ -283,7 +283,7 @@ def run_sweep(config: ExperimentConfig) -> int:
     channel and puts last.
     The CSV is rewritten and flushed after each point so an interrupted
     run keeps every completed point. Returns a process exit status (0 on
-    success, 1 if any point raised; its traceback goes to stderr).
+    success, 1 from the first point that raised; its traceback goes to stderr).
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,19 +292,17 @@ def run_sweep(config: ExperimentConfig) -> int:
     records: list[tuple] = []
     points = config.points()
     run = _oracle_outcome if "ES" in config.schemes else evaluation.run_experiment
-    status = 0
     for i, (axes, cfg) in enumerate(points):
         print(f"[{i + 1}/{len(points)}] " + " ".join(f"{k}={v:g}" for k, v in axes.items()))
         try:
             result = run(cfg, config.schemes, config.num_channels, config.seed)
         except Exception:
             print(f"point {axes} failed:\n{traceback.format_exc()}", end="", file=sys.stderr)
-            status = 1
-            break
+            return 1
         records.append((axes, result))
         write_results(records, "csv", csv_path)
         write_results(records, "json", json_path)
-    return status
+    return 0
 
 
 def main(argv=None) -> int:

@@ -556,51 +556,69 @@ class TestStackedScoring:
 
 class TestSharedStartStack:
     """GPOS scores its greedy start in one ``_best`` list with the first sweep's neighbors;
-    every field of its result is that of a loop of lone solves."""
+    every field of its result, every later list and its ``neighbor_set`` calls are those
+    of a loop of lone solves."""
 
     @staticmethod
     def lone_gpos(H, kw, i2):
-        """``gpos_bfba`` with each ``_best`` list as a loop of lone solves (``lone_solves``)."""
+        """``gpos_bfba`` with each ``_best`` list as a loop of lone solves (``lone_solves``).
+
+        Also returns the lists it scores, ``[start]`` and then each sweep's
+        neighbors, and its number of ``neighbor_set`` calls.
+        """
         store = {}
         incumbent = greedy_init(H.shape[0], kw["b_max"], kw["budget"])
         scored, visited = [incumbent], {incumbent}
         best_se, _ = lone_solves(H, [incumbent], kw, 30, store)
-        trace = [best_se]
+        trace, lists, calls = [best_se], [[incumbent]], 0
         for _ in range(i2):
             neighbors = neighbor_set(incumbent, visited)
+            calls += 1
             if not neighbors:
                 break
             visited.update(neighbors)
             scored += neighbors
+            lists.append(neighbors)
             se, bits = lone_solves(H, neighbors, kw, 30, store)
             if se > best_se:
                 best_se, incumbent = se, bits
             trace.append(best_se)
         bf, rep = altmin_beamforming(H, incumbent, kw["pt"], kw["sigma_n2"], kw["ns"],
                                      start=store.get(incumbent))
-        return incumbent, bf, rep, trace, tuple(scored)
+        return incumbent, bf, rep, trace, tuple(scored), lists, calls
 
-    @pytest.mark.parametrize("i2, budget", [(15, 8), (0, 8), (15, 12)])
+    # budget 12 = Nr * b_max: the start has no swap neighbor. i2 1 at budget 8
+    # and i2 2 at budget 9: the cap stops the search on channels whose
+    # neighborhood lasts longer
+    @pytest.mark.parametrize("i2, budget", [(15, 8), (0, 8), (15, 12), (1, 8), (2, 9),
+                                            (15, 9)])
     def test_start_scored_with_the_first_sweep(self, monkeypatch, i2, budget):
-        # budget 12 = Nr * b_max: the start has no swap neighbor
-        best = bitalloc._best
-        lists = []
+        best, neighbors = bitalloc._best, bitalloc.neighbor_set
+        lists, calls = [], []
 
         def listed(H, allocations, *args):
             lists.append(list(allocations))
             return best(H, allocations, *args)
 
+        def counted(*args):
+            calls.append(args)
+            return neighbors(*args)
+
         monkeypatch.setattr(bitalloc, "_best", listed)
+        monkeypatch.setattr(bitalloc, "neighbor_set", counted)
         for snr_db in (0, 20):
             kw = dict(pt=1.0, sigma_n2=10 ** (-snr_db / 10), ns=2, b_max=3, budget=budget)
             for seed in range(8020, 8024):
                 H = saleh_valenzuela(8, 4, seed=seed)
                 where = f"{snr_db} dB, seed {seed}"
                 lists.clear()
+                calls.clear()
                 res = gpos_bfba(H, i2=i2, solved={}, **kw)
-                start = greedy_init(4, 3, budget)
-                assert lists[0] == [start] + (neighbor_set(start, {start}) if i2 else []), where
-                allocation, bf, rep, trace, scored = self.lone_gpos(H, kw, i2)
+                (allocation, bf, rep, trace, scored, lone_lists,
+                 lone_calls) = self.lone_gpos(H, kw, i2)
+                # the start shares the first sweep's list; every later list is one sweep's
+                assert lists == [sum(lone_lists[:2], []), *lone_lists[2:]], where
+                assert len(calls) == lone_calls, where
                 assert res.allocation == allocation, where
                 assert res.se == rep.final_se, where
                 np.testing.assert_array_equal(res.se_trace, trace, err_msg=where)

@@ -82,10 +82,12 @@ def test_same_outputs_sees_an_ulp_of_the_covariance(tmp_path, monkeypatch, capsy
 
 def test_same_outputs_reads_its_configs():
     cases = same_outputs.cases()
-    assert len(cases) == 15
+    assert len(cases) == 16
     assert cases["workload-oracle-8x4"][1][-1] == "--oracle"
     assert cases["oracle-continuation-8x4"][1][-1] == "--oracle"
     assert cases["uniform-continuation-8x4"][1][-1] == "--oracle"
+    # GPOS sweeps stopped by the cap, not by an exhausted neighbourhood
+    assert cases["gpos-sweep-cap-16x16"][0]["I2"] == [1, 2]
     # the Monte-Carlo path quantizes some chains by binary search
     from qmimo.quantizer import _COUNT_MAX_BITS
 

@@ -118,6 +118,13 @@ def cases() -> dict[str, tuple[dict, list[str]]]:
          "scoring_max_iter": 10, "schemes": ["GPOS", "AltMinBF"], "num_channels": 2},
         run_args(),
     )
+    # GPOS searches stopped by their I2 cap: at I2 15 this point runs out of
+    # neighbours after 4 sweeps
+    out["gpos-sweep-cap-16x16"] = (
+        {"Nt": 16, "Nr": 16, "Ns": 4, "snr_db": 20, "b": 2, "b_max": 4, "I2": [1, 2],
+         "schemes": ["GPOS"], "num_channels": 1},
+        run_args(),
+    )
     # 8-bit chains: quantize_real indexes their codebooks by binary search,
     # the branch above _COUNT_MAX_BITS, on the Monte-Carlo path
     out["mc-8bit-8x4"] = (
